@@ -30,6 +30,7 @@ from . import envelopes
 from .fields import AxialEnvelope, MeridianPoint, power_law_vorticity, \
     stream_bump_field, swirl_bump_field
 from .norms import bmo_oscillation_ln, disk_mean_ln
+from .quadrature import QuadratureError
 from .rates import (bruteforce_feasible_set, construct_feasible_pair,
                     fit_decay, predicted_decay, InfeasibleExponentError)
 from .reconstruct import REGION_NAMES, decay_trace, reconstruct_ur, \
@@ -137,7 +138,7 @@ def _fmt(x):
 
 
 def cmd_kernel_scan(cfg, out_dir, workers, refine_flag):
-    """Envelope-ratio scans; exit 0 iff stable and no quadrature failures."""
+    """Envelope-ratio scans; exit 0 iff stable and no non-finite kernel values."""
     kinds = [k.strip() for k in cfg["scan.kinds"].split(",") if k.strip()]
     grid_kwargs = dict(n_r=cfg["scan.n_r"], n_ratio=cfg["scan.n_ratio"],
                        n_zeta=cfg["scan.n_zeta"],
@@ -194,7 +195,7 @@ def cmd_kernel_scan(cfg, out_dir, workers, refine_flag):
     return 0 if ok else 1
 
 
-def cmd_decay(cfg, out_dir, workers):
+def cmd_decay(cfg, out_dir):
     """Trace + fit; exit 0 iff fitted slope <= predicted + tolerance."""
     beta = cfg["decay.beta"]
     if not beta > 1.0:
@@ -277,7 +278,7 @@ def cmd_decay(cfg, out_dir, workers):
     return 0 if passed and not any(s.flagged for s in samples) else 1
 
 
-def cmd_feasibility(cfg, out_dir, workers):
+def cmd_feasibility(cfg, out_dir):
     """Brute-force region + construction; exit 0 iff they agree."""
     mu = cfg["feas.mu"]
     n_d, n_q = cfg["feas.n_delta"], cfg["feas.n_q"]
@@ -410,7 +411,7 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     return 0 if ok else 1
 
 
-def cmd_bmo(cfg, out_dir, workers):
+def cmd_bmo(cfg, out_dir):
     """Scale-invariance table; exit 0 iff ratios and disk means hold."""
     n = cfg["bmo.n_scales"]
     scales = [2.0 ** j for j in range(1, n + 1)]
@@ -470,17 +471,17 @@ def main(argv=None):
         if args.command == "kernel-scan":
             return cmd_kernel_scan(cfg, args.out, args.workers, args.refine)
         if args.command == "decay":
-            return cmd_decay(cfg, args.out, args.workers)
+            return cmd_decay(cfg, args.out)
         if args.command == "feasibility":
-            return cmd_feasibility(cfg, args.out, args.workers)
+            return cmd_feasibility(cfg, args.out)
         if args.command == "roundtrip":
             return cmd_roundtrip(cfg, args.out, args.workers, args.seed)
         if args.command == "bmo":
-            return cmd_bmo(cfg, args.out, args.workers)
+            return cmd_bmo(cfg, args.out)
     except (ConfigError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, QuadratureError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
     return 2

@@ -124,8 +124,6 @@ class ScanData:
     kernel23: np.ndarray
     kernel1: np.ndarray
     kernel1_over_zeta: np.ndarray
-    err23: np.ndarray
-    err1: np.ndarray
     excluded: int
     failures: List[tuple]
 
@@ -207,12 +205,12 @@ def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0),
 
 def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
     """One kernel pass over the grid; r <= 1 and near-diagonal points are
-    excluded, quadrature failures (error > 1% of magnitude) recorded."""
+    excluded, failures (a non-finite kernel value) recorded."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[None, :]
     rs, rhos, zetas = [], [], []
-    k23, k1, k1z, e23, e1 = [], [], [], [], []
+    k23, k1, k1z = [], [], []
     excluded = 0
     failures = []
     for r in np.unique(grid[:, 0]):
@@ -233,10 +231,7 @@ def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
         v23 = np.maximum(np.abs(kb.g2), np.abs(kb.g3))
         v1 = np.abs(kb.g1)
         v1z = np.abs(kb.g1_over_zeta)
-        er23 = np.maximum(kb.e2, kb.e3)
-        er1 = kb.e1
-        bad = (er23 > 0.01 * np.maximum(v23, 1e-300)) \
-            | (er1 > 0.01 * np.maximum(v1, 1e-300))
+        bad = ~(np.isfinite(v23) & np.isfinite(v1) & np.isfinite(v1z))
         for i in np.nonzero(bad)[0]:
             failures.append((float(r), float(rho[i]), float(zeta[i])))
         good = ~bad
@@ -246,8 +241,6 @@ def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
         k23.append(v23[good])
         k1.append(v1[good])
         k1z.append(v1z[good])
-        e23.append(er23[good])
-        e1.append(er1[good])
     cat = (lambda parts: np.concatenate(parts) if parts else np.empty(0))
     r_all, rho_all = cat(rs), cat(rhos)
     zeta_all = cat(zetas)
@@ -261,7 +254,6 @@ def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
     return ScanData(r=r_all, rho=rho_all, zeta=zeta_all, K=K,
                     kernel23=cat(k23), kernel1=cat(k1),
                     kernel1_over_zeta=cat(k1z),
-                    err23=cat(e23), err1=cat(e1),
                     excluded=excluded, failures=failures)
 
 
@@ -304,9 +296,8 @@ def bound_scan(kind, alpha, grid=None, margin=DIAGONAL_MARGIN):
     Grid points with r <= 1 (outside the envelope's validity) and points
     within `margin` of the diagonal (dist < margin * max(r, rho)) are
     excluded and counted; for gamma1 with alpha > 1 the near-diagonal band
-    is additionally dropped by the regime gate.  Points whose kernel
-    quadrature error exceeds 1% of the kernel magnitude are recorded as
-    failures and skipped.
+    is additionally dropped by the regime gate.  Points with a non-finite
+    kernel value are recorded as failures and skipped.
     """
     if grid is None:
         grid = scan_grid()

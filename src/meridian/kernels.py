@@ -1,4 +1,4 @@
-"""Angular integrals of the meridian-plane Biot-Savart kernels.
+"""Meridian-plane Biot-Savart ring kernels: closed forms and their oracle.
 
 The three kernels coupling a source ring at (rho, k) to a field point at
 (r, z), with zeta = z - k, are
@@ -8,17 +8,36 @@ The three kernels coupling a source ring at (rho, k) to a field point at
     G3(r, rho, zeta) = -(1/4pi) int_0^{2pi} (rho - r cos(p)) cos(p) / D(p)^{3/2} dp
 
 with D(p) = r^2 + rho^2 - 2 r rho cos(p) + zeta^2.  Periodicity and evenness
-reduce every integral to [0, pi/2] via p = 2t:
+reduce them to the moments J_k = int_0^{pi/2} cos(2t)^k / D(2t)^{3/2} dt:
 
-    D(2t) = (r - rho)^2 + 4 r rho sin(t)^2 + zeta^2.
+    G1 = zeta J1 / pi,   G2 = -(rho J0 - r J1) / pi,   G3 = -(rho J1 - r J2) / pi.
 
-The integrand develops a boundary layer of width K^{-1/2} at t = 0, where
+With a^2 = (r + rho)^2 + zeta^2, m = 4 r rho / a^2 and y = 1 - m =
+((r - rho)^2 + zeta^2) / a^2, D(2t) = a^2 (1 - m cos(t)^2), and t -> pi/2 - t
+turns the moments into
+
+    J0 = a^-3 P0,   J1 = a^-3 (2 P1 - P0),   J2 = a^-3 (4 P2 - 4 P1 + P0),
+    P_j = int_0^{pi/2} sin(t)^{2j} / (1 - m sin(t)^2)^{3/2} dt,
+
+complete elliptic integrals of parameter m (Lamb, Hydrodynamics, sec. 161):
+
+    P0 = E/y,   P1 = (P0 - K)/m,   P2 = (P1 - (K - E)/m)/m.
+
+`kernel_batch` evaluates these with K = ellipkm1(y), E = ellipe(m), forming
+y from the squared distance to the diagonal so it does not cancel there.
+P1 and P2 cancel as m -> 0, so below m = SERIES_M the moments come from
+their power series in m instead.  Both branches are O(1) per point and
+agree with 40-digit references to about 4e-13 relative at worst (just
+above the switch).
+
+`kernel_triple` keeps adaptive angular quadrature as the independent
+oracle.  Its integrand develops a boundary layer of width K^{-1/2} at t = 0,
+where
 
     K = 4 r rho / ((r - rho)^2 + zeta^2)
 
-is the near-diagonal modulus.  All quadrature here resolves that layer with
-geometrically graded panels; `angular_integral` additionally refines
-adaptively to a requested absolute tolerance.
+is the near-diagonal modulus; geometrically graded panels resolve it and
+`adaptive_integrate` refines to a requested absolute tolerance.
 
 The model integral behind the kernel envelopes is
 
@@ -31,9 +50,9 @@ like K^{-1/2} (beta > 1) or K^{-delta/2} (beta = 1, any delta < 1).
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ellipe, ellipkm1
 
-from .quadrature import (DEFAULT_PANEL_BUDGET, adaptive_integrate,
-                         panel_nodes)
+from .quadrature import DEFAULT_PANEL_BUDGET, adaptive_integrate
 
 # K above which kernel quadrature switches to the u = sin(t) substitution;
 # the layer is then exactly algebraic and geometric panels in u are optimal.
@@ -177,9 +196,76 @@ def _reduced_moments_scalar(r, rho, zeta, K, tol):
     return results
 
 
+def _series_coefficients(n_terms):
+    """Coefficients of a^3 J0, a^3 J1, a^3 J2 as power series in m.
+
+    (1 - m s^2)^{-3/2} = sum_n c_n m^n s^{2n} with c_n = (3/2)_n / n!, and
+    int_0^{pi/2} sin(t)^{2j} dt = s_j = (pi/2) (1/2)_j / j!, so
+    P_k = sum_n c_n s_{n+k} m^n.  In the J combinations the ratios
+    s_{n+1}/s_n = (2n+1)/(2n+2) collapse to exact factors,
+
+        2 s_{n+1} - s_n = s_n n / (n+1)
+        4 s_{n+2} - 4 s_{n+1} + s_n = s_n (n^2 + n + 1) / ((n+1)(n+2)),
+
+    so the leading terms of J1 cancel in the coefficients, not at run time.
+    Returned highest power first, ready for np.polyval.
+    """
+    n = np.arange(n_terms, dtype=float)
+    c = np.cumprod(np.concatenate([[1.0], (n[:-1] + 1.5) / (n[:-1] + 1.0)]))
+    s = 0.5 * np.pi * np.cumprod(np.concatenate(
+        [[1.0], (n[:-1] + 0.5) / (n[:-1] + 1.0)]))
+    cs = c * s
+    return (cs[::-1], (cs * n / (n + 1.0))[::-1],
+            (cs * (n * n + n + 1.0) / ((n + 1.0) * (n + 2.0)))[::-1])
+
+
+# m below which the moments come from their power series: the closed forms
+# divide by m twice and lose digits as m -> 0.  At m = SERIES_M the 20-term
+# series is truncated below 1e-18 relative.
+SERIES_M = 0.1
+_SERIES = _series_coefficients(20)
+
+
+def ring_moments(r, rho, zeta):
+    """Reduced moments J0, J1, J2 in closed form (see the module docstring).
+
+    For m >= SERIES_M they come from K = ellipkm1(y) and E = ellipe(m),
+    with y = 1 - m formed from the squared distance to the diagonal so it
+    does not cancel as the source ring nears the field point; below it,
+    from the power series in m.  Arrays broadcast; callers reject the
+    diagonal point itself.
+    """
+    rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                    np.asarray(zeta, dtype=float))
+    shape = rho.shape
+    rho, zeta = rho.ravel(), zeta.ravel()
+    a2 = (r + rho) ** 2 + zeta ** 2
+    # rounding can carry 4 r rho past a^2 by an ulp at zeta = 0
+    m = np.minimum(4.0 * r * rho / a2, 1.0)
+    y = ((r - rho) ** 2 + zeta ** 2) / a2
+    inv_a3 = 1.0 / (a2 * np.sqrt(a2))
+    K = ellipkm1(y)
+    E = ellipe(m)
+    # m = 0 divides by zero here; the series overwrites those points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p0 = E / y
+        p1 = (p0 - K) / m
+        p2 = (p1 - (K - E) / m) / m
+    j0 = p0 * inv_a3
+    j1 = (2.0 * p1 - p0) * inv_a3
+    j2 = (4.0 * p2 - 4.0 * p1 + p0) * inv_a3
+
+    small = m < SERIES_M
+    if np.any(small):
+        ms, inv_s = m[small], inv_a3[small]
+        for out, coef in zip((j0, j1, j2), _SERIES):
+            out[small] = np.polyval(coef, ms) * inv_s
+    return j0.reshape(shape), j1.reshape(shape), j2.reshape(shape)
+
+
 @dataclass
 class KernelValues:
-    """Batched kernel values with per-point absolute error estimates.
+    """Batched kernel values from the closed-form moments.
 
     g_swirl is the kernel pairing the axial vorticity in the swirl
     reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
@@ -192,74 +278,29 @@ class KernelValues:
     g3: np.ndarray
     g_swirl: np.ndarray
     g1_over_zeta: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    e_swirl: np.ndarray
 
 
 def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
                  with_errors=True):
-    """Vectorized kernel evaluation over source-point arrays for one field
-    radius r.
+    """Vectorized kernels over source-point arrays for one field radius r.
 
-    Uses a single layer-graded panel mesh sized for the worst K in the batch
-    plus an embedded lower-order rule for per-point error estimates (skipped
-    when `with_errors` is false; callers with their own error control, like
-    the reconstruction meshes, avoid the second pass).  This is the
-    workhorse for grid scans and half-plane reconstruction; its agreement
-    with the adaptive `kernel_triple` path is asserted in tests.
+    Closed forms from `ring_moments`, O(1) per point and accurate to about
+    4e-13 relative in the moments, so no error estimate is returned.  This
+    is the workhorse for grid scans and half-plane reconstruction; its
+    agreement with the adaptive `kernel_triple` oracle is asserted in tests.  `n_nodes`, `n_err`,
+    `deepen` and `with_errors` are ignored: they remain only because the
+    benchmark's trace binds them by name.
     """
     rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(zeta, dtype=float))
-    D = (r - rho) ** 2 + zeta ** 2
-    if np.any(D <= 0):
+    if np.any((r - rho) ** 2 + zeta ** 2 <= 0):
         raise ValueError("kernel_batch received a diagonal point")
-    K_max = float(np.max(4.0 * r * rho / D))
-    edges = layer_panels(K_max, deepen=deepen)
-
-    shape = rho.shape
-    rho = rho.ravel()
-    zeta = zeta.ravel()
-    D = D.ravel()
-    out = [np.empty(rho.size) for _ in range(9)]
-    # chunk so the (points, nodes) integrand matrix stays modest
-    n_phi = (len(edges) - 1) * n_nodes
-    chunk = max(1, int(4e6 / max(n_phi, 1)))
-    for lo in range(0, rho.size, chunk):
-        sl = slice(lo, min(lo + chunk, rho.size))
-        j0, j1, j2 = _chunk_moments(r, rho[sl], D[sl], edges, n_nodes)
-        z = zeta[sl]
-        p = rho[sl]
-        out[0][sl] = (z / np.pi) * j1
-        out[1][sl] = -(p * j0 - r * j1) / np.pi
-        out[2][sl] = -(p * j1 - r * j2) / np.pi
-        out[3][sl] = (r * j0 - p * j1) / np.pi
-        out[4][sl] = j1 / np.pi
-        if with_errors:
-            k0, k1, k2 = _chunk_moments(r, rho[sl], D[sl], edges, n_err)
-            d0, d1, d2 = np.abs(j0 - k0), np.abs(j1 - k1), np.abs(j2 - k2)
-            out[5][sl] = np.abs(z) / np.pi * d1
-            out[6][sl] = (p * d0 + r * d1) / np.pi
-            out[7][sl] = (p * d1 + r * d2) / np.pi
-            out[8][sl] = (r * d0 + p * d1) / np.pi
-        else:
-            out[5][sl] = out[6][sl] = out[7][sl] = out[8][sl] = 0.0
-    a = [o.reshape(shape) for o in out]
-    return KernelValues(g1=a[0], g2=a[1], g3=a[2], g_swirl=a[3],
-                        g1_over_zeta=a[4], e1=a[5], e2=a[6], e3=a[7],
-                        e_swirl=a[8])
-
-
-def _chunk_moments(r, rho, D, edges, n):
-    t, wt = panel_nodes(edges, n)
-    s2 = np.sin(t) ** 2
-    c2 = np.cos(2 * t)
-    inv = (D[:, None] + (4.0 * r) * rho[:, None] * s2[None, :]) ** -1.5
-    j0 = inv @ wt
-    j1 = inv @ (wt * c2)
-    j2 = inv @ (wt * c2 * c2)
-    return j0, j1, j2
+    j0, j1, j2 = ring_moments(r, rho, zeta)
+    return KernelValues(g1=(zeta / np.pi) * j1,
+                        g2=-(rho * j0 - r * j1) / np.pi,
+                        g3=-(rho * j1 - r * j2) / np.pi,
+                        g_swirl=(r * j0 - rho * j1) / np.pi,
+                        g1_over_zeta=j1 / np.pi)
 
 
 def swirl_source_kernel(r, rho, zeta, tol=1e-12):

@@ -156,7 +156,7 @@ def _integrate_rect(kernel_sel, weight, r, z, rect, spec, k_scale, deepen=0,
         kn, kw = panel_nodes(k_edges, n)
         RR = np.repeat(rn, kn.size)
         KK = np.tile(kn, rn.size)
-        kb_vals = kernel_batch(r, RR, z - KK, n_nodes=14, with_errors=False)
+        kb_vals = kernel_batch(r, RR, z - KK)
         ker = kernel_sel(kb_vals)
         wv = weight(RR, KK)
         contrib = ker * wv * RR
@@ -188,8 +188,7 @@ def _integrate_polar_core(kernel_sel, weight, r, z, s0, spec, deepen=0,
     def run(n_theta_run, n_s_run, levels_run):
         theta = np.arange(n_theta_run) * (2.0 * np.pi / n_theta_run)
         ct, st = np.cos(theta), np.sin(theta)
-        total = 0.0
-        max_integrand = 0.0
+        nodes, weights, ray_id = [], [], []
         s_min_eff = 0.0
         for j, (c, s_ang) in enumerate(zip(ct, st)):
             s_max = s0 / max(abs(c), abs(s_ang))
@@ -200,15 +199,22 @@ def _integrate_polar_core(kernel_sel, weight, r, z, s0, spec, deepen=0,
                 if extra is not None:
                     edges = np.unique(np.concatenate([edges, extra]))
             sn, sw = panel_nodes(edges, n_s_run)
-            rho = r + sn * c
-            kk = z + sn * s_ang
-            kv = kernel_batch(r, rho, z - kk, n_nodes=14, with_errors=False)
-            ker = kernel_sel(kv)
-            vals = ker * weight(rho, kk) * rho * sn
-            total += float(np.dot(sw, vals)) * (2.0 * np.pi / n_theta_run)
-            if vals.size:
-                max_integrand = max(max_integrand, float(np.max(np.abs(vals))))
+            nodes.append(sn)
+            weights.append(sw)
+            ray_id.append(np.full(sn.size, j))
             s_min_eff = max(s_min_eff, float(edges[0]))
+        # rays differ in length when `resolution` adds edges: one kernel call
+        # over all of them, summed back per ray
+        sn, sw = np.concatenate(nodes), np.concatenate(weights)
+        ray_id = np.concatenate(ray_id)
+        rho = r + sn * ct[ray_id]
+        kk = z + sn * st[ray_id]
+        ker = kernel_sel(kernel_batch(r, rho, z - kk))
+        vals = ker * weight(rho, kk) * rho * sn
+        ray_sums = np.bincount(ray_id, weights=sw * vals,
+                               minlength=n_theta_run)
+        total = float(np.sum(ray_sums)) * (2.0 * np.pi / n_theta_run)
+        max_integrand = float(np.max(np.abs(vals)))
         # the omitted disk s < s_min contributes at most its area times the
         # bounded polar integrand
         trunc = 2.0 * np.pi * s_min_eff * max_integrand

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from meridian import cli
 from meridian.cli import ConfigError, DEFAULTS, load_config, main
+from meridian.quadrature import QuadratureError
 
 
 FAST_SCAN = """
@@ -100,6 +102,14 @@ def test_bmo_exit_zero_and_table(tmp_path):
     assert all(v < 1.01 for v in payload["max_min_ratios"].values())
     rows = (out / "bmo_table.csv").read_text().splitlines()
     assert len(rows) == 7
+
+
+def test_quadrature_error_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise QuadratureError("budget exhausted", best=0.0, error=1.0)
+    monkeypatch.setattr(cli, "cmd_bmo", fail)
+    assert main(["bmo", "--out", str(tmp_path)]) == 2
+    assert "numerical failure: budget exhausted" in capsys.readouterr().err
 
 
 def test_kernel_scan_outputs_and_determinism(tmp_path):

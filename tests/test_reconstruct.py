@@ -8,21 +8,23 @@ from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
 from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, zero_profile
 from meridian.quadrature import panel_nodes, uniform_mesh
-from meridian.reconstruct import (QuadratureSpec, decay_trace, reconstruct_ur,
-                                  reconstruct_utheta, reconstruct_uz)
+from meridian.reconstruct import (QuadratureSpec, _integrate_polar_core,
+                                  _resolution_edges, decay_trace,
+                                  reconstruct_ur, reconstruct_utheta,
+                                  reconstruct_uz)
 
 
 def fine_grid_reference(w_field, p, component, n_pan=80, n_nodes=10):
     """Independent quadrature: composite GL tensor grid over the compact
-    support, kernels from the batched evaluator (itself validated against
-    closed forms and full-period quadrature)."""
+    support, kernels from the closed-form batch evaluator (itself validated
+    against the adaptive oracle and full-period quadrature)."""
     slo, shi, klo, khi = w_field.support
     rn, rw = panel_nodes(uniform_mesh(slo, shi, n_pan), n_nodes)
     kn, kw = panel_nodes(uniform_mesh(klo, khi, n_pan), n_nodes)
     RR = np.repeat(rn, kn.size)
     KK = np.tile(kn, rn.size)
     WW = np.repeat(rw, kn.size) * np.tile(kw, rn.size)
-    kb = kernel_batch(p.r, RR, p.z - KK, with_errors=False)
+    kb = kernel_batch(p.r, RR, p.z - KK)
     if component == "u_r":
         contrib = kb.g1 * w_field.w_theta(RR, KK)
     elif component == "u_z":
@@ -30,6 +32,43 @@ def fine_grid_reference(w_field, p, component, n_pan=80, n_nodes=10):
     else:
         contrib = kb.g_swirl * w_field.w_z(RR, KK) - kb.g1 * w_field.w_r(RR, KK)
     return float(np.sum(contrib * RR * WW))
+
+
+def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
+                       resolution):
+    """The polar-core rule one ray at a time: one kernel call per angle."""
+    h = 2.0 * np.pi / n_theta
+    total, max_integrand, s_min = 0.0, 0.0, 0.0
+    for theta in np.arange(n_theta) * h:
+        c, s_ang = np.cos(theta), np.sin(theta)
+        s_max = s0 / max(abs(c), abs(s_ang))
+        edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
+        extra = _resolution_edges(float(edges[0]), float(s_max), resolution)
+        if extra is not None:
+            edges = np.unique(np.concatenate([edges, extra]))
+        sn, sw = panel_nodes(edges, n_s)
+        rho, kk = r + sn * c, z + sn * s_ang
+        vals = kernel_sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho * sn
+        total += float(np.dot(sw, vals)) * h
+        max_integrand = max(max_integrand, float(np.max(np.abs(vals))))
+        s_min = max(s_min, float(edges[0]))
+    return total, 2.0 * np.pi * s_min * max_integrand
+
+
+def test_polar_core_matches_per_ray_loop():
+    # the resolution edges give rays of two lengths; batching the rays into
+    # one kernel call may change only the summation order
+    _, w = stream_bump_field(r0=3.0, radius=1.0)
+    spec = QuadratureSpec()
+    r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
+    args = (lambda kv: kv.g1, w.w_theta, r, z, s0)
+    value, err = _integrate_polar_core(*args, spec, resolution=res)
+    hi, trunc = per_ray_polar_core(*args, spec.n_theta, spec.n_s_nodes,
+                                   spec.near_diag_refinement, res)
+    lo, _ = per_ray_polar_core(*args, spec.n_theta // 2, spec.n_s_nodes - 1,
+                               spec.near_diag_refinement, res)
+    assert value == pytest.approx(hi, rel=1e-13, abs=1e-15)
+    assert err == pytest.approx(abs(hi - lo) + trunc, rel=1e-9, abs=1e-15)
 
 
 def test_zero_vorticity_reconstructs_zero():
