@@ -32,7 +32,8 @@ from .fields import AxialEnvelope, MeridianPoint, power_law_vorticity, \
 from .norms import bmo_oscillation_ln, disk_mean_ln
 from .quadrature import QuadratureError
 from .rates import (bruteforce_feasible_set, construct_feasible_pair,
-                    fit_decay, predicted_decay, InfeasibleExponentError)
+                    feasibility_predicates, fit_decay, predicted_decay,
+                    InfeasibleExponentError)
 from .reconstruct import REGION_NAMES, decay_trace, reconstruct_ur, \
     reconstruct_utheta, reconstruct_uz
 
@@ -286,11 +287,8 @@ def cmd_feasibility(cfg, out_dir):
     qs = 2.0 + (np.arange(n_q) + 0.5) / n_q
     mask = bruteforce_feasible_set(mu, deltas, qs)
 
-    lower = np.maximum(6.0 * (3.0 - deltas[:, None]) / (6.0 - deltas[:, None]),
-                       2.0 / mu)
-    lower_ok = qs[None, :] > lower
-    upper_ok = np.broadcast_to(qs[None, :] < 3.0, mask.shape)
-    neg_ok = 2.0 - deltas[:, None] / 2.0 - (6.0 - 2.0 * deltas[:, None]) / qs[None, :] < 0
+    lower_ok, upper_ok, neg_ok = feasibility_predicates(deltas[:, None],
+                                                        qs[None, :], mu)
     with open(os.path.join(out_dir, "feasibility_region.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["mu", "delta", "q", "lower_ok", "upper_ok",

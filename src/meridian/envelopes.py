@@ -263,20 +263,24 @@ def _regime_labels(r, rho, K):
     return np.char.add(np.char.add(band, ":"), kside)
 
 
-def report_from_data(kind, alpha, data):
-    """Reduce shared scan data to a per-regime supremum report for one alpha."""
-    env = BoundEnvelope(kind=kind, alpha=alpha)
+def _admissible_ratio(env, data):
+    """(admissible mask, |kernel| / envelope on the admissible points)."""
     ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
     r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
-    if kind == "gamma23":
-        ratio = data.kernel23[ok] / envelope_value(env, r, rho, zeta)
-    else:
-        # |G1| / (|zeta| max^-a d^-(3-a)) written via G1/zeta so the
-        # zeta = 0 line contributes its finite limit
-        d2 = (r - rho) ** 2 + zeta ** 2
-        m = np.maximum(r, rho)
-        ratio = (data.kernel1_over_zeta[ok] * m ** env.alpha
-                 * d2 ** ((3.0 - env.alpha) / 2.0))
+    if env.kind == "gamma23":
+        return ok, data.kernel23[ok] / envelope_value(env, r, rho, zeta)
+    # |G1| / (|zeta| max^-a d^-(3-a)) written via G1/zeta so the zeta = 0
+    # line contributes its finite limit
+    d2 = (r - rho) ** 2 + zeta ** 2
+    m = np.maximum(r, rho)
+    return ok, (data.kernel1_over_zeta[ok] * m ** env.alpha
+                * d2 ** ((3.0 - env.alpha) / 2.0))
+
+
+def report_from_data(kind, alpha, data):
+    """Reduce shared scan data to a per-regime supremum report for one alpha."""
+    ok, ratio = _admissible_ratio(BoundEnvelope(kind=kind, alpha=alpha), data)
+    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
     labels = _regime_labels(r, rho, data.K[ok])
     sup, arg = {}, {}
     for lab in np.unique(labels):
@@ -338,19 +342,10 @@ def refine_and_compare(kind, alpha, base_kwargs=None, factor=2,
 def write_scan_csv(path, kind, alpha, data):
     """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio."""
     env = BoundEnvelope(kind=kind, alpha=alpha)
-    ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
+    ok, ratio = _admissible_ratio(env, data)
     kv = (data.kernel23 if kind == "gamma23" else data.kernel1)[ok]
     r, rho, zeta, K = data.r[ok], data.rho[ok], data.zeta[ok], data.K[ok]
-    d2 = (r - rho) ** 2 + zeta ** 2
-    m = np.maximum(r, rho)
-    if kind == "gamma23":
-        envv = m ** (-env.alpha) * d2 ** (-(2.0 - env.alpha) / 2.0)
-        ratio = kv / envv
-    else:
-        envv = np.abs(zeta) * m ** (-env.alpha) * d2 ** (-(3.0 - env.alpha) / 2.0)
-        # ratio written through G1/zeta: finite limit on the zeta = 0 line
-        ratio = (data.kernel1_over_zeta[ok] * m ** env.alpha
-                 * d2 ** ((3.0 - env.alpha) / 2.0))
+    envv = envelope_value(env, r, rho, zeta)
     labels = _regime_labels(r, rho, K)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)

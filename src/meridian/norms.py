@@ -220,10 +220,11 @@ def disk_mean_ln(R, n_nodes=14):
     return float(2.0 / R ** 2 * np.dot(w, x * np.log(x)))
 
 
-_BMO_POWERS = {3.0: ("cube-root", 1.0, 1.0 / 3.0),
-               2.0 / 3.0: ("two-thirds", 2.0, 2.0 / 3.0),
-               1.5: ("two-thirds", 2.0, 2.0 / 3.0),
-               12.0: ("twelfth", 3.0, 1.0)}
+# p -> (power of |g - gbar|, normalizing power of R, outer power)
+_BMO_POWERS = {3.0: (3.0, 1.0, 1.0 / 3.0),
+               2.0 / 3.0: (2.0 / 3.0, 2.0, 2.0 / 3.0),
+               1.5: (2.0 / 3.0, 2.0, 2.0 / 3.0),
+               12.0: (12.0, 3.0, 1.0)}
 
 
 def bmo_oscillation_ln(R, p, n_nodes=14):
@@ -244,8 +245,7 @@ def bmo_oscillation_ln(R, p, n_nodes=14):
     key = float(p)
     if key not in _BMO_POWERS:
         raise ValueError("p must be one of 3, 2/3 (alias 3/2), or 12")
-    _, norm_pow, outer_pow = _BMO_POWERS[key]
-    power = 3.0 if key == 3.0 else (2.0 / 3.0 if key in (2.0 / 3.0, 1.5) else 12.0)
+    power, norm_pow, outer_pow = _BMO_POWERS[key]
 
     gbar = disk_mean_ln(R)
     # |ln rho - gbar|^power has a kink where ln rho = gbar, i.e. rho =

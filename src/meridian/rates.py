@@ -42,18 +42,24 @@ class FeasibleExponents:
 
 
 def _lower_bound(delta, mu):
-    return max(6.0 * (3.0 - delta) / (6.0 - delta), 2.0 / mu)
+    return np.maximum(6.0 * (3.0 - delta) / (6.0 - delta), 2.0 / mu)
+
+
+def feasibility_predicates(delta, q, mu):
+    """The three feasibility predicates (lower, upper, negativity) at
+    (delta, q) for decay mu, broadcast against each other."""
+    return np.broadcast_arrays(
+        q > _lower_bound(delta, mu),
+        q < 3.0,
+        2.0 - delta / 2.0 - (6.0 - 2.0 * delta) / q < 0.0)
 
 
 def evaluate_pair(delta, q, mu):
     """Evaluate the three feasibility predicates at (delta, q) for decay mu."""
-    lower = _lower_bound(delta, mu)
-    return FeasibleExponents(
-        delta=delta, q=q,
-        lower_ok=q > lower,
-        upper_ok=q < 3.0,
-        negativity_ok=(2.0 - delta / 2.0 - (6.0 - 2.0 * delta) / q) < 0.0,
-    )
+    lower_ok, upper_ok, negativity_ok = feasibility_predicates(delta, q, mu)
+    return FeasibleExponents(delta=delta, q=q, lower_ok=bool(lower_ok),
+                             upper_ok=bool(upper_ok),
+                             negativity_ok=bool(negativity_ok))
 
 
 def construct_feasible_pair(mu):
@@ -70,7 +76,7 @@ def construct_feasible_pair(mu):
     delta_cap = min(1.0, (6.0 * mu - 4.0) / (2.0 * mu - 1.0))
     delta = 0.5 * delta_cap
     anchor = 4.0 * (3.0 - delta) / (4.0 - delta)
-    q = 0.5 * (_lower_bound(delta, mu) + anchor)
+    q = 0.5 * (float(_lower_bound(delta, mu)) + anchor)
     return evaluate_pair(delta, q, mu)
 
 

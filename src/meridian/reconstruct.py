@@ -30,6 +30,7 @@ by extrapolation.
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,15 @@ from .rates import optimize_split, predicted_decay
 REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
                 "right_band", "far_tail")
 
+# Fixed quadrature rules; refinement pass `deepen` adds nodes to each.
+N_NODES = 6                 # GL nodes per rectangle panel (+2 per pass)
+N_ERR = 4                   # embedded error rule (+1 per pass)
+CORE_RADIUS = 0.5           # polar-core half-width, in axial envelope scales
+NEAR_DIAG_REFINEMENT = 22   # geometric radial levels in the core (+2 per pass)
+N_THETA = 32                # polar-core angles (doubled per pass)
+N_S_NODES = 6               # GL nodes per core radial panel (+1 per pass)
+MAX_REFINEMENTS = 2
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -51,30 +61,22 @@ class QuadratureSpec:
     gamma, delta are the radial splitting exponents (region boundaries
     r^gamma/8 and r +- r^delta/2).  rho_max / z_max default to 8*max(1, r)
     at evaluation time and may only be enlarged.  tol is the target
-    absolute error per component; when the estimated error exceeds it the
-    meshes are refined up to `max_refinements` times and the result is
-    flagged if the target is still unmet.
+    absolute error per component.  The node counts are the fixed module
+    rules above: when the estimated error exceeds tol, each refinement pass
+    adds nodes to every rule, up to MAX_REFINEMENTS passes, and the result
+    is flagged if the target is still unmet.
     """
     gamma: float = 0.0
     delta: float = 1.0
     rho_max: Optional[float] = None
     z_max: Optional[float] = None
     tol: float = 1e-6
-    near_diag_refinement: int = 22
-    core_radius: float = 0.5
-    n_nodes: int = 6
-    n_err: int = 4
-    n_theta: int = 32
-    n_s_nodes: int = 6
-    max_refinements: int = 2
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.delta <= 1.0):
             raise ValueError("splitting exponents must lie in [0, 1]")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.near_diag_refinement < 4:
-            raise ValueError("near-diagonal refinement depth too small")
 
     def resolved(self, r):
         """Concrete truncation radii for a probe at radius r."""
@@ -111,10 +113,6 @@ def _region_edges(r, gamma, delta):
     return (r ** gamma / 8.0, r / 4.0, r - w, r + w, 4.0 * r), w
 
 
-def _clip(lo, hi, box_lo, box_hi):
-    return max(lo, box_lo), min(hi, box_hi)
-
-
 def _resolution_edges(a, b, step, cap=512):
     """Uniform edges at `step` across [a, b], empty if that would exceed cap."""
     if step is None or step <= 0:
@@ -125,7 +123,7 @@ def _resolution_edges(a, b, step, cap=512):
     return np.linspace(a, b, n + 1)
 
 
-def _integrate_rect(kernel_sel, weight, r, z, rect, spec, k_scale, deepen=0,
+def _integrate_rect(kernel_sel, weight, r, z, rect, k_scale, deepen=0,
                     resolution=None):
     """Tensor GL integral of kernel * weight * rho over one rectangle.
 
@@ -138,8 +136,8 @@ def _integrate_rect(kernel_sel, weight, r, z, rect, spec, k_scale, deepen=0,
     if rb <= ra or kb <= ka:
         return 0.0, 0.0
     scale = max(k_scale * 0.5 ** deepen, 1e-12)
-    n_hi = spec.n_nodes + 2 * deepen
-    n_lo = spec.n_err + deepen
+    n_hi = N_NODES + 2 * deepen
+    n_lo = N_ERR + deepen
     r_edges = graded_mesh(ra, rb, [r, 0.0], scale)
     k_edges = graded_mesh(ka, kb, [z, 0.0], scale)
     if resolution is not None:
@@ -168,31 +166,31 @@ def _integrate_rect(kernel_sel, weight, r, z, rect, spec, k_scale, deepen=0,
     return hi, abs(hi - lo)
 
 
-def _integrate_polar_core(kernel_sel, weight, r, z, s0, spec, deepen=0,
+def _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen=0,
                           resolution=None):
     """Polar integral over the square |rho - r| <= s0, |k - z| <= s0.
 
-    Radii are graded geometrically over `near_diag_refinement` levels so
+    Radii are graded geometrically over NEAR_DIAG_REFINEMENT levels so
     the 1/s kernel singularity (which cancels in the angle) is resolved;
     the angle uses the trapezoidal rule, spectrally accurate for the
     periodic smooth integrand.  Returns (value, error_estimate) where the
     error combines the embedded-rule difference and the omitted innermost
     disk bounded by its crude majorant.
     """
-    levels = spec.near_diag_refinement + 2 * deepen
-    n_theta = spec.n_theta * (2 ** deepen)
+    levels = NEAR_DIAG_REFINEMENT + 2 * deepen
+    n_theta = N_THETA * (2 ** deepen)
     if resolution is not None:
         n_theta = max(n_theta, int(np.ceil(8.0 * s0 / resolution)))
-    n_s = spec.n_s_nodes + deepen
+    n_s = N_S_NODES + deepen
 
-    def run(n_theta_run, n_s_run, levels_run):
+    def run(n_theta_run, n_s_run):
         theta = np.arange(n_theta_run) * (2.0 * np.pi / n_theta_run)
         ct, st = np.cos(theta), np.sin(theta)
         nodes, weights, ray_id = [], [], []
         s_min_eff = 0.0
         for j, (c, s_ang) in enumerate(zip(ct, st)):
             s_max = s0 / max(abs(c), abs(s_ang))
-            edges = s_max * 2.0 ** (-np.arange(levels_run + 1.0)[::-1])
+            edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
             if resolution is not None:
                 extra = _resolution_edges(float(edges[0]), float(s_max),
                                           resolution * 0.5 ** deepen)
@@ -220,8 +218,8 @@ def _integrate_polar_core(kernel_sel, weight, r, z, s0, spec, deepen=0,
         trunc = 2.0 * np.pi * s_min_eff * max_integrand
         return total, trunc
 
-    hi, trunc = run(n_theta, n_s, levels)
-    lo, _ = run(max(n_theta // 2, 8), max(n_s - 1, 3), levels)
+    hi, trunc = run(n_theta, n_s)
+    lo, _ = run(max(n_theta // 2, 8), max(n_s - 1, 3))
     return hi, abs(hi - lo) + trunc
 
 
@@ -291,132 +289,122 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     return radial_tail + axial_tail
 
 
-def _component_integral(kernel_sel, kernel_kind, weight, w_field, p, spec):
-    """Region-decomposed integral of kernel * weight * rho over the window."""
+def _component_integral(kernel_sel, weight, w_field, p, spec):
+    """Region-decomposed integral of kernel * weight * rho over the window.
+
+    Returns (per-region values, summed error estimate).  Raises ValueError
+    when a region value or error is non-finite (a vorticity sample that is
+    not a finite number).
+    """
     r, z = p.r, p.z
     rho_max, z_max = spec.resolved(r)
     (b1, b2, b3, b4, b5), w_half = _region_edges(r, spec.gamma, spec.delta)
     (rho_lo, rho_hi), (k_lo, k_hi) = _support_box(w_field, rho_max, z_max)
 
     env_scale = w_field.axial_envelope.scale if w_field.axial_envelope is not None else 1.0
-    s0 = min(w_half, spec.core_radius * min(env_scale, 1.0))
-
-    regions = {
-        "inner_core": [((0.0, b1), "far")],
-        "inner_band": [((b1, b2), "far")],
-        "left_band": [((b2, b3), "band")],
-        "diagonal": [((b3, r - s0), "strip"), ((r + s0, b4), "strip"),
-                     ((r - s0, r + s0), "center")],
-        "right_band": [((b4, b5), "band")],
-        "far_tail": [((b5, rho_max), "far")],
-    }
-    k_scales = {"far": min(env_scale, 1.0) * 0.5,
-                "band": min(w_half, env_scale, 1.0) * 0.5,
-                "strip": s0 * 0.5,
-                "center": s0 * 0.5}
+    s0 = min(w_half, CORE_RADIUS * min(env_scale, 1.0))
+    far = min(env_scale, 1.0) * 0.5
+    band = min(w_half, env_scale, 1.0) * 0.5
+    # (region, radial span, axial span, axial feature scale); the diagonal
+    # band is two full-height strips plus the parts above and below the
+    # polar core
+    full = (k_lo, k_hi)
+    spans = (("inner_core", (0.0, b1), full, far),
+             ("inner_band", (b1, b2), full, far),
+             ("left_band", (b2, b3), full, band),
+             ("diagonal", (b3, r - s0), full, 0.5 * s0),
+             ("diagonal", (r + s0, b4), full, 0.5 * s0),
+             ("diagonal", (r - s0, r + s0), (k_lo, min(z - s0, k_hi)), 0.5 * s0),
+             ("diagonal", (r - s0, r + s0), (max(z + s0, k_lo), k_hi), 0.5 * s0),
+             ("right_band", (b4, b5), full, band),
+             ("far_tail", (b5, rho_max), full, far))
+    rects = []
+    for name, (ra, rb), k_span, k_scale in spans:
+        ra, rb = max(ra, rho_lo), min(rb, rho_hi)
+        if rb > ra:
+            rects.append((name, ((ra, rb), k_span), k_scale))
 
     res = w_field.resolution
 
     def one_pass(deepen):
-        per_region = {}
-        per_err = {}
-        for name, rects in regions.items():
-            total = 0.0
-            err = 0.0
-            for (ra, rb), kind in rects:
-                ra_c, rb_c = _clip(ra, rb, rho_lo, rho_hi)
-                if rb_c <= ra_c:
-                    continue
-                if kind == "center":
-                    # four-way remainder of the diagonal band around the core
-                    for (ka, kb) in ((k_lo, z - s0), (z + s0, k_hi)):
-                        ka_c, kb_c = _clip(ka, kb, k_lo, k_hi)
-                        v, e = _integrate_rect(kernel_sel, weight, r, z,
-                                               ((ra_c, rb_c), (ka_c, kb_c)),
-                                               spec, k_scales[kind], deepen,
-                                               resolution=res)
-                        total += v
-                        err += e
-                else:
-                    v, e = _integrate_rect(kernel_sel, weight, r, z,
-                                           ((ra_c, rb_c), (k_lo, k_hi)),
-                                           spec, k_scales[kind], deepen,
-                                           resolution=res)
-                    total += v
-                    err += e
-            per_region[name] = total
-            per_err[name] = err
-        v, e = _integrate_polar_core(kernel_sel, weight, r, z, s0, spec,
-                                     deepen, resolution=res)
+        per_region = dict.fromkeys(REGION_NAMES, 0.0)
+        per_err = dict.fromkeys(REGION_NAMES, 0.0)
+        for name, rect, k_scale in rects:
+            v, e = _integrate_rect(kernel_sel, weight, r, z, rect, k_scale,
+                                   deepen, resolution=res)
+            per_region[name] += v
+            per_err[name] += e
+        v, e = _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen,
+                                     resolution=res)
         per_region["diagonal"] += v
         per_err["diagonal"] += e
+        for name in REGION_NAMES:
+            if not (math.isfinite(per_region[name])
+                    and math.isfinite(per_err[name])):
+                raise ValueError(
+                    "non-finite %s integral at probe (r=%g, z=%g): the "
+                    "vorticity must be finite on the window" % (name, r, z))
         return per_region, per_err
 
     deepen = 0
     per_region, per_err = one_pass(deepen)
-    while sum(per_err.values()) > spec.tol and deepen < spec.max_refinements:
+    while sum(per_err.values()) > spec.tol and deepen < MAX_REFINEMENTS:
         deepen += 1
         per_region, per_err = one_pass(deepen)
     return per_region, sum(per_err.values())
 
 
-def _check_point(p):
+def _reconstruct(component, w_field, p, spec, terms):
+    """Signed sum of region integrals, one per term.
+
+    Each term is (label, kernel selector, tail kind, vorticity attribute,
+    sign); the labels name the term values reported when there are several.
+    """
     if not p.r > 1.0:
         raise ValueError("reconstruction requires probe radius r > 1 "
                          "(kernel bounds hold on r > 1); got r=%g" % p.r)
+    parts = []
+    for label, kernel_sel, _, weight, sign in terms:
+        regions, err = _component_integral(kernel_sel, getattr(w_field, weight),
+                                           w_field, p, spec)
+        parts.append((label, sign, regions, err))
+    rho_max, z_max = spec.resolved(p.r)
+    tail = sum(_tail_bounds(w_field, kind, p.r, p.z, rho_max, z_max)
+               for _, _, kind, _, _ in terms)
+    per_region = {name: sum(sign * regions[name] for _, sign, regions, _ in parts)
+                  for name in REGION_NAMES}
+    quad_err = sum(err for _, _, _, err in parts)
+    term_values = None
+    if len(parts) > 1:
+        term_values = {label: sign * sum(regions.values())
+                       for label, sign, regions, _ in parts}
+    return ReconstructionResult(
+        value=sum(per_region.values()), per_region=per_region,
+        tail_bound=tail, quad_err=quad_err, tol_met=quad_err <= spec.tol,
+        component=component, r=p.r, z=p.z, term_values=term_values)
 
 
 def reconstruct_ur(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_r from the swirl vorticity via the G1 kernel."""
-    _check_point(p)
-    per_region, quad_err = _component_integral(
-        lambda kv: kv.g1, "g1", w_field.w_theta, w_field, p, spec)
-    rho_max, z_max = spec.resolved(p.r)
-    tail = _tail_bounds(w_field, "g1", p.r, p.z, rho_max, z_max)
-    value = sum(per_region.values())
-    return ReconstructionResult(value=value, per_region=per_region,
-                                tail_bound=tail, quad_err=quad_err,
-                                tol_met=quad_err <= spec.tol,
-                                component="u_r", r=p.r, z=p.z)
+    return _reconstruct("u_r", w_field, p, spec,
+                        (("u_r", attrgetter("g1"), "g1", "w_theta", 1.0),))
 
 
 def reconstruct_uz(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_z from the swirl vorticity via the (negated) G2 kernel."""
-    _check_point(p)
-    per_region, quad_err = _component_integral(
-        lambda kv: -kv.g2, "g2", w_field.w_theta, w_field, p, spec)
-    rho_max, z_max = spec.resolved(p.r)
-    tail = _tail_bounds(w_field, "g2", p.r, p.z, rho_max, z_max)
-    value = sum(per_region.values())
-    return ReconstructionResult(value=value, per_region=per_region,
-                                tail_bound=tail, quad_err=quad_err,
-                                tol_met=quad_err <= spec.tol,
-                                component="u_z", r=p.r, z=p.z)
+    return _reconstruct("u_z", w_field, p, spec,
+                        (("u_z", attrgetter("g2"), "g2", "w_theta", -1.0),))
 
 
 def reconstruct_utheta(w_field: VorticityField, p: MeridianPoint,
                        spec: QuadratureSpec = QuadratureSpec()):
     """u_theta from (w_r, w_z): the difference of two region integrals."""
-    _check_point(p)
-    axial_regions, err_a = _component_integral(
-        lambda kv: kv.g_swirl, "g2", w_field.w_z, w_field, p, spec)
-    radial_regions, err_r = _component_integral(
-        lambda kv: kv.g1, "g1", w_field.w_r, w_field, p, spec)
-    rho_max, z_max = spec.resolved(p.r)
-    tail = (_tail_bounds(w_field, "g2", p.r, p.z, rho_max, z_max)
-            + _tail_bounds(w_field, "g1", p.r, p.z, rho_max, z_max))
-    per_region = {name: axial_regions[name] - radial_regions[name]
-                  for name in REGION_NAMES}
-    value = sum(per_region.values())
-    quad_err = err_a + err_r
-    return ReconstructionResult(
-        value=value, per_region=per_region, tail_bound=tail,
-        quad_err=quad_err, tol_met=quad_err <= spec.tol,
-        component="u_theta", r=p.r, z=p.z,
-        term_values={"axial_source": sum(axial_regions.values()),
-                     "radial_source": -sum(radial_regions.values())})
+    return _reconstruct(
+        "u_theta", w_field, p, spec,
+        (("axial_source", attrgetter("g_swirl"), "g2", "w_z", 1.0),
+         ("radial_source", attrgetter("g1"), "g1", "w_r", -1.0)))
 
 
 _RECONSTRUCTORS = {"u_r": reconstruct_ur, "u_z": reconstruct_uz,

@@ -8,7 +8,8 @@ from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
 from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, zero_profile
 from meridian.quadrature import panel_nodes, uniform_mesh
-from meridian.reconstruct import (QuadratureSpec, _integrate_polar_core,
+from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_THETA,
+                                  QuadratureSpec, _integrate_polar_core,
                                   _resolution_edges, decay_trace,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
@@ -59,14 +60,13 @@ def test_polar_core_matches_per_ray_loop():
     # the resolution edges give rays of two lengths; batching the rays into
     # one kernel call may change only the summation order
     _, w = stream_bump_field(r0=3.0, radius=1.0)
-    spec = QuadratureSpec()
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
     args = (lambda kv: kv.g1, w.w_theta, r, z, s0)
-    value, err = _integrate_polar_core(*args, spec, resolution=res)
-    hi, trunc = per_ray_polar_core(*args, spec.n_theta, spec.n_s_nodes,
-                                   spec.near_diag_refinement, res)
-    lo, _ = per_ray_polar_core(*args, spec.n_theta // 2, spec.n_s_nodes - 1,
-                               spec.near_diag_refinement, res)
+    value, err = _integrate_polar_core(*args, resolution=res)
+    hi, trunc = per_ray_polar_core(*args, N_THETA, N_S_NODES,
+                                   NEAR_DIAG_REFINEMENT, res)
+    lo, _ = per_ray_polar_core(*args, N_THETA // 2, N_S_NODES - 1,
+                               NEAR_DIAG_REFINEMENT, res)
     assert value == pytest.approx(hi, rel=1e-13, abs=1e-15)
     assert err == pytest.approx(abs(hi - lo) + trunc, rel=1e-9, abs=1e-15)
 
@@ -278,3 +278,23 @@ def test_decay_trace_utheta_and_z_sequence():
     assert all(not s.flagged for s in sw)
     with pytest.raises(ValueError):
         decay_trace(power_law_vorticity(3.0), "u_r", ladder, z=[1.0, 2.0])
+
+
+def test_non_finite_vorticity_is_rejected():
+    # a NaN band inside the truncation window must raise, not return a NaN
+    # value that the decay trace would then fail to flag
+    base = power_law_vorticity(3.0)
+
+    def wt(rho, k):
+        rho = np.asarray(rho, dtype=float)
+        return np.where((rho > 30.0) & (rho < 31.0), np.nan,
+                        base.w_theta(rho, k))
+
+    w = VorticityField(w_r=zero_profile(), w_theta=Profile(fn=wt),
+                       w_z=zero_profile(), decay_beta=3.0,
+                       radial_amplitude=1.0,
+                       axial_envelope=base.axial_envelope)
+    with pytest.raises(ValueError, match="non-finite"):
+        reconstruct_ur(w, MeridianPoint(10.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        decay_trace(w, "u_r", [10.0, 20.0, 40.0], z=1.0)
