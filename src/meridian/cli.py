@@ -94,10 +94,15 @@ def _parse_value(key, raw):
             raise ValueError(raw)
         if typ == "floats":
             return [float(tok) for tok in raw.split(",") if tok.strip()]
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError("config key %s: cannot parse %r as %s"
                           % (key, raw, getattr(typ, "__name__", typ)))
+    # every int key is a count: sizes of grids, ladders and scale lists
+    if typ is int and value < 1:
+        raise ConfigError("config key %s: must be at least 1, got %d"
+                          % (key, value))
+    return value
 
 
 def load_config(path=None):
@@ -138,7 +143,7 @@ def _fmt(x):
     return "%.12g" % x
 
 
-def cmd_kernel_scan(cfg, out_dir, workers, refine_flag):
+def cmd_kernel_scan(cfg, out_dir):
     """Envelope-ratio scans; exit 0 iff stable and no non-finite kernel values."""
     kinds = [k.strip() for k in cfg["scan.kinds"].split(",") if k.strip()]
     grid_kwargs = dict(n_r=cfg["scan.n_r"], n_ratio=cfg["scan.n_ratio"],
@@ -157,40 +162,31 @@ def cmd_kernel_scan(cfg, out_dir, workers, refine_flag):
             envelopes.BoundEnvelope(kind=kind, alpha=alpha)
             jobs.append((kind, alpha))
 
-    do_refine = bool(cfg["scan.refine"] or refine_flag)
-
-    # one kernel pass per grid, shared across every (kind, alpha) job
+    # one kernel pass per grid, shared across every (kind, alpha) job; the
+    # refined grid doubles every dimension over the same ranges
     coarse_data = envelopes.evaluate_scan_grid(envelopes.scan_grid(**grid_kwargs))
     fine_data = None
-    if do_refine:
-        kw_fine = dict(grid_kwargs)
-        for key in ("n_r", "n_ratio", "n_zeta"):
-            kw_fine[key] = 2 * grid_kwargs[key]
-        fine_data = envelopes.evaluate_scan_grid(envelopes.scan_grid(**kw_fine))
-
-    def run(job):
-        kind, alpha = job
-        if do_refine:
-            coarse, fine = envelopes.refine_and_compare(
-                kind, alpha, stability_threshold=cfg["scan.stability"],
-                data_pair=(coarse_data, fine_data))
-            return kind, alpha, coarse, fine
-        return kind, alpha, envelopes.report_from_data(kind, alpha, coarse_data), None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, jobs))
+    if cfg["scan.refine"]:
+        fine_data = envelopes.evaluate_scan_grid(envelopes.scan_grid(
+            **dict(grid_kwargs, n_r=2 * cfg["scan.n_r"],
+                   n_ratio=2 * cfg["scan.n_ratio"],
+                   n_zeta=2 * cfg["scan.n_zeta"])))
 
     reports = []
     ok = True
-    for kind, alpha, coarse, fine in results:
-        rep = fine if fine is not None else coarse
+    for kind, alpha in jobs:
+        if fine_data is not None:
+            _, rep = envelopes.refine_and_compare(
+                kind, alpha, coarse_data, fine_data,
+                stability_threshold=cfg["scan.stability"])
+            ok = ok and rep.stable
+        else:
+            rep = envelopes.report_from_data(kind, alpha, coarse_data)
+        ok = ok and not rep.failures
         reports.append(rep)
-        csv_path = os.path.join(out_dir, "scan_%s_alpha%g.csv" % (kind, alpha))
-        envelopes.write_scan_csv(csv_path, kind, alpha, coarse_data)
-        if rep.failures:
-            ok = False
-        if do_refine and not rep.stable:
-            ok = False
+        envelopes.write_scan_csv(
+            os.path.join(out_dir, "scan_%s_alpha%g.csv" % (kind, alpha)),
+            kind, alpha, coarse_data)
     envelopes.write_summary_json(os.path.join(out_dir, "kernel_scan_summary.json"),
                                  reports)
     return 0 if ok else 1
@@ -452,11 +448,9 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=4,
-                        help="bounded worker pool size")
+                        help="roundtrip probe pool size")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probe layouts")
-    parser.add_argument("--refine", action="store_true",
-                        help="force refinement stability runs")
     args = parser.parse_args(argv)
 
     if args.command == "print-config":
@@ -467,7 +461,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "kernel-scan":
-            return cmd_kernel_scan(cfg, args.out, args.workers, args.refine)
+            return cmd_kernel_scan(cfg, args.out)
         if args.command == "decay":
             return cmd_decay(cfg, args.out)
         if args.command == "feasibility":

@@ -19,7 +19,6 @@ densification is the falsifiable content.  Scans over several alpha values
 share one kernel evaluation pass per field radius.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,6 +29,12 @@ import numpy as np
 from .kernels import kernel_batch
 
 DIAGONAL_MARGIN = 1e-3
+RATIO_RANGE = (1e-2, 1e2)           # rho / r span of the scan grid
+ZETA_SCALE_RANGE = (1e-3, 10.0)     # nonzero |zeta| / r span of the scan grid
+# ScanData.regime indexes this: 2 * band + (K > 1), where band is 0 for
+# rho < r/4, 1 on r/4 <= rho <= 4r and 2 for rho > 4r
+REGIMES = ("low:K<=1", "low:K>1", "mid:K<=1", "mid:K>1", "high:K<=1",
+           "high:K>1")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,7 @@ class ScanData:
     kernel23: np.ndarray
     kernel1: np.ndarray
     kernel1_over_zeta: np.ndarray
+    regime: np.ndarray               # index into REGIMES per point
     excluded: int
     failures: List[tuple]
 
@@ -156,8 +162,7 @@ class ScanReport:
         }
 
 
-def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0),
-              ratio_range=(1e-2, 1e2), zeta_scale_range=(1e-3, 10.0)):
+def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0)):
     """Log-spaced (r, rho, zeta) triples covering all kernel regimes.
 
     rho = q * r and zeta = +- s * r.  The normalized ratios
@@ -173,7 +178,7 @@ def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0),
     maxima and the suprema converge fast.
     """
     rs = np.geomspace(*r_range, n_r)
-    base = np.geomspace(*ratio_range, n_ratio)
+    base = np.geomspace(*RATIO_RANGE, n_ratio)
     near = np.geomspace(5e-3, 0.74, max(n_ratio // 2, 3))
     n4 = max(n_ratio // 4, 3)
     k_lo, k_hi = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
@@ -187,25 +192,28 @@ def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0),
         4.0 * (1.0 - np.geomspace(1e-3, 0.2, n4)),
         4.0 * (1.0 + np.geomspace(1e-3, 0.2, n4)),
     ]))
-    scales = np.concatenate([[0.0], np.geomspace(*zeta_scale_range,
+    scales = np.concatenate([[0.0], np.geomspace(*ZETA_SCALE_RANGE,
                                                  max(n_zeta - 1, 2))])
-    pts = []
-    for r in rs:
-        for q in ratios:
-            s_star2 = 4.0 * q - (1.0 - q) ** 2
-            extra = ()
-            if s_star2 > 0:
-                s_star = math.sqrt(s_star2)
-                extra = (s_star, s_star * (1.0 - 1e-3), s_star * (1.0 + 1e-3))
-            for s in np.unique(np.concatenate([scales, extra])):
-                for sign in ((1.0,) if s == 0.0 else (1.0, -1.0)):
-                    pts.append((r, q * r, sign * s * r))
-    return np.array(pts)
+    # the (1, q, +-s) pattern does not depend on r: each r's block is the
+    # pattern scaled by r, which rounds exactly like (r, q r, +-s r)
+    pattern = []
+    for q in ratios:
+        s_star2 = 4.0 * q - (1.0 - q) ** 2
+        extra = ()
+        if s_star2 > 0:
+            s_star = math.sqrt(s_star2)
+            extra = (s_star, s_star * (1.0 - 1e-3), s_star * (1.0 + 1e-3))
+        for s in np.unique(np.concatenate([scales, extra])):
+            for sign in ((1.0,) if s == 0.0 else (1.0, -1.0)):
+                pattern.append((1.0, q, sign * s))
+    pattern = np.array(pattern)
+    return np.concatenate([pattern * r for r in rs])
 
 
-def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
+def evaluate_scan_grid(grid):
     """One kernel pass over the grid; r <= 1 and near-diagonal points are
-    excluded, failures (a non-finite kernel value) recorded."""
+    excluded, failures (a non-finite kernel value) recorded, and each kept
+    point's regime (an index into REGIMES) assigned."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[None, :]
@@ -221,7 +229,7 @@ def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
             excluded += int(sel.sum())
             continue
         d = np.sqrt((r - rho) ** 2 + zeta ** 2)
-        keep = d >= margin * np.maximum(r, rho)
+        keep = d >= DIAGONAL_MARGIN * np.maximum(r, rho)
         excluded += int((~keep).sum())
         if not np.any(keep):
             continue
@@ -251,16 +259,12 @@ def evaluate_scan_grid(grid, margin=DIAGONAL_MARGIN):
     # it must hold at every scanned point or the regime split is wrong
     if not np.all(k_split_consistency(r_all, rho_all, zeta_all)):
         raise AssertionError("K <= 1 split arithmetic violated on the grid")
+    band = np.where(rho_all < r_all / 4.0, 0,
+                    np.where(rho_all > 4.0 * r_all, 2, 1))
     return ScanData(r=r_all, rho=rho_all, zeta=zeta_all, K=K,
                     kernel23=cat(k23), kernel1=cat(k1),
-                    kernel1_over_zeta=cat(k1z),
+                    kernel1_over_zeta=cat(k1z), regime=2 * band + (K > 1.0),
                     excluded=excluded, failures=failures)
-
-
-def _regime_labels(r, rho, K):
-    band = np.where(rho < r / 4.0, "low", np.where(rho > 4.0 * r, "high", "mid"))
-    kside = np.where(K <= 1.0, "K<=1", "K>1")
-    return np.char.add(np.char.add(band, ":"), kside)
 
 
 def _admissible_ratio(env, data):
@@ -281,52 +285,41 @@ def report_from_data(kind, alpha, data):
     """Reduce shared scan data to a per-regime supremum report for one alpha."""
     ok, ratio = _admissible_ratio(BoundEnvelope(kind=kind, alpha=alpha), data)
     r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
-    labels = _regime_labels(r, rho, data.K[ok])
+    regime = data.regime[ok]
     sup, arg = {}, {}
-    for lab in np.unique(labels):
-        m = labels == lab
+    for i in np.unique(regime):
+        m = regime == i
         j = int(np.argmax(ratio[m]))
-        sup[str(lab)] = float(ratio[m][j])
+        sup[REGIMES[i]] = float(ratio[m][j])
         idx = np.nonzero(m)[0][j]
-        arg[str(lab)] = (float(r[idx]), float(rho[idx]), float(zeta[idx]))
+        arg[REGIMES[i]] = (float(r[idx]), float(rho[idx]), float(zeta[idx]))
     return ScanReport(kind=kind, alpha=alpha, n_points=int(ok.sum()),
                       suprema=sup, argmax=arg, excluded=data.excluded,
                       failures=data.failures)
 
 
-def bound_scan(kind, alpha, grid=None, margin=DIAGONAL_MARGIN):
+def bound_scan(kind, alpha, grid=None):
     """Supremum of |kernel| / envelope per regime over the grid.
 
     Grid points with r <= 1 (outside the envelope's validity) and points
-    within `margin` of the diagonal (dist < margin * max(r, rho)) are
-    excluded and counted; for gamma1 with alpha > 1 the near-diagonal band
+    near the diagonal (dist < DIAGONAL_MARGIN * max(r, rho)) are excluded and counted; for gamma1 with alpha > 1 the near-diagonal band
     is additionally dropped by the regime gate.  Points with a non-finite
     kernel value are recorded as failures and skipped.
     """
     if grid is None:
         grid = scan_grid()
-    data = evaluate_scan_grid(grid, margin=margin)
-    return report_from_data(kind, alpha, data)
+    return report_from_data(kind, alpha, evaluate_scan_grid(grid))
 
 
-def refine_and_compare(kind, alpha, base_kwargs=None, factor=2,
-                       stability_threshold=0.05, data_pair=None):
-    """Run a scan and its `factor`-times-denser refinement; flag stability.
+def refine_and_compare(kind, alpha, coarse_data, fine_data,
+                       stability_threshold=0.05):
+    """Reports on a scan and on its refinement; flag stability.
 
-    The refined grid multiplies every dimension over the same ranges.  The
-    fine report's `stable` flag is set when every regime's supremum moved
-    less than `stability_threshold` relatively.  `data_pair` can supply
-    precomputed (coarse, fine) ScanData to share kernel work across alphas.
+    `coarse_data` and `fine_data` are ScanData of a grid and of a denser
+    grid over the same ranges.  The fine report's `stable` flag is set when
+    every regime's supremum moved less than `stability_threshold`
+    relatively.
     """
-    if data_pair is None:
-        kw = dict(base_kwargs or {})
-        coarse_data = evaluate_scan_grid(scan_grid(**kw))
-        kw_fine = dict(kw)
-        for key, default in (("n_r", 10), ("n_ratio", 16), ("n_zeta", 12)):
-            kw_fine[key] = factor * kw.get(key, default)
-        fine_data = evaluate_scan_grid(scan_grid(**kw_fine))
-    else:
-        coarse_data, fine_data = data_pair
     coarse = report_from_data(kind, alpha, coarse_data)
     fine = report_from_data(kind, alpha, fine_data)
     drift = {}
@@ -344,17 +337,15 @@ def write_scan_csv(path, kind, alpha, data):
     env = BoundEnvelope(kind=kind, alpha=alpha)
     ok, ratio = _admissible_ratio(env, data)
     kv = (data.kernel23 if kind == "gamma23" else data.kernel1)[ok]
-    r, rho, zeta, K = data.r[ok], data.rho[ok], data.zeta[ok], data.K[ok]
+    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
     envv = envelope_value(env, r, rho, zeta)
-    labels = _regime_labels(r, rho, K)
+    labels = [REGIMES[i] for i in data.regime[ok].tolist()]
+    row = "%.10g,%.10g,%.10g,%.10g,%s,%.12g,%.12g,%.12g\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "rho", "zeta", "K", "regime", "kernel", "envelope",
-                     "ratio"])
-        for i in range(r.size):
-            wr.writerow(["%.10g" % r[i], "%.10g" % rho[i], "%.10g" % zeta[i],
-                         "%.10g" % K[i], str(labels[i]), "%.12g" % kv[i],
-                         "%.12g" % envv[i], "%.12g" % ratio[i]])
+        fh.write("r,rho,zeta,K,regime,kernel,envelope,ratio\r\n")
+        fh.writelines(row % cols for cols in zip(
+            r.tolist(), rho.tolist(), zeta.tolist(), data.K[ok].tolist(),
+            labels, kv.tolist(), envv.tolist(), ratio.tolist()))
 
 
 def write_summary_json(path, reports):

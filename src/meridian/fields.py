@@ -54,6 +54,11 @@ class AxialEnvelope:
     def __init__(self, kind="gauss", scale=1.0, half_width=1.0):
         if kind not in ("gauss", "compact"):
             raise ValueError("unknown axial envelope kind %r" % (kind,))
+        # a scale or half-width <= 0 would make the tail majorants <= 0
+        for name, v in (("scale", scale), ("half_width", half_width)):
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError("axial envelope %s must be finite and "
+                                 "positive, got %r" % (name, v))
         self.kind = kind
         self.scale = float(scale)
         self.half_width = float(half_width)

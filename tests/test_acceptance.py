@@ -87,8 +87,7 @@ def test_criterion_3_envelope_scans():
     for kind, alphas in (("gamma23", (0.0, 0.5, 1.0)),
                          ("gamma1", (0.0, 0.5, 1.0, 3.0))):
         for alpha in alphas:
-            _, rep = refine_and_compare(kind, alpha,
-                                        data_pair=(coarse, fine))
+            _, rep = refine_and_compare(kind, alpha, coarse, fine)
             assert all(np.isfinite(v) for v in rep.suprema.values())
             assert rep.stable, (kind, alpha, rep.drift)
             worst_drift = max(worst_drift, max(rep.drift.values()))

@@ -58,6 +58,19 @@ def test_config_bad_value_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", sorted(k for k, v in DEFAULTS.items()
+                                     if v[1] is int))
+def test_count_keys_below_one_rejected(tmp_path, key):
+    path = write_cfg(tmp_path, "%s = 0\n" % key)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    command = {"scan": "kernel-scan", "feas": "feasibility"}.get(
+        key.split(".")[0], key.split(".")[0])
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_alpha_out_of_range_fails_validation_before_work(tmp_path):
     path = write_cfg(tmp_path, "scan.alphas23 = 0,2.0\n" + FAST_SCAN)
     out = tmp_path / "out"
@@ -125,6 +138,19 @@ def test_kernel_scan_outputs_and_determinism(tmp_path):
     assert all(rep["n_failures"] == 0 for rep in summary)
 
 
+def test_kernel_scan_refined_two_kinds_deterministic(tmp_path):
+    path = write_cfg(tmp_path, FAST_SCAN + "scan.alphas23 = 0.5\n"
+                                           "scan.alphas1 = 0,3\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    code = main(["kernel-scan", "--config", path, "--out", str(out1)])
+    assert main(["kernel-scan", "--config", path, "--out", str(out2)]) == code
+    assert hash_dir(str(out1)) == hash_dir(str(out2))
+    summary = json.loads((out1 / "kernel_scan_summary.json").read_text())
+    assert [(rep["kind"], rep["alpha"]) for rep in summary] == [
+        ("gamma23", 0.5), ("gamma1", 0.0), ("gamma1", 3.0)]
+    assert all(rep["drift"] for rep in summary)
+
+
 def test_kernel_scan_refined_smoke(tmp_path):
     # tiny grids are genuinely unstable under refinement: exit 1 is the
     # honest verdict, and the drift must be reported
@@ -177,6 +203,28 @@ def test_decay_compact_envelope_option(tmp_path):
                                "decay.envelope_scale = 1.5\n")
     out = tmp_path / "decayc"
     assert main(["decay", "--config", path, "--out", str(out)]) == 0
+
+
+def test_roundtrip_same_bytes_for_any_worker_count(tmp_path):
+    path = write_cfg(tmp_path, "roundtrip.n_r = 2\nroundtrip.n_z = 1\n")
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    code = main(["roundtrip", "--config", path, "--out", str(out1),
+                 "--workers", "1"])
+    assert main(["roundtrip", "--config", path, "--out", str(out2),
+                 "--workers", "2"]) == code
+    assert hash_dir(str(out1)) == hash_dir(str(out2))
+
+
+@pytest.mark.parametrize("envelope", ["gauss", "compact"])
+@pytest.mark.parametrize("scale", [-1.0, 0.0])
+def test_decay_non_positive_envelope_scale_rejected(tmp_path, capsys,
+                                                    envelope, scale):
+    path = write_cfg(tmp_path, "decay.envelope = %s\n"
+                               "decay.envelope_scale = %g\n" % (envelope, scale))
+    out = tmp_path / "decay"
+    assert main(["decay", "--config", path, "--out", str(out)]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (out / "decay_trace_beta3.csv").exists()
 
 
 def test_roundtrip_random_layout_seeded(tmp_path):

@@ -1,10 +1,13 @@
+import csv
+
 import numpy as np
 import pytest
 
-from meridian.envelopes import (BoundEnvelope, bound_scan, crude_bounds,
-                                envelope_value, evaluate_scan_grid,
-                                k_split_consistency, refine_and_compare,
-                                report_from_data, scan_grid)
+from meridian.envelopes import (REGIMES, BoundEnvelope, bound_scan,
+                                crude_bounds, envelope_value,
+                                evaluate_scan_grid, k_split_consistency,
+                                refine_and_compare, report_from_data,
+                                scan_grid, write_scan_csv)
 from meridian.kernels import kernel_batch, kernel_triple
 
 
@@ -92,8 +95,10 @@ def test_scan_alpha_monotonicity_where_max_exceeds_dist():
 
 
 def test_small_scan_stability_machinery():
-    kw = dict(n_r=3, n_ratio=8, n_zeta=6)
-    coarse, fine = refine_and_compare("gamma23", 1.0, base_kwargs=kw)
+    coarse, fine = refine_and_compare(
+        "gamma23", 1.0,
+        evaluate_scan_grid(scan_grid(n_r=3, n_ratio=8, n_zeta=6)),
+        evaluate_scan_grid(scan_grid(n_r=6, n_ratio=16, n_zeta=12)))
     assert fine.drift is not None
     assert set(fine.suprema) == set(fine.argmax)
     assert all(np.isfinite(v) for v in fine.suprema.values())
@@ -119,3 +124,69 @@ def test_gamma1_scan_handles_zeta_zero_line():
     (sup,) = rep.suprema.values()
     assert np.isfinite(sup)
     assert sup == pytest.approx(expect, rel=1e-10)
+
+
+def test_scan_grid_blocks_scale_the_r1_pattern():
+    # the ratios |kernel| / envelope are scale invariant only if every r
+    # block is exactly the r = 1 grid times r
+    pattern = scan_grid(n_r=1, n_ratio=8, n_zeta=6, r_range=(1.0, 1.0))
+    rs = np.geomspace(1.1, 1000.0, 5)
+    grid = scan_grid(n_r=5, n_ratio=8, n_zeta=6, r_range=(1.1, 1000.0))
+    blocks = grid.reshape(len(rs), len(pattern), 3)
+    for r, block in zip(rs, blocks):
+        assert np.array_equal(block, pattern * r)
+        assert np.all(block[:, 0] == r)
+
+
+def _regime_labels(r, rho, K):
+    band = np.where(rho < r / 4.0, "low", np.where(rho > 4.0 * r, "high", "mid"))
+    return np.char.add(np.char.add(band, ":"), np.where(K <= 1.0, "K<=1", "K>1"))
+
+
+@pytest.mark.parametrize("kind,alpha", [("gamma23", 0.5), ("gamma1", 3.0)])
+def test_write_scan_csv_matches_csv_writer_reference(tmp_path, kind, alpha):
+    # reference rows: csv.writer with one format per field; gamma1 at
+    # alpha = 3 drops the near-diagonal band
+    data = evaluate_scan_grid(scan_grid(n_r=3, n_ratio=8, n_zeta=6))
+    env = BoundEnvelope(kind, alpha)
+    ok = env.admissible(data.r, data.rho)
+    r, rho, zeta, K = data.r[ok], data.rho[ok], data.zeta[ok], data.K[ok]
+    envv = envelope_value(env, r, rho, zeta)
+    if kind == "gamma23":
+        kv = data.kernel23[ok]
+        ratio = kv / envv
+    else:
+        kv = data.kernel1[ok]
+        ratio = (data.kernel1_over_zeta[ok] * np.maximum(r, rho) ** alpha
+                 * ((r - rho) ** 2 + zeta ** 2) ** ((3.0 - alpha) / 2.0))
+    labels = _regime_labels(r, rho, K)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["r", "rho", "zeta", "K", "regime", "kernel", "envelope",
+                     "ratio"])
+        for i in range(r.size):
+            wr.writerow(["%.10g" % r[i], "%.10g" % rho[i], "%.10g" % zeta[i],
+                         "%.10g" % K[i], str(labels[i]), "%.12g" % kv[i],
+                         "%.12g" % envv[i], "%.12g" % ratio[i]])
+    out = tmp_path / "scan.csv"
+    write_scan_csv(str(out), kind, alpha, data)
+    assert out.read_bytes() == ref.read_bytes()
+    assert r.size > 0 and (r.size < data.r.size) == (alpha > 1)
+
+
+def test_scan_regime_matches_band_and_k_side():
+    # rho = r/4 and rho = 4r sit in the mid band; (2, 2, +-4) and (3, 3, 6)
+    # have 4 r rho = d^2 exactly, and K = 1 falls on the K <= 1 side
+    edges = np.array([[2.0, 0.5, 1.0], [2.0, 8.0, 1.0], [2.0, 2.0, 4.0],
+                      [2.0, 2.0, -4.0], [3.0, 3.0, 6.0]])
+    data = evaluate_scan_grid(np.vstack([scan_grid(n_r=3, n_ratio=8, n_zeta=6),
+                                         edges]))
+    expect = [REGIMES.index(lab)
+              for lab in _regime_labels(data.r, data.rho, data.K)]
+    assert np.array_equal(data.regime, expect)
+    assert np.any(data.rho == data.r / 4.0) and np.any(data.rho == 4.0 * data.r)
+    at_k1 = data.K == 1.0
+    assert at_k1.sum() >= 3
+    assert np.all(data.regime[at_k1] % 2 == 0)
+    assert set(data.regime.tolist()) == set(range(len(REGIMES)))

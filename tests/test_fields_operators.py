@@ -213,6 +213,15 @@ def test_axial_envelope_kinds():
         AxialEnvelope("triangle")
 
 
+@pytest.mark.parametrize("kind", ["gauss", "compact"])
+@pytest.mark.parametrize("key", ["scale", "half_width"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
+def test_axial_envelope_rejects_non_positive_widths(kind, key, bad):
+    # a width <= 0 gives negative tail majorants, a certified negative error
+    with pytest.raises(ValueError, match=key):
+        AxialEnvelope(kind, **{key: bad})
+
+
 def test_cutoff_plateau_and_support():
     for R in (4.0, 1024.0):
         phi = cutoff_phi(R)
