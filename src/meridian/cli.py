@@ -236,19 +236,14 @@ def cmd_decay(cfg, out_dir):
     # the envelope is a power of (1 + r): fitting against 1 + r makes the
     # log-correction detection exact rather than polluted by the r vs 1+r
     # mismatch at the small end of the ladder
-    envelope_vals = [(1.0 + r, (1.0 + r) ** pred.exponent
-                      * (math.log(1.0 + r) if pred.has_log else 1.0), 0.0)
-                     for r in ladder]
-    env_fit = fit_decay(envelope_vals)
+    env_fit = fit_decay([(1.0 + r, pred.envelope(r), 0.0) for r in ladder])
     slope = fit.selected_slope
-    passed = slope <= pred.exponent + cfg["decay.slope_tolerance"]
-    sweep_fits = {}
-    for label, sw in sweeps.items():
-        sw_fit = fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
-                            for s in sw])
-        sweep_fits[label] = sw_fit.selected_slope
-        passed = passed and sw_fit.selected_slope <= (pred.exponent
-                                                      + cfg["decay.slope_tolerance"])
+    max_slope = pred.exponent + cfg["decay.slope_tolerance"]
+    sweep_fits = {label: fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
+                                    for s in sw]).selected_slope
+                  for label, sw in sweeps.items()}
+    passed = slope <= max_slope and all(v <= max_slope
+                                        for v in sweep_fits.values())
     payload = {
         "beta": beta,
         "component": component,
@@ -307,10 +302,8 @@ def cmd_feasibility(cfg, out_dir):
         }
         # the construction must sit inside the brute-force region: nearest
         # grid cell feasible
-        i = int(np.clip(np.searchsorted(deltas, pair.delta), 1, n_d - 1))
-        i = i if abs(deltas[i] - pair.delta) < abs(deltas[i - 1] - pair.delta) else i - 1
-        j = int(np.clip(np.searchsorted(qs, pair.q), 1, n_q - 1))
-        j = j if abs(qs[j] - pair.q) < abs(qs[j - 1] - pair.q) else j - 1
+        i = int(np.argmin(np.abs(deltas - pair.delta)))
+        j = int(np.argmin(np.abs(qs - pair.q)))
         payload["construction_cell_feasible"] = bool(mask[i, j])
         agree = pair.feasible and bool(mask.any()) and bool(mask[i, j])
         payload["verdict"] = "feasible"

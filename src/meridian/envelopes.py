@@ -302,8 +302,9 @@ def bound_scan(kind, alpha, grid=None):
     """Supremum of |kernel| / envelope per regime over the grid.
 
     Grid points with r <= 1 (outside the envelope's validity) and points
-    near the diagonal (dist < DIAGONAL_MARGIN * max(r, rho)) are excluded and counted; for gamma1 with alpha > 1 the near-diagonal band
-    is additionally dropped by the regime gate.  Points with a non-finite
+    near the diagonal (dist < DIAGONAL_MARGIN * max(r, rho)) are excluded
+    and counted; for gamma1 with alpha > 1 the near-diagonal band is
+    additionally dropped by the regime gate.  Points with a non-finite
     kernel value are recorded as failures and skipped.
     """
     if grid is None:
@@ -318,10 +319,12 @@ def refine_and_compare(kind, alpha, coarse_data, fine_data,
     `coarse_data` and `fine_data` are ScanData of a grid and of a denser
     grid over the same ranges.  The fine report's `stable` flag is set when
     every regime's supremum moved less than `stability_threshold`
-    relatively.
+    relatively, and its `failures` list the coarse grid's failures followed
+    by the fine grid's.
     """
     coarse = report_from_data(kind, alpha, coarse_data)
     fine = report_from_data(kind, alpha, fine_data)
+    fine.failures = coarse.failures + fine.failures
     drift = {}
     for reg in fine.suprema:
         a = coarse.suprema.get(reg)

@@ -287,9 +287,9 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
     Closed forms from `ring_moments`, O(1) per point and accurate to about
     4e-13 relative in the moments, so no error estimate is returned.  This
     is the workhorse for grid scans and half-plane reconstruction; its
-    agreement with the adaptive `kernel_triple` oracle is asserted in tests.  `n_nodes`, `n_err`,
-    `deepen` and `with_errors` are ignored: they remain only because the
-    benchmark's trace binds them by name.
+    agreement with the adaptive `kernel_triple` oracle is asserted in
+    tests.  `n_nodes`, `n_err`, `deepen` and `with_errors` are ignored:
+    they remain only because the benchmark's trace binds them by name.
     """
     rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(zeta, dtype=float))

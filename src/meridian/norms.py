@@ -17,6 +17,12 @@ from .quadrature import (gauss_legendre, geometric_mesh, graded_mesh,
                          panel_nodes)
 
 
+LQ_TOL = 1e-8               # lq_norm_cylinder: absolute settling tolerance
+WEAK_LEVELS = 200           # weak_lorentz_norm: geometric level grid size
+LN_NODES = 14               # GL nodes per panel of the ln r integrals
+ENERGY_NODES, ENERGY_R_PANELS, ENERGY_Z_PANELS = 10, 20, 14  # dirichlet_energy
+
+
 class DivergentNormError(ArithmeticError):
     """The requested integral is non-finite or fails to settle under
     refinement (non-integrable integrand on the domain)."""
@@ -100,11 +106,12 @@ def _domain_integral(f, dom, n_nodes=12, n_r_coarse=24, n_z=16):
     return _ball_quad(f, dom.R, n_nodes, n_r_coarse)
 
 
-def lq_norm_cylinder(f, q, dom, tol=1e-8):
+def lq_norm_cylinder(f, q, dom):
     """(integral_dom |f|^q 2 pi r dr dz)^(1/q) with a refinement check.
 
     The integral is evaluated at two resolutions; failure to settle within
-    max(tol, 1e-6 relative) or a non-finite value raises DivergentNormError.
+    max(LQ_TOL, 1e-6 relative) or a non-finite value raises
+    DivergentNormError.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -113,7 +120,7 @@ def lq_norm_cylinder(f, q, dom, tol=1e-8):
     fine = _domain_integral(g, dom, n_nodes=14, n_r_coarse=32, n_z=20)
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         raise DivergentNormError("non-finite integral of |f|^%g on %s" % (q, dom))
-    if abs(fine - coarse) > max(tol, 1e-6 * abs(fine), 1e-300):
+    if abs(fine - coarse) > max(LQ_TOL, 1e-6 * abs(fine), 1e-300):
         raise DivergentNormError(
             "integral did not settle under refinement (%.6g vs %.6g): "
             "likely non-integrable on %s" % (coarse, fine, dom))
@@ -162,7 +169,7 @@ class WeakLorentzEstimate:
     argmax_lambda: float
 
 
-def weak_lorentz_norm(f, q, dom, n_levels=200, n_cells=400):
+def weak_lorentz_norm(f, q, dom, n_cells=400):
     """Weak-L^q norm of f on dom via superlevel-set quadrature.
 
     Cells are midpoint samples of a (r, z) grid restricted to the domain,
@@ -191,7 +198,7 @@ def weak_lorentz_norm(f, q, dom, n_levels=200, n_cells=400):
         return WeakLorentzEstimate(q, 0.0, np.array([]), np.array([]), 0.0, 0.0)
     vmin_pos = float(vals[vals > 0].min()) if np.any(vals > 0) else vmax
     lo = max(vmin_pos, vmax * 1e-12)
-    lambdas = np.geomspace(lo * 0.999, vmax * 0.999, n_levels)
+    lambdas = np.geomspace(lo * 0.999, vmax * 0.999, WEAK_LEVELS)
 
     order = np.argsort(vals)[::-1]
     sorted_vals = vals[order]
@@ -209,14 +216,14 @@ def weak_lorentz_norm(f, q, dom, n_levels=200, n_cells=400):
                                float(lambdas[k]))
 
 
-def disk_mean_ln(R, n_nodes=14):
+def disk_mean_ln(R):
     """Mean of ln r over the disk {|x'| <= R}: equals ln R - 1/2 exactly.
 
     Computed by quadrature (2/R^2) int_0^R rho ln rho d rho so the closed
     form is a falsifiable check, not an input.
     """
     edges = geometric_mesh(0.0, R, scale=R * 1e-24, grow=4.0)
-    x, w = panel_nodes(edges, n_nodes)
+    x, w = panel_nodes(edges, LN_NODES)
     return float(2.0 / R ** 2 * np.dot(w, x * np.log(x)))
 
 
@@ -227,7 +234,7 @@ _BMO_POWERS = {3.0: (3.0, 1.0, 1.0 / 3.0),
                12.0: (12.0, 3.0, 1.0)}
 
 
-def bmo_oscillation_ln(R, p, n_nodes=14):
+def bmo_oscillation_ln(R, p):
     """Normalized mean oscillation of g = ln r over the cylinder C_R.
 
     With gbar the disk mean of ln r, returns
@@ -256,13 +263,13 @@ def bmo_oscillation_ln(R, p, n_nodes=14):
         geometric_mesh(0.0, R, scale=R * 1e-24, grow=4.0),
         graded_mesh(0.0, R, [kink], scale=kink * 1e-13),
     ]))
-    x, w = panel_nodes(edges, n_nodes)
+    x, w = panel_nodes(edges, LN_NODES)
     radial = float(np.dot(w, x * np.abs(np.log(x) - gbar) ** power))
     integral = 2.0 * R * 2.0 * math.pi * radial   # z-extent x angular measure
     return R ** (-norm_pow) * integral ** outer_pow
 
 
-def dirichlet_energy(field, dom, h=1e-4, n_nodes=10, n_r_coarse=20, n_z=14):
+def dirichlet_energy(field, dom, h=1e-4):
     """integral over dom of the axisymmetric gradient energy density
 
         |du_r|^2 + |du_theta|^2 + |du_z|^2 + u_r^2/r^2 + u_theta^2/r^2
@@ -289,8 +296,8 @@ def dirichlet_energy(field, dom, h=1e-4, n_nodes=10, n_r_coarse=20, n_z=14):
             radial = np.where(r > 0, field.u_r(r, z) ** 2 / np.where(r > 0, r, 1) ** 2, 0.0)
         return total + swirl + radial
 
-    val = _domain_integral(density, dom, n_nodes=n_nodes,
-                           n_r_coarse=n_r_coarse, n_z=n_z)
+    val = _domain_integral(density, dom, n_nodes=ENERGY_NODES,
+                           n_r_coarse=ENERGY_R_PANELS, n_z=ENERGY_Z_PANELS)
     if not math.isfinite(val):
         raise DivergentNormError(
             "gradient energy non-finite on %s: axis terms at r < h need "

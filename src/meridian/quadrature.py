@@ -14,6 +14,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 DEFAULT_PANEL_BUDGET = 2 ** 14
+ADAPTIVE_N_HI = 15          # adaptive_integrate: GL nodes per panel
+ADAPTIVE_N_LO = 7           # and per panel of its embedded error rule
+FIXED_N_ERR = 7             # fixed_integrate: nodes of the error rule
 
 _GL_CACHE = {}
 
@@ -109,16 +112,16 @@ class QuadratureError(RuntimeError):
 
 
 def adaptive_integrate(f, a, b, tol, budget=DEFAULT_PANEL_BUDGET,
-                       seed_edges=None, n_hi=15, n_lo=7):
+                       seed_edges=None):
     """Worst-first adaptive bisection of int_a^b f on [a, b].
 
     `f` must accept a numpy array of abscissae.  Per-panel error is the
-    difference between the `n_hi`- and `n_lo`-point GL results.  Returns
-    (value, error_estimate).  Raises QuadratureError when `tol` is not met
-    within `budget` panels.
+    difference between the ADAPTIVE_N_HI- and ADAPTIVE_N_LO-point GL
+    results.  Returns (value, error_estimate).  Raises QuadratureError when
+    `tol` is not met within `budget` panels.
     """
-    xh, wh = gauss_legendre(n_hi)
-    xl, wl = gauss_legendre(n_lo)
+    xh, wh = gauss_legendre(ADAPTIVE_N_HI)
+    xl, wl = gauss_legendre(ADAPTIVE_N_LO)
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
@@ -157,10 +160,10 @@ def adaptive_integrate(f, a, b, tol, budget=DEFAULT_PANEL_BUDGET,
     return total, total_err
 
 
-def fixed_integrate(f, edges, n=12, n_err=7):
+def fixed_integrate(f, edges, n=12):
     """Composite GL integral on a fixed mesh with a companion error estimate."""
     x, w = panel_nodes(edges, n)
     hi = float(np.dot(w, f(x)))
-    xe, we = panel_nodes(edges, n_err)
+    xe, we = panel_nodes(edges, FIXED_N_ERR)
     lo = float(np.dot(we, f(xe)))
     return hi, abs(hi - lo)

@@ -18,6 +18,7 @@ admissible interval (0, min{1, (6 mu - 4)/(2 mu - 1)}) and
 which satisfies all three predicates whenever mu > 2/3.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,11 @@ class DecayPrediction:
     has_log: bool
     beta_case: str  # "gt2" | "between" | "eq2"
 
+    def envelope(self, r):
+        """(1 + r)^exponent, times log(1 + r) in the log case."""
+        v = (1.0 + r) ** self.exponent
+        return v * math.log(1.0 + r) if self.has_log else v
+
 
 def predicted_decay(beta):
     """Decay prediction for vorticity bounded by (1 + rho)^(-beta), beta > 1.
@@ -200,24 +206,25 @@ class SplitOptimum:
     has_log: bool
 
 
-def optimize_split(beta, gamma_grid=None, delta_grid=None, eps=1e-3):
+SPLIT_EPS = 1e-3
+SPLIT_GAMMAS = np.linspace(0.0, 1.0, 201)
+SPLIT_DELTAS = np.array([1.0, 1.0 - SPLIT_EPS, 0.9, 0.75, 0.5, 0.25])
+
+
+def optimize_split(beta):
     """Grid-minimize the worst region exponent over the splitting knobs.
 
     alpha and delta approach 1 in the analysis but alpha = 1 is outside the
-    admissible range, so alpha is pinned at 1 - eps and delta additionally
-    scanned over `delta_grid` (default includes 1).  Ties are broken toward
-    smaller gamma then larger delta, which reproduces the boundary choice
-    gamma = 0, delta = 1 for 1 < beta < 2.
+    admissible range, so alpha is pinned at 1 - SPLIT_EPS; gamma is scanned
+    over SPLIT_GAMMAS and delta over SPLIT_DELTAS (which includes 1).  Ties
+    are broken toward smaller gamma then larger delta, which reproduces the
+    boundary choice gamma = 0, delta = 1 for 1 < beta < 2.
     """
-    if gamma_grid is None:
-        gamma_grid = np.linspace(0.0, 1.0, 201)
-    if delta_grid is None:
-        delta_grid = np.array([0.25, 0.5, 0.75, 0.9, 1.0 - eps, 1.0])
-    alpha = 1.0 - eps
+    alpha = 1.0 - SPLIT_EPS
 
     best = None
-    for g in np.asarray(gamma_grid, dtype=float):
-        for d in sorted(np.asarray(delta_grid, dtype=float), reverse=True):
+    for g in SPLIT_GAMMAS:
+        for d in SPLIT_DELTAS:
             _, _, (worst, has_log) = region_term_exponents(beta, alpha, g, d)
             key = (worst, has_log, g, -d)
             if best is None or key < best[0]:

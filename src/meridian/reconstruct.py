@@ -28,7 +28,6 @@ beyond (rho_max, z_max) is certified by crude-bound tail majorants, never
 by extrapolation.
 """
 
-import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Optional
@@ -52,6 +51,8 @@ NEAR_DIAG_REFINEMENT = 22   # geometric radial levels in the core (+2 per pass)
 N_THETA = 32                # polar-core angles (doubled per pass)
 N_S_NODES = 6               # GL nodes per core radial panel (+1 per pass)
 MAX_REFINEMENTS = 2
+RESOLUTION_CAP = 512        # most uniform panels a profile resolution adds
+TRACE_REL_TOL = 0.02        # decay_trace: first tolerance, relative to value
 
 
 @dataclass(frozen=True)
@@ -113,69 +114,63 @@ def _region_edges(r, gamma, delta):
     return (r ** gamma / 8.0, r / 4.0, r - w, r + w, 4.0 * r), w
 
 
-def _resolution_edges(a, b, step, cap=512):
-    """Uniform edges at `step` across [a, b], empty if that would exceed cap."""
-    if step is None or step <= 0:
-        return None
-    n = int(np.ceil((b - a) / step))
-    if n < 2 or n > cap:
-        return None
-    return np.linspace(a, b, n + 1)
+def _resolution_edges(edges, resolution, deepen):
+    """`edges` merged with uniform edges at resolution / 2^deepen across their
+    span, unless that takes fewer than 2 or more than RESOLUTION_CAP panels."""
+    if resolution is None or resolution <= 0:
+        return edges
+    a, b = edges[0], edges[-1]
+    n = int(np.ceil((b - a) / (resolution * 0.5 ** deepen)))
+    if n < 2 or n > RESOLUTION_CAP:
+        return edges
+    return np.unique(np.concatenate([edges, np.linspace(a, b, n + 1)]))
 
 
-def _integrate_rect(kernel_sel, weight, r, z, rect, k_scale, deepen=0,
-                    resolution=None):
-    """Tensor GL integral of kernel * weight * rho over one rectangle.
+def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
+    """Tensor GL integrals of kernel * weight * rho over one rectangle.
 
-    Meshes are graded toward rho = r (radial) and toward k = z and k = 0
-    (axial) with feature scale `k_scale`; profiles with a short intrinsic
-    `resolution` additionally force uniform panels at that scale.  `deepen`
-    halves the scales and bumps node counts for refinement passes.
+    One per (kernel selector, vorticity profile) in `terms`, all from one
+    kernel evaluation per rule.  Meshes are graded toward rho = r (radial)
+    and toward k = z and k = 0 (axial) with feature scale `k_scale`;
+    profiles with a short intrinsic `resolution` additionally force uniform
+    panels at that scale.  `deepen` halves the scales and bumps node counts
+    for refinement passes.  Returns (values, error estimates) per term.
     """
     (ra, rb), (ka, kb) = rect
     if rb <= ra or kb <= ka:
-        return 0.0, 0.0
+        return np.zeros(len(terms)), np.zeros(len(terms))
     scale = max(k_scale * 0.5 ** deepen, 1e-12)
     n_hi = N_NODES + 2 * deepen
     n_lo = N_ERR + deepen
-    r_edges = graded_mesh(ra, rb, [r, 0.0], scale)
-    k_edges = graded_mesh(ka, kb, [z, 0.0], scale)
-    if resolution is not None:
-        res = resolution * 0.5 ** deepen
-        extra_r = _resolution_edges(ra, rb, res)
-        extra_k = _resolution_edges(ka, kb, res)
-        if extra_r is not None:
-            r_edges = np.unique(np.concatenate([r_edges, extra_r]))
-        if extra_k is not None:
-            k_edges = np.unique(np.concatenate([k_edges, extra_k]))
+    r_edges = _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale),
+                                resolution, deepen)
+    k_edges = _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale),
+                                resolution, deepen)
 
     def tensor(n):
         rn, rw = panel_nodes(r_edges, n)
         kn, kw = panel_nodes(k_edges, n)
         RR = np.repeat(rn, kn.size)
         KK = np.tile(kn, rn.size)
-        kb_vals = kernel_batch(r, RR, z - KK)
-        ker = kernel_sel(kb_vals)
-        wv = weight(RR, KK)
-        contrib = ker * wv * RR
-        return float(np.einsum("i,i->", contrib,
-                               np.repeat(rw, kn.size) * np.tile(kw, rn.size)))
+        kv = kernel_batch(r, RR, z - KK)
+        w = np.repeat(rw, kn.size) * np.tile(kw, rn.size)
+        return np.array([np.einsum("i,i->", sel(kv) * weight(RR, KK) * RR, w)
+                         for sel, weight in terms])
 
     hi = tensor(n_hi)
-    lo = tensor(n_lo)
-    return hi, abs(hi - lo)
+    return hi, np.abs(hi - tensor(n_lo))
 
 
-def _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen=0,
-                          resolution=None):
-    """Polar integral over the square |rho - r| <= s0, |k - z| <= s0.
+def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
+    """Polar integrals over the square |rho - r| <= s0, |k - z| <= s0.
 
     Radii are graded geometrically over NEAR_DIAG_REFINEMENT levels so
     the 1/s kernel singularity (which cancels in the angle) is resolved;
     the angle uses the trapezoidal rule, spectrally accurate for the
-    periodic smooth integrand.  Returns (value, error_estimate) where the
+    periodic smooth integrand.  `terms` is as for `_integrate_rect`.
+    Returns (values, error estimates), one entry per term, where each
     error combines the embedded-rule difference and the omitted innermost
-    disk bounded by its crude majorant.
+    disk bounded by that term's crude majorant.
     """
     levels = NEAR_DIAG_REFINEMENT + 2 * deepen
     n_theta = N_THETA * (2 ** deepen)
@@ -184,18 +179,15 @@ def _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen=0,
     n_s = N_S_NODES + deepen
 
     def run(n_theta_run, n_s_run):
-        theta = np.arange(n_theta_run) * (2.0 * np.pi / n_theta_run)
+        h = 2.0 * np.pi / n_theta_run
+        theta = np.arange(n_theta_run) * h
         ct, st = np.cos(theta), np.sin(theta)
         nodes, weights, ray_id = [], [], []
         s_min_eff = 0.0
         for j, (c, s_ang) in enumerate(zip(ct, st)):
             s_max = s0 / max(abs(c), abs(s_ang))
             edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
-            if resolution is not None:
-                extra = _resolution_edges(float(edges[0]), float(s_max),
-                                          resolution * 0.5 ** deepen)
-                if extra is not None:
-                    edges = np.unique(np.concatenate([edges, extra]))
+            edges = _resolution_edges(edges, resolution, deepen)
             sn, sw = panel_nodes(edges, n_s_run)
             nodes.append(sn)
             weights.append(sw)
@@ -207,20 +199,21 @@ def _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen=0,
         ray_id = np.concatenate(ray_id)
         rho = r + sn * ct[ray_id]
         kk = z + sn * st[ray_id]
-        ker = kernel_sel(kernel_batch(r, rho, z - kk))
-        vals = ker * weight(rho, kk) * rho * sn
-        ray_sums = np.bincount(ray_id, weights=sw * vals,
-                               minlength=n_theta_run)
-        total = float(np.sum(ray_sums)) * (2.0 * np.pi / n_theta_run)
-        max_integrand = float(np.max(np.abs(vals)))
-        # the omitted disk s < s_min contributes at most its area times the
-        # bounded polar integrand
-        trunc = 2.0 * np.pi * s_min_eff * max_integrand
-        return total, trunc
+        kv = kernel_batch(r, rho, z - kk)
+        totals, truncs = [], []
+        for sel, weight in terms:
+            vals = sel(kv) * weight(rho, kk) * rho * sn
+            ray_sums = np.bincount(ray_id, weights=sw * vals,
+                                   minlength=n_theta_run)
+            totals.append(np.sum(ray_sums) * h)
+            # the omitted disk s < s_min contributes at most its area times
+            # the bounded polar integrand
+            truncs.append(2.0 * np.pi * s_min_eff * np.max(np.abs(vals)))
+        return np.array(totals), np.array(truncs)
 
     hi, trunc = run(n_theta, n_s)
     lo, _ = run(max(n_theta // 2, 8), max(n_s - 1, 3))
-    return hi, abs(hi - lo) + trunc
+    return hi, np.abs(hi - lo) + trunc
 
 
 def _support_box(w_field, rho_max, z_max):
@@ -248,7 +241,9 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     (rho + r)/(rho - r)^3 integrated against the radial majorant times the
     envelope integral.  Axial tail (|k| > z_max, rho <= rho_max): kernel
     bounds at |z - k| >= z_max - |z| times the envelope tail integral.
-    Compactly supported fields inside the window have zero tails.
+    `kernel_kind` names the term's kernel: "g1" takes the G1 majorants,
+    "g2" and "g_swirl" (M) the G2 ones.  Compactly supported fields inside
+    the window have zero tails.
     """
     if w_field.support is not None:
         slo, shi, klo, khi = w_field.support
@@ -265,10 +260,13 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     env_total = env.integral()
     env_tail = env.tail_integral(z_max)
 
+    zeta_min = z_max - abs(z)
     if kernel_kind == "g1":
         rad_kernel = lambda rho: 1.0 / (rho - r) ** 2
+        ax_kernel = lambda rho: 1.0 / zeta_min ** 2
     else:
         rad_kernel = lambda rho: (rho + r) / (rho - r) ** 3
+        ax_kernel = lambda rho: (rho + r) / zeta_min ** 3
     # map [rho_max, inf) to (0, 1] via rho = rho_max / u; the transformed
     # integrand is bounded for beta > 1 so fixed-interval quadrature is safe
     rad, _ = _scipy_quad(
@@ -277,11 +275,6 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
         0.0, 1.0, limit=200)
     radial_tail = env_total * rad
 
-    zeta_min = z_max - abs(z)
-    if kernel_kind == "g1":
-        ax_kernel = lambda rho: 1.0 / zeta_min ** 2
-    else:
-        ax_kernel = lambda rho: (rho + r) / zeta_min ** 3
     ax, _ = fixed_integrate(
         lambda rho: ax_kernel(rho) * bound(rho) * rho,
         geometric_mesh(0.0, rho_max, scale=1.0), n=12)
@@ -289,12 +282,15 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     return radial_tail + axial_tail
 
 
-def _component_integral(kernel_sel, weight, w_field, p, spec):
-    """Region-decomposed integral of kernel * weight * rho over the window.
+def _component_integral(terms, w_field, p, spec):
+    """Region-decomposed integrals of kernel * weight * rho over the window.
 
-    Returns (per-region values, summed error estimate).  Raises ValueError
-    when a region value or error is non-finite (a vorticity sample that is
-    not a finite number).
+    One integral per (kernel selector, vorticity profile) term; the terms
+    share each kernel evaluation and refine together while their summed
+    error exceeds spec.tol.  Returns (per-region values, per-term error
+    estimates); each region value is an array with one entry per term.
+    Raises ValueError when a region value or error is non-finite (a
+    vorticity sample that is not a finite number).
     """
     r, z = p.r, p.z
     rho_max, z_max = spec.resolved(r)
@@ -323,61 +319,60 @@ def _component_integral(kernel_sel, weight, w_field, p, spec):
         ra, rb = max(ra, rho_lo), min(rb, rho_hi)
         if rb > ra:
             rects.append((name, ((ra, rb), k_span), k_scale))
-
     res = w_field.resolution
 
     def one_pass(deepen):
-        per_region = dict.fromkeys(REGION_NAMES, 0.0)
-        per_err = dict.fromkeys(REGION_NAMES, 0.0)
+        per_region = {name: np.zeros(len(terms)) for name in REGION_NAMES}
+        per_err = {name: np.zeros(len(terms)) for name in REGION_NAMES}
         for name, rect, k_scale in rects:
-            v, e = _integrate_rect(kernel_sel, weight, r, z, rect, k_scale,
-                                   deepen, resolution=res)
+            v, e = _integrate_rect(terms, r, z, rect, k_scale, deepen,
+                                   resolution=res)
             per_region[name] += v
             per_err[name] += e
-        v, e = _integrate_polar_core(kernel_sel, weight, r, z, s0, deepen,
-                                     resolution=res)
+        v, e = _integrate_polar_core(terms, r, z, s0, deepen, resolution=res)
         per_region["diagonal"] += v
         per_err["diagonal"] += e
         for name in REGION_NAMES:
-            if not (math.isfinite(per_region[name])
-                    and math.isfinite(per_err[name])):
+            if not np.all(np.isfinite(per_region[name])
+                          & np.isfinite(per_err[name])):
                 raise ValueError(
                     "non-finite %s integral at probe (r=%g, z=%g): the "
                     "vorticity must be finite on the window" % (name, r, z))
-        return per_region, per_err
+        return per_region, sum(per_err.values())
 
     deepen = 0
-    per_region, per_err = one_pass(deepen)
-    while sum(per_err.values()) > spec.tol and deepen < MAX_REFINEMENTS:
+    per_region, errors = one_pass(deepen)
+    while sum(errors) > spec.tol and deepen < MAX_REFINEMENTS:
         deepen += 1
-        per_region, per_err = one_pass(deepen)
-    return per_region, sum(per_err.values())
+        per_region, errors = one_pass(deepen)
+    return per_region, errors
 
 
 def _reconstruct(component, w_field, p, spec, terms):
-    """Signed sum of region integrals, one per term.
+    """Signed sum of region integrals over the component's terms.
 
-    Each term is (label, kernel selector, tail kind, vorticity attribute,
-    sign); the labels name the term values reported when there are several.
+    Each term is (label, kernel, vorticity attribute, sign): `kernel` names
+    the KernelValues field and the tail majorant; the labels name the term
+    values reported when there are several.
     """
     if not p.r > 1.0:
         raise ValueError("reconstruction requires probe radius r > 1 "
                          "(kernel bounds hold on r > 1); got r=%g" % p.r)
-    parts = []
-    for label, kernel_sel, _, weight, sign in terms:
-        regions, err = _component_integral(kernel_sel, getattr(w_field, weight),
-                                           w_field, p, spec)
-        parts.append((label, sign, regions, err))
+    regions, errors = _component_integral(
+        [(attrgetter(kernel), getattr(w_field, weight))
+         for _, kernel, weight, _ in terms], w_field, p, spec)
     rho_max, z_max = spec.resolved(p.r)
-    tail = sum(_tail_bounds(w_field, kind, p.r, p.z, rho_max, z_max)
-               for _, _, kind, _, _ in terms)
-    per_region = {name: sum(sign * regions[name] for _, sign, regions, _ in parts)
-                  for name in REGION_NAMES}
-    quad_err = sum(err for _, _, _, err in parts)
+    tail = sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
+               for _, kernel, _, _ in terms)
+    signs = [sign for _, _, _, sign in terms]
+    per_region = {name: float(sum(s * v for s, v in zip(signs, values)))
+                  for name, values in regions.items()}
+    quad_err = float(sum(errors))
     term_values = None
-    if len(parts) > 1:
-        term_values = {label: sign * sum(regions.values())
-                       for label, sign, regions, _ in parts}
+    if len(terms) > 1:
+        totals = sum(regions.values())
+        term_values = {label: float(sign * total)
+                       for (label, _, _, sign), total in zip(terms, totals)}
     return ReconstructionResult(
         value=sum(per_region.values()), per_region=per_region,
         tail_bound=tail, quad_err=quad_err, tol_met=quad_err <= spec.tol,
@@ -388,14 +383,14 @@ def reconstruct_ur(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_r from the swirl vorticity via the G1 kernel."""
     return _reconstruct("u_r", w_field, p, spec,
-                        (("u_r", attrgetter("g1"), "g1", "w_theta", 1.0),))
+                        (("u_r", "g1", "w_theta", 1.0),))
 
 
 def reconstruct_uz(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_z from the swirl vorticity via the (negated) G2 kernel."""
     return _reconstruct("u_z", w_field, p, spec,
-                        (("u_z", attrgetter("g2"), "g2", "w_theta", -1.0),))
+                        (("u_z", "g2", "w_theta", -1.0),))
 
 
 def reconstruct_utheta(w_field: VorticityField, p: MeridianPoint,
@@ -403,8 +398,8 @@ def reconstruct_utheta(w_field: VorticityField, p: MeridianPoint,
     """u_theta from (w_r, w_z): the difference of two region integrals."""
     return _reconstruct(
         "u_theta", w_field, p, spec,
-        (("axial_source", attrgetter("g_swirl"), "g2", "w_z", 1.0),
-         ("radial_source", attrgetter("g1"), "g1", "w_r", -1.0)))
+        (("axial_source", "g_swirl", "w_z", 1.0),
+         ("radial_source", "g1", "w_r", -1.0)))
 
 
 _RECONSTRUCTORS = {"u_r": reconstruct_ur, "u_z": reconstruct_uz,
@@ -421,17 +416,16 @@ class TraceSample:
     flagged: bool
 
 
-def decay_trace(w_field, component, r_ladder, spec=None, z=0.0,
-                rel_tol=0.02):
+def decay_trace(w_field, component, r_ladder, z=0.0):
     """|component|(r, z) along an increasing radius ladder.
 
-    Per-point absolute tolerances follow the predicted decay envelope so
-    the fractional accuracy stays roughly constant as values shrink; a
-    sample is flagged when its certified error exceeds 10% of its value.
-    Defaults: gamma, delta from the optimizer's balance for the profile's
-    beta.  `z` is a fixed probe height or a sequence matching the ladder
-    (the decay envelopes are uniform in z, so sweeping z = r/2 or z = r is
-    a uniformity spot-check).
+    Per-point absolute tolerances follow the predicted decay envelope from
+    TRACE_REL_TOL of the first value, so the fractional accuracy stays
+    roughly constant as values shrink; a sample is flagged when its
+    certified error exceeds 10% of its value.  gamma, delta come from the
+    optimizer's balance for the profile's beta.  `z` is a fixed probe
+    height or a sequence matching the ladder (the decay envelopes are
+    uniform in z, so sweeping z = r/2 or z = r is a uniformity spot-check).
     """
     if component not in _RECONSTRUCTORS:
         raise ValueError("component must be one of %s" % (sorted(_RECONSTRUCTORS),))
@@ -448,25 +442,17 @@ def decay_trace(w_field, component, r_ladder, spec=None, z=0.0,
             raise ValueError("probe-height sequence must match the ladder")
 
     beta = w_field.decay_beta
-    if spec is None:
-        spec = QuadratureSpec()
-        if beta is not None:
-            opt = optimize_split(beta)
-            spec = replace(spec, gamma=opt.gamma, delta=min(opt.delta, 1.0))
-    pred = predicted_decay(beta) if beta is not None else None
-
-    # slow radial decay needs a wider truncation window for the tail
-    # majorant to stay well under the shrinking values
-    if beta is not None and spec.rho_max is None:
-        factor = 64.0 if beta < 2.0 else (16.0 if beta < 2.5 else 8.0)
-        if factor > 8.0:
+    spec = QuadratureSpec()
+    envelope = lambda r: 1.0
+    if beta is not None:
+        opt = optimize_split(beta)
+        spec = replace(spec, gamma=opt.gamma, delta=min(opt.delta, 1.0))
+        envelope = predicted_decay(beta).envelope
+        # slow radial decay needs a wider truncation window for the tail
+        # majorant to stay well under the shrinking values
+        if beta < 2.5:
+            factor = 64.0 if beta < 2.0 else 16.0
             spec = replace(spec, rho_max=factor * max(1.0, r_ladder[-1]))
-
-    def envelope(r):
-        if pred is None:
-            return 1.0
-        v = (1.0 + r) ** pred.exponent
-        return v * math.log(r + 1.0) if pred.has_log else v
 
     rec = _RECONSTRUCTORS[component]
     samples = []
@@ -479,7 +465,7 @@ def decay_trace(w_field, component, r_ladder, spec=None, z=0.0,
             spec_r = replace(spec, tol=tol_r)
         res = rec(w_field, MeridianPoint(r, z_r), spec_r)
         if base_tol is None:
-            base_tol = max(rel_tol * abs(res.value), spec.tol)
+            base_tol = max(TRACE_REL_TOL * abs(res.value), spec.tol)
         flagged = res.total_error > 0.1 * abs(res.value) if res.value != 0 else True
         samples.append(TraceSample(r=r, value=abs(res.value),
                                    quad_err=res.quad_err,

@@ -164,6 +164,31 @@ def test_kernel_scan_refined_smoke(tmp_path):
     assert summary[0]["drift"]
 
 
+def test_kernel_scan_counts_coarse_grid_failures(tmp_path, monkeypatch):
+    # the CSVs are written from the coarse grid, so a non-finite kernel
+    # value there must reach n_failures and the exit code too
+    import numpy as np
+    from meridian import envelopes
+    calls = []
+
+    def nan_first_g2(*args, **kwargs):
+        out = kernel_batch(*args, **kwargs)
+        if not calls:        # the first call is the coarse grid's first r
+            out.g2[0] = np.nan
+        calls.append(1)
+        return out
+
+    kernel_batch = envelopes.kernel_batch
+    monkeypatch.setattr(envelopes, "kernel_batch", nan_first_g2)
+    path = write_cfg(tmp_path, FAST_SCAN + "scan.kinds = gamma23\n"
+                                           "scan.alphas23 = 0\n")
+    out = tmp_path / "scan"
+    assert main(["kernel-scan", "--config", path, "--out", str(out)]) == 1
+    summary = json.loads((out / "kernel_scan_summary.json").read_text())
+    assert summary[0]["n_failures"] >= 1
+    assert summary[0]["stable"]
+
+
 def test_decay_command_small_run(tmp_path):
     path = write_cfg(tmp_path, "decay.beta = 3.0\ndecay.n_points = 5\n")
     out = tmp_path / "decay"

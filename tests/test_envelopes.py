@@ -1,9 +1,12 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from meridian.envelopes import (REGIMES, BoundEnvelope, bound_scan,
+from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
+                                ZETA_SCALE_RANGE, BoundEnvelope, bound_scan,
                                 crude_bounds, envelope_value,
                                 evaluate_scan_grid, k_split_consistency,
                                 refine_and_compare, report_from_data,
@@ -190,3 +193,37 @@ def test_scan_regime_matches_band_and_k_side():
     assert at_k1.sum() >= 3
     assert np.all(data.regime[at_k1] % 2 == 0)
     assert set(data.regime.tolist()) == set(range(len(REGIMES)))
+
+
+def _envelope_ratios(r, rho, zeta, alpha23, alpha1):
+    """max(|G2|, |G3|) / env23 and, off the zeta = 0 line, |G1| / env1."""
+    kv = kernel_batch(r, rho, zeta)
+    env23 = envelope_value(BoundEnvelope("gamma23", alpha23), r, rho, zeta)
+    ratios = [max(abs(float(kv.g2)), abs(float(kv.g3))) / env23]
+    if zeta != 0.0:
+        env1 = envelope_value(BoundEnvelope("gamma1", alpha1), r, rho, zeta)
+        ratios.append(abs(float(kv.g1)) / env1)
+    return ratios
+
+
+# zeta / r as the scan samples it: 0 or a magnitude in ZETA_SCALE_RANGE
+zeta_scales = st.one_of(st.just(0.0), st.floats(*ZETA_SCALE_RANGE),
+                        st.floats(-ZETA_SCALE_RANGE[1], -ZETA_SCALE_RANGE[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(1.01, 1e3), q=st.floats(*RATIO_RANGE), s=zeta_scales,
+       lam=st.floats(1e-2, 1e2), alpha23=st.floats(0.0, 1.0),
+       alpha1=st.floats(0.0, 3.0))
+def test_envelope_ratios_scale_invariant(r, q, s, lam, alpha23, alpha1):
+    # kernels and envelopes are both homogeneous of degree -2, so each
+    # ratio is invariant under (r, rho, zeta) -> lam (r, rho, zeta); the
+    # scan's r ladder relies on it
+    points = ((r, q * r, s * r), (lam * r, lam * q * r, lam * s * r))
+    assume(lam * r > 1.0)
+    for a, b, c in points:
+        assume(math.hypot(a - b, c) >= DIAGONAL_MARGIN * max(a, b))
+        assume(BoundEnvelope("gamma1", alpha1).admissible(a, b))
+    base = _envelope_ratios(*points[0], alpha23, alpha1)
+    scaled = _envelope_ratios(*points[1], alpha23, alpha1)
+    assert scaled == pytest.approx(base, rel=1e-9)

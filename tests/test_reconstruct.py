@@ -44,9 +44,7 @@ def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
         c, s_ang = np.cos(theta), np.sin(theta)
         s_max = s0 / max(abs(c), abs(s_ang))
         edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
-        extra = _resolution_edges(float(edges[0]), float(s_max), resolution)
-        if extra is not None:
-            edges = np.unique(np.concatenate([edges, extra]))
+        edges = _resolution_edges(edges, resolution, 0)
         sn, sw = panel_nodes(edges, n_s)
         rho, kk = r + sn * c, z + sn * s_ang
         vals = kernel_sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho * sn
@@ -61,14 +59,32 @@ def test_polar_core_matches_per_ray_loop():
     # one kernel call may change only the summation order
     _, w = stream_bump_field(r0=3.0, radius=1.0)
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
-    args = (lambda kv: kv.g1, w.w_theta, r, z, s0)
-    value, err = _integrate_polar_core(*args, resolution=res)
+    term = (lambda kv: kv.g1, w.w_theta)
+    args = term + (r, z, s0)
+    (value,), (err,) = _integrate_polar_core([term], r, z, s0, resolution=res)
     hi, trunc = per_ray_polar_core(*args, N_THETA, N_S_NODES,
                                    NEAR_DIAG_REFINEMENT, res)
     lo, _ = per_ray_polar_core(*args, N_THETA // 2, N_S_NODES - 1,
                                NEAR_DIAG_REFINEMENT, res)
     assert value == pytest.approx(hi, rel=1e-13, abs=1e-15)
     assert err == pytest.approx(abs(hi - lo) + trunc, rel=1e-9, abs=1e-15)
+
+
+def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
+    # u_theta's two terms come from one kernel call per node set
+    import meridian.reconstruct as rec
+    node_sets = []
+
+    def recording(r, rho, zeta, *args, **kwargs):
+        node_sets.append((float(r), np.asarray(rho).tobytes(),
+                          np.asarray(zeta).tobytes()))
+        return kernel_batch(r, rho, zeta, *args, **kwargs)
+
+    monkeypatch.setattr(rec, "kernel_batch", recording)
+    _, w = swirl_bump_field()
+    reconstruct_utheta(w, MeridianPoint(2.6, 0.2))
+    assert len(node_sets) == 36
+    assert len(set(node_sets)) == len(node_sets)
 
 
 def test_zero_vorticity_reconstructs_zero():
