@@ -451,6 +451,9 @@ def main(argv=None):
         return 0
 
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1, got %d"
+                              % args.workers)
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "kernel-scan":

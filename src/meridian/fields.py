@@ -143,16 +143,25 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     Returns (field, vorticity).  With psi a SmoothBump,
     w_theta = dz u_r - dr u_z = -(1/r) (psi_rr - psi_r / r + psi_zz),
     so the vorticity is analytic and compactly supported in the same disk.
+    The three derivatives are the profile's expressions, taken from one
+    evaluation of the bump's exponential.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
     bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
     psi = bump.profile()
     field = stream_function_field(psi, support=bump.support)
+    a2 = bump.radius ** 2
 
     def wt(r, z):
         r = np.asarray(r, dtype=float)
-        return -(psi.d_rr(r, z) - psi.d_r(r, z) / r + psi.d_zz(r, z)) / r
+        _, _, fp, fpp, _ = bump._core(r, z)
+        tr = 2.0 * (r - bump.r0) / a2
+        tz = 2.0 * (np.asarray(z, float) - bump.z0) / a2
+        psi_rr = fpp * tr * tr + fp * 2.0 / a2
+        psi_r = fp * 2.0 * (r - bump.r0) / a2
+        psi_zz = fpp * tz * tz + fp * 2.0 / a2
+        return -(psi_rr - psi_r / r + psi_zz) / r
 
     w = VorticityField(
         w_r=zero_profile(),
@@ -168,20 +177,24 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     """Pure-swirl bump u_theta plus its exact curl (w_r, w_z).
 
     w_r = -dz u_theta,  w_z = (1/r) dr(r u_theta) = dr u_theta + u_theta/r.
-    Both vorticity components share the bump's compact support.
+    Both vorticity components share the bump's compact support; w_z takes
+    u_theta and its profile's dr expression from one evaluation of the
+    bump's exponential.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
     bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
     p = bump.profile()
     field = AxisymField(u_r=zero_profile(), u_theta=p, u_z=zero_profile())
+    a2 = bump.radius ** 2
 
     def wr(r, z):
         return -p.d_z(r, z)
 
     def wz(r, z):
         r = np.asarray(r, dtype=float)
-        return p.d_r(r, z) + p.fn(r, z) / r
+        _, f, fp, _, _ = bump._core(r, z)
+        return fp * 2.0 * (r - bump.r0) / a2 + f / r
 
     w = VorticityField(
         w_r=Profile(fn=wr, name="swirl_bump_w_r"),

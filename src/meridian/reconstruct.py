@@ -126,6 +126,31 @@ def _resolution_edges(edges, resolution, deepen):
     return np.unique(np.concatenate([edges, np.linspace(a, b, n + 1)]))
 
 
+def _integrands(terms, r, z, rho, kk):
+    """kernel * weight * rho at the nodes (rho, kk), one array per term.
+
+    The kernels are evaluated in one call, on the nodes where some term's
+    weight is nonzero; NaN and inf weights count as nonzero, so they still
+    reach the sums.  At every other node each integrand is the zero a zero
+    weight would give, and the arrays keep their full length, so the sums
+    over them are the same as with every node evaluated.
+    """
+    weights = [weight(rho, kk) for _, weight in terms]
+    live = np.zeros(rho.shape, dtype=bool)
+    for w in weights:
+        live |= w != 0
+    kv = kernel_batch(r, rho[live], z - kk[live]) if live.any() else None
+    integrands = []
+    for (sel, _), w in zip(terms, weights):
+        vals = np.zeros(rho.shape)
+        if kv is not None:
+            vals[live] = sel(kv)
+        vals *= w
+        vals *= rho
+        integrands.append(vals)
+    return integrands
+
+
 def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
     """Tensor GL integrals of kernel * weight * rho over one rectangle.
 
@@ -152,10 +177,9 @@ def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
         kn, kw = panel_nodes(k_edges, n)
         RR = np.repeat(rn, kn.size)
         KK = np.tile(kn, rn.size)
-        kv = kernel_batch(r, RR, z - KK)
         w = np.repeat(rw, kn.size) * np.tile(kw, rn.size)
-        return np.array([np.einsum("i,i->", sel(kv) * weight(RR, KK) * RR, w)
-                         for sel, weight in terms])
+        return np.array([np.einsum("i,i->", vals, w)
+                         for vals in _integrands(terms, r, z, RR, KK)])
 
     hi = tensor(n_hi)
     return hi, np.abs(hi - tensor(n_lo))
@@ -166,8 +190,10 @@ def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
 
     Radii are graded geometrically over NEAR_DIAG_REFINEMENT levels so
     the 1/s kernel singularity (which cancels in the angle) is resolved;
-    the angle uses the trapezoidal rule, spectrally accurate for the
-    periodic smooth integrand.  `terms` is as for `_integrate_rect`.
+    the angle uses the trapezoidal rule.  The ray length
+    s0 / max(|cos theta|, |sin theta|) has corners at the square's
+    diagonals, so the angular integrand is periodic but not smooth and the
+    rule converges only algebraically.  `terms` is as for `_integrate_rect`.
     Returns (values, error estimates), one entry per term, where each
     error combines the embedded-rule difference and the omitted innermost
     disk bounded by that term's crude majorant.
@@ -199,10 +225,9 @@ def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
         ray_id = np.concatenate(ray_id)
         rho = r + sn * ct[ray_id]
         kk = z + sn * st[ray_id]
-        kv = kernel_batch(r, rho, z - kk)
         totals, truncs = [], []
-        for sel, weight in terms:
-            vals = sel(kv) * weight(rho, kk) * rho * sn
+        for vals in _integrands(terms, r, z, rho, kk):
+            vals = vals * sn
             ray_sums = np.bincount(ray_id, weights=sw * vals,
                                    minlength=n_theta_run)
             totals.append(np.sum(ray_sums) * h)

@@ -284,3 +284,13 @@ def test_roundtrip_interior_probes_use_relative_norm(tmp_path):
     payload = json.loads((out / "roundtrip_report.json").read_text())
     assert payload["pure_swirl"]["u_theta_normalization"] == "relative"
     assert payload["pure_swirl"]["u_theta"] < 1e-3
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "decay"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected_before_output(tmp_path, capsys, command,
+                                                  workers):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--workers", workers]) == 2
+    assert "error: --workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -285,3 +285,38 @@ def test_axis_regularity_of_smooth_fields():
     # supported away from the axis: both meridian components vanish there
     assert np.all(field.u_r(np.full_like(z, 1e-9), z) == 0.0)
     assert np.all(field.u_z(np.full_like(z, 1e-9), z) == 0.0)
+
+
+def _counting_core(monkeypatch):
+    calls = []
+    core = SmoothBump._core
+
+    def counting(self, r, z):
+        calls.append(1)
+        return core(self, r, z)
+
+    monkeypatch.setattr(SmoothBump, "_core", counting)
+    return calls
+
+
+@pytest.mark.parametrize("r0", [3.0, 3.5, 3.77])
+def test_bump_vorticity_matches_profile_from_one_core_call(monkeypatch, r0):
+    # points inside and outside the support disk of radius 1 about (r0, 0)
+    rng = np.random.default_rng(7)
+    r = rng.uniform(r0 - 1.4, r0 + 1.4, 4000)
+    z = rng.uniform(-1.4, 1.4, 4000)
+    inside = (r - r0) ** 2 + z ** 2 < 1.0
+    assert 0 < inside.sum() < inside.size
+    psi = SmoothBump(r0=r0, z0=0.0, radius=1.0).profile()
+    _, w = stream_bump_field(r0=r0)
+    _, ws = swirl_bump_field(r0=r0)
+    expected_wt = -(psi.d_rr(r, z) - psi.d_r(r, z) / r + psi.d_zz(r, z)) / r
+    expected_wz = psi.d_r(r, z) + psi.fn(r, z) / r
+    calls = _counting_core(monkeypatch)
+    wt = w.w_theta(r, z)
+    assert len(calls) == 1
+    wz = ws.w_z(r, z)
+    assert len(calls) == 2
+    assert np.array_equal(wt, expected_wt)
+    assert np.array_equal(wz, expected_wz)
+    assert np.all(wt[~inside] == 0.0) and np.any(wt[inside] != 0.0)

@@ -9,7 +9,8 @@ from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, zero_profile
 from meridian.quadrature import panel_nodes, uniform_mesh
 from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_THETA,
-                                  QuadratureSpec, _integrate_polar_core,
+                                  QuadratureSpec, _integrands,
+                                  _integrate_polar_core,
                                   _resolution_edges, decay_trace,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
@@ -70,21 +71,117 @@ def test_polar_core_matches_per_ray_loop():
     assert err == pytest.approx(abs(hi - lo) + trunc, rel=1e-9, abs=1e-15)
 
 
-def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
-    # u_theta's two terms come from one kernel call per node set
+def recording_kernel_batch(monkeypatch):
+    """Patch the reconstruction's kernel_batch to record each call's nodes."""
     import meridian.reconstruct as rec
-    node_sets = []
+    calls = []
 
     def recording(r, rho, zeta, *args, **kwargs):
-        node_sets.append((float(r), np.asarray(rho).tobytes(),
-                          np.asarray(zeta).tobytes()))
+        calls.append((np.array(rho), np.array(zeta)))
         return kernel_batch(r, rho, zeta, *args, **kwargs)
 
     monkeypatch.setattr(rec, "kernel_batch", recording)
+    return calls
+
+
+def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
+    # u_theta's two terms come from one kernel call per node set
+    calls = recording_kernel_batch(monkeypatch)
     _, w = swirl_bump_field()
     reconstruct_utheta(w, MeridianPoint(2.6, 0.2))
+    node_sets = [(rho.tobytes(), zeta.tobytes()) for rho, zeta in calls]
     assert len(node_sets) == 36
     assert len(set(node_sets)) == len(node_sets)
+
+
+def integrand_nodes(n=4000, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(1.5, 6.0, n), rng.uniform(-3.0, 3.0, n)
+
+
+def plain_integrand(sel, weight, r, z, rho, kk):
+    return sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho
+
+
+def test_integrands_match_plain_formula_with_zero_weights(monkeypatch):
+    r, z = 3.0, 0.4
+    rho, kk = integrand_nodes()
+    base = power_law_vorticity(3.0).w_theta
+    weight = lambda rho, k: np.where(k > 0.0, base(rho, k), 0.0)
+    share_zero = np.mean(weight(rho, kk) == 0.0)
+    assert 0.4 < share_zero < 0.6
+    sel = lambda kv: kv.g1
+    expected = plain_integrand(sel, weight, r, z, rho, kk)
+    calls = recording_kernel_batch(monkeypatch)
+    (vals,) = _integrands([(sel, weight)], r, z, rho, kk)
+    assert np.array_equal(vals, expected)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], rho[kk > 0.0])
+
+
+def test_integrands_live_set_is_union_over_terms(monkeypatch):
+    r, z = 3.0, 0.4
+    rho, kk = integrand_nodes()
+    base = power_law_vorticity(3.0).w_theta
+    w1 = lambda rho, k: np.where(k > 0.5, base(rho, k), 0.0)
+    w2 = lambda rho, k: np.where(rho > 3.5, -2.0 * base(rho, k), 0.0)
+    terms = [(lambda kv: kv.g_swirl, w1), (lambda kv: kv.g1, w2)]
+    expected = [plain_integrand(sel, w, r, z, rho, kk) for sel, w in terms]
+    calls = recording_kernel_batch(monkeypatch)
+    vals = _integrands(terms, r, z, rho, kk)
+    live = (kk > 0.5) | (rho > 3.5)
+    assert 0 < live.sum() < live.size
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], rho[live])
+    assert np.array_equal(calls[0][1], z - kk[live])
+    for got, want in zip(vals, expected):
+        assert np.array_equal(got, want)
+
+
+def test_integrands_nan_weight_is_live(monkeypatch):
+    r, z = 3.0, 0.4
+    rho, kk = integrand_nodes(n=50)
+    weight = lambda rho, k: np.where(np.arange(rho.size) == 7, np.nan, 0.0)
+    calls = recording_kernel_batch(monkeypatch)
+    (vals,) = _integrands([(lambda kv: kv.g1, weight)], r, z, rho, kk)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], rho[7:8])
+    assert np.isnan(vals[7])
+    assert np.all(vals[np.arange(rho.size) != 7] == 0.0)
+
+
+def test_integrands_skip_the_kernel_call_when_every_weight_is_zero(
+        monkeypatch):
+    rho, kk = integrand_nodes(n=50)
+    calls = recording_kernel_batch(monkeypatch)
+    (vals,) = _integrands([(lambda kv: kv.g1, zero_profile())], 3.0, 0.4,
+                          rho, kk)
+    assert calls == []
+    assert np.all(vals == 0.0) and vals.shape == rho.shape
+
+
+def test_far_probe_sends_only_live_nodes_to_the_kernels(monkeypatch):
+    # at (160, 160) the Gaussian axial envelope underflows to 0 on the whole
+    # polar core and on the rectangles next to the probe
+    import meridian.reconstruct as rec
+    w = power_law_vorticity(3.0)
+    calls = recording_kernel_batch(monkeypatch)
+    core_calls = []
+    core = rec._integrate_polar_core
+
+    def recording_core(*args, **kwargs):
+        before = len(calls)
+        out = core(*args, **kwargs)
+        core_calls.extend(calls[before:])
+        return out
+
+    monkeypatch.setattr(rec, "_integrate_polar_core", recording_core)
+    p = MeridianPoint(160.0, 160.0)
+    res = reconstruct_ur(w, p)
+    assert np.isfinite(res.value) and res.value != 0.0
+    assert calls and core_calls == []
+    for rho, zeta in calls:
+        assert np.all(w.w_theta(rho, p.z - zeta) != 0.0)
 
 
 def test_zero_vorticity_reconstructs_zero():
