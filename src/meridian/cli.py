@@ -143,6 +143,13 @@ def _fmt(x):
     return "%.12g" % x
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def cmd_kernel_scan(cfg, out_dir):
     """Envelope-ratio scans; exit 0 iff stable and no non-finite kernel values."""
     kinds = [k.strip() for k in cfg["scan.kinds"].split(",") if k.strip()]
@@ -218,14 +225,11 @@ def cmd_decay(cfg, out_dir):
                                ("full_r", list(ladder))):
             sweeps[label] = decay_trace(w, component, ladder, z=heights)
 
-    csv_path = os.path.join(out_dir, "decay_trace_beta%g.csv" % beta)
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES))
-        for s in samples:
-            wr.writerow([_fmt(s.r), _fmt(s.value), _fmt(s.quad_err),
-                         _fmt(s.tail_bound)]
-                        + [_fmt(s.per_region[n]) for n in REGION_NAMES])
+    _write_csv(os.path.join(out_dir, "decay_trace_beta%g.csv" % beta),
+               ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES),
+               ([_fmt(s.r), _fmt(s.value), _fmt(s.quad_err), _fmt(s.tail_bound)]
+                + [_fmt(s.per_region[n]) for n in REGION_NAMES]
+                for s in samples))
 
     fit = fit_decay([(s.r, s.value, s.quad_err + s.tail_bound) for s in samples])
     pred = predicted_decay(beta)
@@ -280,15 +284,12 @@ def cmd_feasibility(cfg, out_dir):
 
     lower_ok, upper_ok, neg_ok = feasibility_predicates(deltas[:, None],
                                                         qs[None, :], mu)
-    with open(os.path.join(out_dir, "feasibility_region.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["mu", "delta", "q", "lower_ok", "upper_ok",
-                     "negativity_ok", "feasible"])
-        for i, d in enumerate(deltas):
-            for j, q in enumerate(qs):
-                wr.writerow([_fmt(mu), _fmt(d), _fmt(q), int(lower_ok[i, j]),
-                             int(upper_ok[i, j]), int(neg_ok[i, j]),
-                             int(mask[i, j])])
+    _write_csv(os.path.join(out_dir, "feasibility_region.csv"),
+               ["mu", "delta", "q", "lower_ok", "upper_ok", "negativity_ok",
+                "feasible"],
+               ([_fmt(mu), _fmt(d), _fmt(q), int(lower_ok[i, j]),
+                 int(upper_ok[i, j]), int(neg_ok[i, j]), int(mask[i, j])]
+                for i, d in enumerate(deltas) for j, q in enumerate(qs)))
 
     payload = {"mu": mu, "region_nonempty": bool(mask.any()),
                "region_cells": int(mask.sum())}
@@ -314,13 +315,12 @@ def cmd_feasibility(cfg, out_dir):
 
     sweep = [float(t) for t in cfg["feas.mu_sweep"].split(",") if t.strip()]
     if sweep:
-        with open(os.path.join(out_dir, "feasibility_sweep.csv"), "w",
-                  newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["mu", "region_cells", "region_fraction"])
-            for m in sweep:
-                cells = int(bruteforce_feasible_set(m, deltas, qs).sum())
-                wr.writerow([_fmt(m), cells, _fmt(cells / mask.size)])
+        cells = [int(bruteforce_feasible_set(m, deltas, qs).sum())
+                 for m in sweep]
+        _write_csv(os.path.join(out_dir, "feasibility_sweep.csv"),
+                   ["mu", "region_cells", "region_fraction"],
+                   ([_fmt(m), c, _fmt(c / mask.size)]
+                    for m, c in zip(sweep, cells)))
 
     payload["agreement"] = bool(agree)
     _write_json(os.path.join(out_dir, "feasibility.json"), payload)
@@ -333,7 +333,12 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
              else (cfg["roundtrip.kind"],))
     r0 = cfg["roundtrip.bump_r0"]
     radius = cfg["roundtrip.bump_radius"]
-    if cfg["roundtrip.probe_layout"] == "random":
+    if not (math.isfinite(radius) and radius > 0):
+        raise ConfigError("roundtrip.bump_radius must be finite and positive")
+    layout = cfg["roundtrip.probe_layout"]
+    if layout not in ("grid", "random"):
+        raise ConfigError("roundtrip.probe_layout must be grid or random")
+    if layout == "random":
         rng = np.random.default_rng(seed)
         n = cfg["roundtrip.n_r"] * cfg["roundtrip.n_z"]
         rs = rng.uniform(max(1.2, r0 - 2 * radius), r0 + 2.5 * radius, n)
@@ -388,11 +393,9 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             for name in res:
                 rows.append((kind, name, r, z, res[name][0], res[name][1]))
 
-    with open(os.path.join(out_dir, "roundtrip_probes.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["kind", "component", "r", "z", "reconstructed", "exact"])
-        for row in rows:
-            wr.writerow([row[0], row[1]] + [_fmt(v) for v in row[2:]])
+    _write_csv(os.path.join(out_dir, "roundtrip_probes.csv"),
+               ["kind", "component", "r", "z", "reconstructed", "exact"],
+               ([row[0], row[1]] + [_fmt(v) for v in row[2:]] for row in rows))
     payload["pass"] = bool(ok)
     _write_json(os.path.join(out_dir, "roundtrip_report.json"), payload)
     return 0 if ok else 1
@@ -415,12 +418,10 @@ def cmd_bmo(cfg, out_dir):
             cols[p].append(vals[p])
         rows.append((R, mean, expected, vals[3.0], vals[2.0 / 3.0], vals[12.0]))
 
-    with open(os.path.join(out_dir, "bmo_table.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["R", "mean_ln", "ln_R_minus_half", "osc_p3", "osc_p2_3",
-                     "osc_p12"])
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+    _write_csv(os.path.join(out_dir, "bmo_table.csv"),
+               ["R", "mean_ln", "ln_R_minus_half", "osc_p3", "osc_p2_3",
+                "osc_p12"],
+               ([_fmt(v) for v in row] for row in rows))
 
     ratios = {str(p): max(vs) / min(vs) for p, vs in cols.items()}
     ok = mean_ok and all(v < cfg["bmo.ratio_threshold"] for v in ratios.values())

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .kernels import kernel_batch
+from .kernels import k_modulus, kernel_batch
 
 DIAGONAL_MARGIN = 1e-3
 RATIO_RANGE = (1e-2, 1e2)           # rho / r span of the scan grid
@@ -252,9 +252,7 @@ def evaluate_scan_grid(grid):
     cat = (lambda parts: np.concatenate(parts) if parts else np.empty(0))
     r_all, rho_all = cat(rs), cat(rhos)
     zeta_all = cat(zetas)
-    d2 = (r_all - rho_all) ** 2 + zeta_all ** 2
-    with np.errstate(divide="ignore"):
-        K = np.where(d2 > 0, 4 * r_all * rho_all / np.where(d2 > 0, d2, 1), np.inf)
+    K = k_modulus(r_all, rho_all, zeta_all)
     # the K <= 1 regime rests on the exact inequality d^2 >= max(r, rho)^2/2;
     # it must hold at every scanned point or the regime split is wrong
     if not np.all(k_split_consistency(r_all, rho_all, zeta_all)):

@@ -19,13 +19,15 @@ The radial axis is split at
     rho in { r^gamma/8, r/4, r - r^delta/2, r + r^delta/2, 4r }
 
 into six regions (inner core, inner band, left band, diagonal band, right
-band, far tail).  The diagonal band is further split into a polar core --
-a square of half-width s0 around (r, z), integrated in polar coordinates
-with geometrically graded radii so the integrable kernel singularity
-cancels in the angle -- and four rectangular remainders.  All rectangles
-use tensor Gauss-Legendre rules on feature-graded meshes; truncation
-beyond (rho_max, z_max) is certified by crude-bound tail majorants, never
-by extrapolation.
+band, far tail).  The diagonal band is further split into a core -- a
+square of half-width s0 around (r, z) -- and four rectangular remainders.
+The core is Duffy's split of the square at its singular vertex (Duffy,
+SIAM J. Numer. Anal. 19, 1982): four triangles with their apex at (r, z),
+each mapped to (u, v) in (0, 1] x [-1, 1] with Jacobian s0^2 u, which
+cancels the 1/s kernel singularity.  Every piece, triangles and
+rectangles, then takes a tensor Gauss-Legendre rule on a graded mesh;
+truncation beyond (rho_max, z_max) is certified by crude-bound tail
+majorants, never by extrapolation.
 """
 
 from dataclasses import dataclass, replace
@@ -46,10 +48,10 @@ REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
 # Fixed quadrature rules; refinement pass `deepen` adds nodes to each.
 N_NODES = 6                 # GL nodes per rectangle panel (+2 per pass)
 N_ERR = 4                   # embedded error rule (+1 per pass)
-CORE_RADIUS = 0.5           # polar-core half-width, in axial envelope scales
-NEAR_DIAG_REFINEMENT = 22   # geometric radial levels in the core (+2 per pass)
-N_THETA = 32                # polar-core angles (doubled per pass)
-N_S_NODES = 6               # GL nodes per core radial panel (+1 per pass)
+CORE_RADIUS = 0.5           # core half-width, in axial envelope scales
+NEAR_DIAG_REFINEMENT = 22   # geometric levels in the core's u (+2 per pass)
+N_SIDE = 16                 # GL nodes in v per core side (doubled per pass)
+N_S_NODES = 6               # GL nodes per core u panel (+1 per pass)
 MAX_REFINEMENTS = 2
 RESOLUTION_CAP = 512        # most uniform panels a profile resolution adds
 TRACE_REL_TOL = 0.02        # decay_trace: first tolerance, relative to value
@@ -151,6 +153,15 @@ def _integrands(terms, r, z, rho, kk):
     return integrands
 
 
+def _tensor_nodes(x_edges, y_edges, n_x, n_y):
+    """Flat nodes (x, y) and weights of the tensor rule with n_x, n_y GL
+    nodes per panel of the meshes `x_edges`, `y_edges`; y varies fastest."""
+    xn, xw = panel_nodes(x_edges, n_x)
+    yn, yw = panel_nodes(y_edges, n_y)
+    return (np.repeat(xn, yn.size), np.tile(yn, xn.size),
+            np.repeat(xw, yn.size) * np.tile(yw, xn.size))
+
+
 def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
     """Tensor GL integrals of kernel * weight * rho over one rectangle.
 
@@ -173,11 +184,7 @@ def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
                                 resolution, deepen)
 
     def tensor(n):
-        rn, rw = panel_nodes(r_edges, n)
-        kn, kw = panel_nodes(k_edges, n)
-        RR = np.repeat(rn, kn.size)
-        KK = np.tile(kn, rn.size)
-        w = np.repeat(rw, kn.size) * np.tile(kw, rn.size)
+        RR, KK, w = _tensor_nodes(r_edges, k_edges, n, n)
         return np.array([np.einsum("i,i->", vals, w)
                          for vals in _integrands(terms, r, z, RR, KK)])
 
@@ -186,58 +193,46 @@ def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
 
 
 def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
-    """Polar integrals over the square |rho - r| <= s0, |k - z| <= s0.
+    """Integrals over the square |rho - r| <= s0, |k - z| <= s0.
 
-    Radii are graded geometrically over NEAR_DIAG_REFINEMENT levels so
-    the 1/s kernel singularity (which cancels in the angle) is resolved;
-    the angle uses the trapezoidal rule.  The ray length
-    s0 / max(|cos theta|, |sin theta|) has corners at the square's
-    diagonals, so the angular integrand is periodic but not smooth and the
-    rule converges only algebraically.  `terms` is as for `_integrate_rect`.
+    Duffy's split: the side with outward normal n and tangent t is the
+    triangle (r, z) + s0 u (n + v t), (u, v) in (0, 1] x [-1, 1], with
+    Jacobian s0^2 u.  The Jacobian cancels the 1/s kernel singularity at
+    u = 0, so each triangle takes a tensor GL rule: in u on panels graded
+    geometrically over NEAR_DIAG_REFINEMENT levels (plus uniform panels at
+    the profile's `resolution`), in v on one panel.  All four sides go to
+    one kernel call per rule.  `terms` is as for `_integrate_rect`.
     Returns (values, error estimates), one entry per term, where each
-    error combines the embedded-rule difference and the omitted innermost
-    disk bounded by that term's crude majorant.
+    error combines the embedded-rule difference and the omitted strip
+    u < u_min bounded by its area times the largest integrand.
     """
     levels = NEAR_DIAG_REFINEMENT + 2 * deepen
-    n_theta = N_THETA * (2 ** deepen)
-    if resolution is not None:
-        n_theta = max(n_theta, int(np.ceil(8.0 * s0 / resolution)))
-    n_s = N_S_NODES + deepen
+    u_res = resolution / s0 if resolution is not None else None
+    u_edges = _resolution_edges(2.0 ** -np.arange(levels, -1.0, -1.0),
+                                u_res, deepen)
+    n_u = N_S_NODES + deepen
+    n_v = N_SIDE * 2 ** deepen
 
-    def run(n_theta_run, n_s_run):
-        h = 2.0 * np.pi / n_theta_run
-        theta = np.arange(n_theta_run) * h
-        ct, st = np.cos(theta), np.sin(theta)
-        nodes, weights, ray_id = [], [], []
-        s_min_eff = 0.0
-        for j, (c, s_ang) in enumerate(zip(ct, st)):
-            s_max = s0 / max(abs(c), abs(s_ang))
-            edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
-            edges = _resolution_edges(edges, resolution, deepen)
-            sn, sw = panel_nodes(edges, n_s_run)
-            nodes.append(sn)
-            weights.append(sw)
-            ray_id.append(np.full(sn.size, j))
-            s_min_eff = max(s_min_eff, float(edges[0]))
-        # rays differ in length when `resolution` adds edges: one kernel call
-        # over all of them, summed back per ray
-        sn, sw = np.concatenate(nodes), np.concatenate(weights)
-        ray_id = np.concatenate(ray_id)
-        rho = r + sn * ct[ray_id]
-        kk = z + sn * st[ray_id]
+    def run(n_u_run, n_v_run):
+        un, vn, w = _tensor_nodes(u_edges, (-1.0, 1.0), n_u_run, n_v_run)
+        a = s0 * un             # offset along the side's normal
+        b = a * vn              # and along its tangent
+        # sides n = (1, 0), (0, 1), (-1, 0), (0, -1), each with t = n
+        # turned a quarter counter-clockwise
+        rho = r + np.concatenate([a, -b, -a, b])
+        kk = z + np.concatenate([b, a, -b, -a])
+        jac = np.tile(s0 * a, 4)
+        w = np.tile(w, 4)
         totals, truncs = [], []
         for vals in _integrands(terms, r, z, rho, kk):
-            vals = vals * sn
-            ray_sums = np.bincount(ray_id, weights=sw * vals,
-                                   minlength=n_theta_run)
-            totals.append(np.sum(ray_sums) * h)
-            # the omitted disk s < s_min contributes at most its area times
-            # the bounded polar integrand
-            truncs.append(2.0 * np.pi * s_min_eff * np.max(np.abs(vals)))
+            vals *= jac
+            totals.append(np.einsum("i,i->", vals, w))
+            # the omitted strip has (u, v) area 4 sides x 2 x u_min
+            truncs.append(8.0 * u_edges[0] * np.max(np.abs(vals)))
         return np.array(totals), np.array(truncs)
 
-    hi, trunc = run(n_theta, n_s)
-    lo, _ = run(max(n_theta // 2, 8), max(n_s - 1, 3))
+    hi, trunc = run(n_u, n_v)
+    lo, _ = run(max(n_u - 1, 3), max(n_v // 2, 4))
     return hi, np.abs(hi - lo) + trunc
 
 

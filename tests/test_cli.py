@@ -294,3 +294,24 @@ def test_workers_below_one_rejected_before_output(tmp_path, capsys, command,
     assert main([command, "--out", str(out), "--workers", workers]) == 2
     assert "error: --workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("roundtrip.probe_layout", "randm", "must be grid or random"),
+    ("roundtrip.bump_radius", "-1", "must be finite and positive"),
+    ("roundtrip.bump_radius", "0", "must be finite and positive"),
+])
+def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
+                                                  monkeypatch, key, value,
+                                                  message):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a probe was evaluated")
+
+    for name in ("reconstruct_ur", "reconstruct_uz", "reconstruct_utheta"):
+        monkeypatch.setattr(cli, name, no_probe)
+    path = write_cfg(tmp_path, "%s = %s\n" % (key, value))
+    out = tmp_path / "rt"
+    assert main(["roundtrip", "--config", path, "--out", str(out)]) == 2
+    assert "error: %s %s" % (key, message) in capsys.readouterr().err
+    assert not (out / "roundtrip_report.json").exists()
+    assert not (out / "roundtrip_probes.csv").exists()

@@ -8,7 +8,7 @@ from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
 from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, zero_profile
 from meridian.quadrature import panel_nodes, uniform_mesh
-from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_THETA,
+from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_SIDE,
                                   QuadratureSpec, _integrands,
                                   _integrate_polar_core,
                                   _resolution_edges, decay_trace,
@@ -38,9 +38,10 @@ def fine_grid_reference(w_field, p, component, n_pan=80, n_nodes=10):
 
 def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
                        resolution):
-    """The polar-core rule one ray at a time: one kernel call per angle."""
+    """An independent polar rule for the core square, one ray at a time:
+    the trapezoid rule in the angle, graded GL panels along each ray."""
     h = 2.0 * np.pi / n_theta
-    total, max_integrand, s_min = 0.0, 0.0, 0.0
+    total = 0.0
     for theta in np.arange(n_theta) * h:
         c, s_ang = np.cos(theta), np.sin(theta)
         s_max = s0 / max(abs(c), abs(s_ang))
@@ -50,25 +51,55 @@ def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
         rho, kk = r + sn * c, z + sn * s_ang
         vals = kernel_sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho * sn
         total += float(np.dot(sw, vals)) * h
-        max_integrand = max(max_integrand, float(np.max(np.abs(vals))))
-        s_min = max(s_min, float(edges[0]))
-    return total, 2.0 * np.pi * s_min * max_integrand
+    return total
 
 
-def test_polar_core_matches_per_ray_loop():
-    # the resolution edges give rays of two lengths; batching the rays into
-    # one kernel call may change only the summation order
+def test_polar_core_matches_fine_polar_reference():
+    # the trapezoid rule converges like h^2 across the square's diagonals,
+    # so 4096 angles put the reference well inside the core's certificate
     _, w = stream_bump_field(r0=3.0, radius=1.0)
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
     term = (lambda kv: kv.g1, w.w_theta)
-    args = term + (r, z, s0)
-    (value,), (err,) = _integrate_polar_core([term], r, z, s0, resolution=res)
-    hi, trunc = per_ray_polar_core(*args, N_THETA, N_S_NODES,
-                                   NEAR_DIAG_REFINEMENT, res)
-    lo, _ = per_ray_polar_core(*args, N_THETA // 2, N_S_NODES - 1,
-                               NEAR_DIAG_REFINEMENT, res)
-    assert value == pytest.approx(hi, rel=1e-13, abs=1e-15)
-    assert err == pytest.approx(abs(hi - lo) + trunc, rel=1e-9, abs=1e-15)
+    ref = per_ray_polar_core(*term, r, z, s0, 4096, 10, 30, res)
+    for deepen in (0, 1):
+        (value,), (err,) = _integrate_polar_core([term], r, z, s0, deepen,
+                                                 resolution=res)
+        assert abs(value - ref) <= err
+
+
+@pytest.mark.parametrize("r, z, s0", [(3.5, 0.4, 0.5), (10.0, 1.0, 0.5),
+                                      (2.0, -0.3, 0.25)])
+def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
+    # kernel 1 and weight 1 leave rho, whose integral over the square is
+    # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
+    term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
+    (value,), _ = _integrate_polar_core([term], r, z, s0)
+    assert value == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
+
+
+def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
+    # all four sides share a call; the lo rule has one u node fewer and half
+    # the v nodes
+    calls = recording_kernel_batch(monkeypatch)
+    term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
+    _integrate_polar_core([term], 3.5, 0.4, 0.5)
+    per_side = [NEAR_DIAG_REFINEMENT * N_S_NODES * N_SIDE,
+                NEAR_DIAG_REFINEMENT * (N_S_NODES - 1) * (N_SIDE // 2)]
+    assert [rho.size for rho, _ in calls] == [4 * n for n in per_side]
+
+
+@pytest.mark.parametrize("r0", [3.2, 3.5, 3.8])
+def test_core_certificate_holds_at_the_bump_edge(r0):
+    # u_z at the second probe of the CLI's random layout with seed 2,
+    # (r0 - 0.657, -1.224), next to the edge of the bump's support
+    rng = np.random.default_rng(2)
+    r = rng.uniform(r0 - 2.0, r0 + 2.5, 2)[1]
+    z = rng.uniform(-1.5, 1.5, 2)[1]
+    assert (r - r0, z) == (pytest.approx(-0.657, abs=1e-3),
+                           pytest.approx(-1.224, abs=1e-3))
+    field, w = stream_bump_field(r0=r0, radius=1.0)
+    res = reconstruct_uz(w, MeridianPoint(r, z))
+    assert abs(res.value - float(field.u_z(r, z))) <= res.total_error
 
 
 def recording_kernel_batch(monkeypatch):
