@@ -143,25 +143,16 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     Returns (field, vorticity).  With psi a SmoothBump,
     w_theta = dz u_r - dr u_z = -(1/r) (psi_rr - psi_r / r + psi_zz),
     so the vorticity is analytic and compactly supported in the same disk.
-    The three derivatives are the profile's expressions, taken from one
-    evaluation of the bump's exponential.
+    The three derivatives come from one evaluation of the bump's jet.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
     bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
-    psi = bump.profile()
-    field = stream_function_field(psi, support=bump.support)
-    a2 = bump.radius ** 2
+    field = stream_function_field(bump.profile(), support=bump.support)
 
     def wt(r, z):
-        r = np.asarray(r, dtype=float)
-        _, _, fp, fpp, _ = bump._core(r, z)
-        tr = 2.0 * (r - bump.r0) / a2
-        tz = 2.0 * (np.asarray(z, float) - bump.z0) / a2
-        psi_rr = fpp * tr * tr + fp * 2.0 / a2
-        psi_r = fp * 2.0 * (r - bump.r0) / a2
-        psi_zz = fpp * tz * tz + fp * 2.0 / a2
-        return -(psi_rr - psi_r / r + psi_zz) / r
+        _, f_r, _, f_rr, f_zz, _ = bump.jet(r, z)
+        return -(f_rr - f_r / r + f_zz) / r
 
     w = VorticityField(
         w_r=zero_profile(),
@@ -178,26 +169,21 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
 
     w_r = -dz u_theta,  w_z = (1/r) dr(r u_theta) = dr u_theta + u_theta/r.
     Both vorticity components share the bump's compact support; w_z takes
-    u_theta and its profile's dr expression from one evaluation of the
-    bump's exponential.
+    u_theta and its r-derivative from one evaluation of the bump's jet.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
     bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
-    p = bump.profile()
-    field = AxisymField(u_r=zero_profile(), u_theta=p, u_z=zero_profile())
-    a2 = bump.radius ** 2
-
-    def wr(r, z):
-        return -p.d_z(r, z)
+    field = AxisymField(u_r=zero_profile(), u_theta=bump.profile(),
+                        u_z=zero_profile())
 
     def wz(r, z):
-        r = np.asarray(r, dtype=float)
-        _, f, fp, _, _ = bump._core(r, z)
-        return fp * 2.0 * (r - bump.r0) / a2 + f / r
+        f, f_r = bump.jet(r, z)[:2]
+        return f_r + f / r
 
     w = VorticityField(
-        w_r=Profile(fn=wr, name="swirl_bump_w_r"),
+        w_r=Profile(fn=lambda r, z: -bump.jet(r, z)[2],
+                    name="swirl_bump_w_r"),
         w_theta=zero_profile(),
         w_z=Profile(fn=wz, name="swirl_bump_w_z"),
         support=bump.support,
@@ -239,35 +225,16 @@ def power_law_vorticity(beta, component="theta", axial_envelope=None, amplitude=
                           decay_beta=beta, radial_amplitude=amp, axial_envelope=env)
 
 
-def _smoothstep(x):
-    """Quintic smoothstep: C^2 transition 0 -> 1 on [0, 1]."""
-    x = np.clip(x, 0.0, 1.0)
-    return x ** 3 * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_d1(x):
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    return np.where(inside, 30.0 * xc ** 2 * (xc - 1.0) ** 2, 0.0)
-
-
-def _smoothstep_d2(x):
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    return np.where(inside, 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0), 0.0)
-
-
 def _ramp(t):
-    # 1 on t <= 1/2, 0 on t >= 1, C^2 quintic in between
-    return 1.0 - _smoothstep(2.0 * np.asarray(t, dtype=float) - 1.0)
-
-
-def _ramp_d1(t):
-    return -2.0 * _smoothstep_d1(2.0 * np.asarray(t, dtype=float) - 1.0)
-
-
-def _ramp_d2(t):
-    return -4.0 * _smoothstep_d2(2.0 * np.asarray(t, dtype=float) - 1.0)
+    """(ramp, ramp', ramp'') at t: 1 on t <= 1/2, 0 on t >= 1, and the C^2
+    quintic 1 - x^3 (10 - 15 x + 6 x^2), x = 2t - 1, in between."""
+    x = 2.0 * np.asarray(t, dtype=float) - 1.0
+    xc = np.clip(x, 0.0, 1.0)
+    inside = (x > 0.0) & (x < 1.0)
+    return (1.0 - xc ** 3 * (10.0 + xc * (-15.0 + 6.0 * xc)),
+            -2.0 * np.where(inside, 30.0 * xc ** 2 * (xc - 1.0) ** 2, 0.0),
+            -4.0 * np.where(inside, 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0),
+                            0.0))
 
 
 @dataclass
@@ -289,13 +256,15 @@ class CutoffPhi:
     def components(self, r, z):
         """(phi, phi_r, phi_z) for callers that need signed derivatives."""
         R = self.R
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        az = np.abs(z)
-        pr, pz = _ramp(r / R), _ramp(az / R)
-        dr = _ramp_d1(r / R) / R * pz
-        dz = pr * _ramp_d1(az / R) * np.sign(z) / R
-        return pr * pz, dr, dz
+        (pr, d1r, _), (pz, d1z, _) = _ramps(r, z, R)
+        return pr * pz, d1r / R * pz, pr * d1z * np.sign(z) / R
+
+
+def _ramps(r, z, R):
+    """_ramp at r/R and at |z|/R: phi_R's two factors and their derivatives
+    in the scaled variables."""
+    return (_ramp(np.asarray(r, dtype=float) / R),
+            _ramp(np.abs(np.asarray(z, dtype=float)) / R))
 
 
 def cutoff_phi(R):
@@ -305,24 +274,19 @@ def cutoff_phi(R):
     R = float(R)
 
     def val(r, z):
-        return _ramp(np.asarray(r, float) / R) * _ramp(np.abs(np.asarray(z, float)) / R)
+        (pr, _, _), (pz, _, _) = _ramps(r, z, R)
+        return pr * pz
 
     def grad_mag(r, z):
-        r = np.asarray(r, dtype=float)
-        az = np.abs(np.asarray(z, dtype=float))
-        pr, pz = _ramp(r / R), _ramp(az / R)
-        gr = _ramp_d1(r / R) / R * pz
-        gz = pr * _ramp_d1(az / R) / R
-        return np.sqrt(gr ** 2 + gz ** 2)
+        (pr, d1r, _), (pz, d1z, _) = _ramps(r, z, R)
+        return np.sqrt((d1r / R * pz) ** 2 + (pr * d1z / R) ** 2)
 
     def hess_mag(r, z):
         r = np.asarray(r, dtype=float)
-        az = np.abs(np.asarray(z, dtype=float))
-        pr, pz = _ramp(r / R), _ramp(az / R)
-        d1r, d1z = _ramp_d1(r / R) / R, _ramp_d1(az / R) / R
-        d2r, d2z = _ramp_d2(r / R) / R ** 2, _ramp_d2(az / R) / R ** 2
-        h_rr = d2r * pz
-        h_zz = pr * d2z
+        (pr, d1r, d2r), (pz, d1z, d2z) = _ramps(r, z, R)
+        d1r, d1z = d1r / R, d1z / R
+        h_rr = d2r / R ** 2 * pz
+        h_zz = pr * (d2z / R ** 2)
         h_rz = d1r * d1z
         h_ang = np.where(r > 0, d1r * pz / np.where(r > 0, r, 1.0), 0.0)
         return np.sqrt(h_rr ** 2 + h_zz ** 2 + 2.0 * h_rz ** 2 + h_ang ** 2)

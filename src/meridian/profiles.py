@@ -67,50 +67,37 @@ class SmoothBump:
     radius: float
     amplitude: float = 1.0
 
-    def _core(self, r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        t = ((r - self.r0) ** 2 + (z - self.z0) ** 2) / self.radius ** 2
+    def jet(self, r, z):
+        """(f, f_r, f_z, f_rr, f_zz, f_rz) at (r, z), one array each.
+
+        One exponential, evaluated only at the nodes inside the support;
+        all six are zero outside.
+        """
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                   np.asarray(z, dtype=float))
+        a2 = self.radius ** 2
+        t = ((r - self.r0) ** 2 + (z - self.z0) ** 2) / a2
         inside = t < 1.0 - 1e-14
-        ts = np.where(inside, t, 0.0)
-        om = 1.0 - ts
-        f = np.where(inside, self.amplitude * np.exp(1.0 - 1.0 / om), 0.0)
-        fp = np.where(inside, -f / om ** 2, 0.0)
-        fpp = np.where(inside, f * (1.0 / om ** 4 - 2.0 / om ** 3), 0.0)
-        return t, f, fp, fpp, inside
+        dr, dz, om = r[inside] - self.r0, z[inside] - self.z0, 1.0 - t[inside]
+        f = self.amplitude * np.exp(1.0 - 1.0 / om)
+        fp = -f / om ** 2
+        fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
+        tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
+        out = np.zeros((6,) + t.shape)
+        out[:, inside] = (f, fp * 2.0 * dr / a2, fp * 2.0 * dz / a2,
+                          fpp * tr * tr + fp * 2.0 / a2,
+                          fpp * tz * tz + fp * 2.0 / a2, fpp * tr * tz)
+        return out
 
     def value(self, r, z):
-        return self._core(r, z)[1]
+        return self.jet(r, z)[0]
 
     def profile(self):
-        a2 = self.radius ** 2
+        def part(i):
+            return lambda r, z: self.jet(r, z)[i]
 
-        def d_r(r, z):
-            _, _, fp, _, _ = self._core(r, z)
-            return fp * 2.0 * (np.asarray(r, float) - self.r0) / a2
-
-        def d_z(r, z):
-            _, _, fp, _, _ = self._core(r, z)
-            return fp * 2.0 * (np.asarray(z, float) - self.z0) / a2
-
-        def d_rr(r, z):
-            _, _, fp, fpp, _ = self._core(r, z)
-            tr = 2.0 * (np.asarray(r, float) - self.r0) / a2
-            return fpp * tr * tr + fp * 2.0 / a2
-
-        def d_zz(r, z):
-            _, _, fp, fpp, _ = self._core(r, z)
-            tz = 2.0 * (np.asarray(z, float) - self.z0) / a2
-            return fpp * tz * tz + fp * 2.0 / a2
-
-        def d_rz(r, z):
-            _, _, fp, fpp, _ = self._core(r, z)
-            tr = 2.0 * (np.asarray(r, float) - self.r0) / a2
-            tz = 2.0 * (np.asarray(z, float) - self.z0) / a2
-            return fpp * tr * tz
-
-        return Profile(fn=self.value, d_r=d_r, d_z=d_z, d_rr=d_rr,
-                       d_zz=d_zz, d_rz=d_rz,
+        return Profile(fn=self.value, d_r=part(1), d_z=part(2), d_rr=part(3),
+                       d_zz=part(4), d_rz=part(5),
                        name="bump(%g,%g;%g)" % (self.r0, self.z0, self.radius))
 
     @property

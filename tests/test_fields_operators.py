@@ -287,36 +287,93 @@ def test_axis_regularity_of_smooth_fields():
     assert np.all(field.u_z(np.full_like(z, 1e-9), z) == 0.0)
 
 
-def _counting_core(monkeypatch):
+def reference_bump(r0, z0, radius, r, z):
+    """The bump's value and exact derivatives, written out term by term
+    from f = exp(1 - 1/(1 - q^2)) and its derivatives in q^2."""
+    a2 = radius ** 2
+    t = ((r - r0) ** 2 + (z - z0) ** 2) / a2
+    inside = t < 1.0 - 1e-14
+    om = 1.0 - np.where(inside, t, 0.0)
+    f = np.where(inside, np.exp(1.0 - 1.0 / om), 0.0)
+    fp = np.where(inside, -f / om ** 2, 0.0)
+    fpp = np.where(inside, f * (1.0 / om ** 4 - 2.0 / om ** 3), 0.0)
+    tr, tz = 2.0 * (r - r0) / a2, 2.0 * (z - z0) / a2
+    return (f, fp * 2.0 * (r - r0) / a2, fp * 2.0 * (z - z0) / a2,
+            fpp * tr * tr + fp * 2.0 / a2, fpp * tz * tz + fp * 2.0 / a2,
+            fpp * tr * tz)
+
+
+def _counting_jet(monkeypatch):
     calls = []
-    core = SmoothBump._core
+    jet = SmoothBump.jet
 
     def counting(self, r, z):
         calls.append(1)
-        return core(self, r, z)
+        return jet(self, r, z)
 
-    monkeypatch.setattr(SmoothBump, "_core", counting)
+    monkeypatch.setattr(SmoothBump, "jet", counting)
     return calls
 
 
 @pytest.mark.parametrize("r0", [3.0, 3.5, 3.77])
-def test_bump_vorticity_matches_profile_from_one_core_call(monkeypatch, r0):
+def test_bump_vorticity_matches_reference_from_one_jet_call(monkeypatch, r0):
     # points inside and outside the support disk of radius 1 about (r0, 0)
     rng = np.random.default_rng(7)
     r = rng.uniform(r0 - 1.4, r0 + 1.4, 4000)
     z = rng.uniform(-1.4, 1.4, 4000)
     inside = (r - r0) ** 2 + z ** 2 < 1.0
     assert 0 < inside.sum() < inside.size
+    f, f_r, f_z, f_rr, f_zz, f_rz = reference_bump(r0, 0.0, 1.0, r, z)
     psi = SmoothBump(r0=r0, z0=0.0, radius=1.0).profile()
+    for got, want in zip((psi.fn, psi.d_r, psi.d_z, psi.d_rr, psi.d_zz,
+                          psi.d_rz), (f, f_r, f_z, f_rr, f_zz, f_rz)):
+        assert np.array_equal(got(r, z), want)
     _, w = stream_bump_field(r0=r0)
     _, ws = swirl_bump_field(r0=r0)
-    expected_wt = -(psi.d_rr(r, z) - psi.d_r(r, z) / r + psi.d_zz(r, z)) / r
-    expected_wz = psi.d_r(r, z) + psi.fn(r, z) / r
-    calls = _counting_core(monkeypatch)
+    calls = _counting_jet(monkeypatch)
     wt = w.w_theta(r, z)
     assert len(calls) == 1
     wz = ws.w_z(r, z)
     assert len(calls) == 2
-    assert np.array_equal(wt, expected_wt)
-    assert np.array_equal(wz, expected_wz)
+    assert np.array_equal(wt, -(f_rr - f_r / r + f_zz) / r)
+    assert np.array_equal(wz, f_r + f / r)
+    assert np.array_equal(ws.w_r(r, z), -f_z)
     assert np.all(wt[~inside] == 0.0) and np.any(wt[inside] != 0.0)
+
+
+def reference_ramp(t):
+    """1 - s(2t - 1) for the quintic smoothstep s(x) = x^3 (10 - 15x + 6x^2)
+    on [0, 1], with its first and second derivatives in t."""
+    x = 2.0 * t - 1.0
+    xc = np.clip(x, 0.0, 1.0)
+    inside = (x > 0.0) & (x < 1.0)
+    return (1.0 - xc ** 3 * (10.0 + xc * (-15.0 + 6.0 * xc)),
+            -2.0 * np.where(inside, 30.0 * xc ** 2 * (xc - 1.0) ** 2, 0.0),
+            -4.0 * np.where(inside, 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0),
+                            0.0))
+
+
+@pytest.mark.parametrize("R", [4.0, 8.0, 1024.0])
+def test_cutoff_matches_reference_ramps(R):
+    rng = np.random.default_rng(3)
+    r = np.concatenate([[0.0, 0.5 * R, R], rng.uniform(0.0, 1.2 * R, 3000)])
+    z = np.concatenate([[0.0, -0.75 * R, 0.0],
+                        rng.uniform(-1.2 * R, 1.2 * R, 3000)])
+    pr, d1r, d2r = reference_ramp(r / R)
+    pz, d1z, d2z = reference_ramp(np.abs(z) / R)
+    phi_r, phi_z = d1r / R * pz, pr * d1z * np.sign(z) / R
+    h_ang = np.where(r > 0, phi_r / np.where(r > 0, r, 1.0), 0.0)
+    hess = np.sqrt((d2r / R ** 2 * pz) ** 2 + (pr * d2z / R ** 2) ** 2
+                   + 2.0 * (d1r * d1z / R ** 2) ** 2 + h_ang ** 2)
+    phi = cutoff_phi(R)
+    value, grad_r, grad_z = phi.components(r, z)
+    assert np.array_equal(phi.value(r, z), pr * pz)
+    assert np.array_equal(value, pr * pz)
+    assert np.array_equal(grad_r, phi_r) and np.array_equal(grad_z, phi_z)
+    assert np.allclose(phi.grad(r, z), np.hypot(phi_r, phi_z),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(phi.hess(r, z), hess, rtol=1e-13, atol=0.0)
+    # the sample covers the plateau, the transition and the outside
+    for ramp in (pr, pz):
+        assert np.any(ramp == 1.0) and np.any(ramp == 0.0)
+        assert np.any((ramp > 0.0) & (ramp < 1.0))
