@@ -23,7 +23,7 @@ band, far tail).  The diagonal band is further split into a core -- a
 square of half-width s0 around (r, z) -- and four rectangular remainders.
 The core is Duffy's split of the square at its singular vertex (Duffy,
 SIAM J. Numer. Anal. 19, 1982): four triangles with their apex at (r, z),
-each mapped to (u, v) in (0, 1] x [-1, 1] with Jacobian s0^2 u, which
+each mapped to (u, v) in [0, 1] x [-1, 1] with Jacobian s0^2 u, which
 cancels the 1/s kernel singularity.  Every piece, triangles and
 rectangles, then takes a tensor Gauss-Legendre rule on a graded mesh;
 truncation beyond (rho_max, z_max) is certified by crude-bound tail
@@ -162,6 +162,20 @@ def _tensor_nodes(x_edges, y_edges, n_x, n_y):
             np.repeat(xw, yn.size) * np.tile(yw, xn.size))
 
 
+def _integrate_rules(terms, r, z, rules):
+    """Integrals of kernel * weight * rho under a value rule and an error
+    rule, each a flat node set (rho, k, weight) with any Jacobian folded
+    into the weights; `rules` yields them in that order, so a lazy iterable
+    builds each only when it is used.  Returns (values, |values - error
+    rule's values|), one entry per term."""
+    sums = []
+    for rho, kk, w in rules:
+        sums.append(np.array([np.einsum("i,i->", vals, w)
+                              for vals in _integrands(terms, r, z, rho, kk)]))
+    hi, lo = sums
+    return hi, np.abs(hi - lo)
+
+
 def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
     """Tensor GL integrals of kernel * weight * rho over one rectangle.
 
@@ -176,64 +190,46 @@ def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
     if rb <= ra or kb <= ka:
         return np.zeros(len(terms)), np.zeros(len(terms))
     scale = max(k_scale * 0.5 ** deepen, 1e-12)
-    n_hi = N_NODES + 2 * deepen
-    n_lo = N_ERR + deepen
     r_edges = _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale),
                                 resolution, deepen)
     k_edges = _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale),
                                 resolution, deepen)
-
-    def tensor(n):
-        RR, KK, w = _tensor_nodes(r_edges, k_edges, n, n)
-        return np.array([np.einsum("i,i->", vals, w)
-                         for vals in _integrands(terms, r, z, RR, KK)])
-
-    hi = tensor(n_hi)
-    return hi, np.abs(hi - tensor(n_lo))
+    return _integrate_rules(terms, r, z, (
+        _tensor_nodes(r_edges, k_edges, n, n)
+        for n in (N_NODES + 2 * deepen, N_ERR + deepen)))
 
 
 def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
     """Integrals over the square |rho - r| <= s0, |k - z| <= s0.
 
     Duffy's split: the side with outward normal n and tangent t is the
-    triangle (r, z) + s0 u (n + v t), (u, v) in (0, 1] x [-1, 1], with
+    triangle (r, z) + s0 u (n + v t), (u, v) in [0, 1] x [-1, 1], with
     Jacobian s0^2 u.  The Jacobian cancels the 1/s kernel singularity at
-    u = 0, so each triangle takes a tensor GL rule: in u on panels graded
-    geometrically over NEAR_DIAG_REFINEMENT levels (plus uniform panels at
-    the profile's `resolution`), in v on one panel.  All four sides go to
-    one kernel call per rule.  `terms` is as for `_integrate_rect`.
-    Returns (values, error estimates), one entry per term, where each
-    error combines the embedded-rule difference and the omitted strip
-    u < u_min bounded by its area times the largest integrand.
+    u = 0, so the integrand is bounded up to the apex and each triangle
+    takes a tensor GL rule: in u on panels graded geometrically over
+    NEAR_DIAG_REFINEMENT levels down to a first panel [0, 2^-levels] (plus
+    uniform panels at the profile's `resolution`), in v on one panel.  All
+    four sides go to one kernel call per rule.  `terms` is as for
+    `_integrate_rect`; returns (values, error estimates) per term.
     """
     levels = NEAR_DIAG_REFINEMENT + 2 * deepen
     u_res = resolution / s0 if resolution is not None else None
-    u_edges = _resolution_edges(2.0 ** -np.arange(levels, -1.0, -1.0),
-                                u_res, deepen)
-    n_u = N_S_NODES + deepen
-    n_v = N_SIDE * 2 ** deepen
+    u_edges = _resolution_edges(
+        np.concatenate([[0.0], 2.0 ** -np.arange(levels, -1.0, -1.0)]),
+        u_res, deepen)
+    n_u, n_v = N_S_NODES + deepen, N_SIDE * 2 ** deepen
 
-    def run(n_u_run, n_v_run):
-        un, vn, w = _tensor_nodes(u_edges, (-1.0, 1.0), n_u_run, n_v_run)
+    def rule(n_u_rule, n_v_rule):
+        un, vn, w = _tensor_nodes(u_edges, (-1.0, 1.0), n_u_rule, n_v_rule)
         a = s0 * un             # offset along the side's normal
         b = a * vn              # and along its tangent
         # sides n = (1, 0), (0, 1), (-1, 0), (0, -1), each with t = n
         # turned a quarter counter-clockwise
-        rho = r + np.concatenate([a, -b, -a, b])
-        kk = z + np.concatenate([b, a, -b, -a])
-        jac = np.tile(s0 * a, 4)
-        w = np.tile(w, 4)
-        totals, truncs = [], []
-        for vals in _integrands(terms, r, z, rho, kk):
-            vals *= jac
-            totals.append(np.einsum("i,i->", vals, w))
-            # the omitted strip has (u, v) area 4 sides x 2 x u_min
-            truncs.append(8.0 * u_edges[0] * np.max(np.abs(vals)))
-        return np.array(totals), np.array(truncs)
+        return (r + np.concatenate([a, -b, -a, b]),
+                z + np.concatenate([b, a, -b, -a]), np.tile(w * s0 * a, 4))
 
-    hi, trunc = run(n_u, n_v)
-    lo, _ = run(max(n_u - 1, 3), max(n_v // 2, 4))
-    return hi, np.abs(hi - lo) + trunc
+    return _integrate_rules(terms, r, z, map(rule, (n_u, max(n_u - 1, 3)),
+                                             (n_v, max(n_v // 2, 4))))
 
 
 def _support_box(w_field, rho_max, z_max):

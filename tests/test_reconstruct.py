@@ -73,18 +73,22 @@ def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
     # kernel 1 and weight 1 leave rho, whose integral over the square is
     # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
     term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
-    (value,), _ = _integrate_polar_core([term], r, z, s0)
+    (value,), (err,) = _integrate_polar_core([term], r, z, s0)
     assert value == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
+    # both rules reach the apex u = 0, so neither omits a strip there
+    assert err <= 1e-12
 
 
 def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
     # all four sides share a call; the lo rule has one u node fewer and half
-    # the v nodes
+    # the v nodes; the u mesh has NEAR_DIAG_REFINEMENT geometric panels
+    # plus the first panel [0, 2^-levels] at the apex
     calls = recording_kernel_batch(monkeypatch)
     term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
     _integrate_polar_core([term], 3.5, 0.4, 0.5)
-    per_side = [NEAR_DIAG_REFINEMENT * N_S_NODES * N_SIDE,
-                NEAR_DIAG_REFINEMENT * (N_S_NODES - 1) * (N_SIDE // 2)]
+    n_panels = NEAR_DIAG_REFINEMENT + 1
+    per_side = [n_panels * N_S_NODES * N_SIDE,
+                n_panels * (N_S_NODES - 1) * (N_SIDE // 2)]
     assert [rho.size for rho, _ in calls] == [4 * n for n in per_side]
 
 
