@@ -92,12 +92,14 @@ def _parse_value(key, raw):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if typ == "floats":
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        value = typ(raw)
+        value = ([float(tok) for tok in raw.split(",") if tok.strip()]
+                 if typ == "floats" else typ(raw))
     except ValueError:
         raise ConfigError("config key %s: cannot parse %r as %s"
                           % (key, raw, getattr(typ, "__name__", typ)))
+    # nan fails every comparison a gate makes; inf makes no gate meaningful
+    if typ in (float, "floats") and not np.all(np.isfinite(value)):
+        raise ConfigError("config key %s: must be finite, got %r" % (key, raw))
     # every int key is a count: sizes of grids, ladders and scale lists
     if typ is int and value < 1:
         raise ConfigError("config key %s: must be at least 1, got %d"
@@ -131,6 +133,13 @@ def print_config(out=None):
     for key in sorted(DEFAULTS):
         default, typ, doc = DEFAULTS[key]
         out.write("# %s\n%s = %s\n" % (doc, key, default))
+
+
+def _out(out_dir, name):
+    """Path out_dir/name; out_dir is made at the first write, after all
+    validation, so a rejected run leaves no directory behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _write_json(path, payload):
@@ -168,6 +177,8 @@ def cmd_kernel_scan(cfg, out_dir):
             # config error
             envelopes.BoundEnvelope(kind=kind, alpha=alpha)
             jobs.append((kind, alpha))
+    if not jobs:
+        raise ConfigError("scan.kinds: nothing to scan (no kind or no alpha)")
 
     # one kernel pass per grid, shared across every (kind, alpha) job; the
     # refined grid doubles every dimension over the same ranges
@@ -192,9 +203,9 @@ def cmd_kernel_scan(cfg, out_dir):
         ok = ok and not rep.failures
         reports.append(rep)
         envelopes.write_scan_csv(
-            os.path.join(out_dir, "scan_%s_alpha%g.csv" % (kind, alpha)),
+            _out(out_dir, "scan_%s_alpha%g.csv" % (kind, alpha)),
             kind, alpha, coarse_data)
-    envelopes.write_summary_json(os.path.join(out_dir, "kernel_scan_summary.json"),
+    envelopes.write_summary_json(_out(out_dir, "kernel_scan_summary.json"),
                                  reports)
     return 0 if ok else 1
 
@@ -225,7 +236,7 @@ def cmd_decay(cfg, out_dir):
                                ("full_r", list(ladder))):
             sweeps[label] = decay_trace(w, component, ladder, z=heights)
 
-    _write_csv(os.path.join(out_dir, "decay_trace_beta%g.csv" % beta),
+    _write_csv(_out(out_dir, "decay_trace_beta%g.csv" % beta),
                ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES),
                ([_fmt(s.r), _fmt(s.value), _fmt(s.quad_err), _fmt(s.tail_bound)]
                 + [_fmt(s.per_region[n]) for n in REGION_NAMES]
@@ -270,13 +281,17 @@ def cmd_decay(cfg, out_dir):
         "slope_within_tolerance": bool(passed),
         "z_sweep_slopes": sweep_fits,
     }
-    _write_json(os.path.join(out_dir, "decay_fit_beta%g.json" % beta), payload)
+    _write_json(_out(out_dir, "decay_fit_beta%g.json" % beta), payload)
     return 0 if passed and not any(s.flagged for s in samples) else 1
 
 
 def cmd_feasibility(cfg, out_dir):
     """Brute-force region + construction; exit 0 iff they agree."""
     mu = cfg["feas.mu"]
+    sweep = [float(t) for t in cfg["feas.mu_sweep"].split(",") if t.strip()]
+    if not all(math.isfinite(m) and m > 0 for m in [mu] + sweep):
+        raise ConfigError("feas.mu and every feas.mu_sweep entry must be "
+                          "finite and positive")
     n_d, n_q = cfg["feas.n_delta"], cfg["feas.n_q"]
     deltas = (np.arange(n_d) + 0.5) / n_d
     qs = 2.0 + (np.arange(n_q) + 0.5) / n_q
@@ -284,7 +299,7 @@ def cmd_feasibility(cfg, out_dir):
 
     lower_ok, upper_ok, neg_ok = feasibility_predicates(deltas[:, None],
                                                         qs[None, :], mu)
-    _write_csv(os.path.join(out_dir, "feasibility_region.csv"),
+    _write_csv(_out(out_dir, "feasibility_region.csv"),
                ["mu", "delta", "q", "lower_ok", "upper_ok", "negativity_ok",
                 "feasible"],
                ([_fmt(mu), _fmt(d), _fmt(q), int(lower_ok[i, j]),
@@ -313,17 +328,16 @@ def cmd_feasibility(cfg, out_dir):
         payload["verdict"] = "infeasible"
         agree = not mask.any()
 
-    sweep = [float(t) for t in cfg["feas.mu_sweep"].split(",") if t.strip()]
     if sweep:
         cells = [int(bruteforce_feasible_set(m, deltas, qs).sum())
                  for m in sweep]
-        _write_csv(os.path.join(out_dir, "feasibility_sweep.csv"),
+        _write_csv(_out(out_dir, "feasibility_sweep.csv"),
                    ["mu", "region_cells", "region_fraction"],
                    ([_fmt(m), c, _fmt(c / mask.size)]
                     for m, c in zip(sweep, cells)))
 
     payload["agreement"] = bool(agree)
-    _write_json(os.path.join(out_dir, "feasibility.json"), payload)
+    _write_json(_out(out_dir, "feasibility.json"), payload)
     return 0 if agree else 1
 
 
@@ -393,11 +407,11 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             for name in res:
                 rows.append((kind, name, r, z, res[name][0], res[name][1]))
 
-    _write_csv(os.path.join(out_dir, "roundtrip_probes.csv"),
+    _write_csv(_out(out_dir, "roundtrip_probes.csv"),
                ["kind", "component", "r", "z", "reconstructed", "exact"],
                ([row[0], row[1]] + [_fmt(v) for v in row[2:]] for row in rows))
     payload["pass"] = bool(ok)
-    _write_json(os.path.join(out_dir, "roundtrip_report.json"), payload)
+    _write_json(_out(out_dir, "roundtrip_report.json"), payload)
     return 0 if ok else 1
 
 
@@ -418,14 +432,14 @@ def cmd_bmo(cfg, out_dir):
             cols[p].append(vals[p])
         rows.append((R, mean, expected, vals[3.0], vals[2.0 / 3.0], vals[12.0]))
 
-    _write_csv(os.path.join(out_dir, "bmo_table.csv"),
+    _write_csv(_out(out_dir, "bmo_table.csv"),
                ["R", "mean_ln", "ln_R_minus_half", "osc_p3", "osc_p2_3",
                 "osc_p12"],
                ([_fmt(v) for v in row] for row in rows))
 
     ratios = {str(p): max(vs) / min(vs) for p, vs in cols.items()}
     ok = mean_ok and all(v < cfg["bmo.ratio_threshold"] for v in ratios.values())
-    _write_json(os.path.join(out_dir, "bmo_summary.json"),
+    _write_json(_out(out_dir, "bmo_summary.json"),
                 {"max_min_ratios": ratios, "mean_matches_closed_form": mean_ok,
                  "pass": bool(ok)})
     return 0 if ok else 1
@@ -456,7 +470,6 @@ def main(argv=None):
             raise ConfigError("--workers must be at least 1, got %d"
                               % args.workers)
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "kernel-scan":
             return cmd_kernel_scan(cfg, args.out)
         if args.command == "decay":

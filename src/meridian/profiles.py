@@ -68,37 +68,37 @@ class SmoothBump:
     amplitude: float = 1.0
 
     def jet(self, r, z):
-        """(f, f_r, f_z, f_rr, f_zz, f_rz) at (r, z), one array each.
-
-        One exponential, evaluated only at the nodes inside the support;
-        all six are zero outside.
-        """
+        """(f, f_r, f_z, f_rr, f_zz, f_rz) at (r, z) from one exponential,
+        evaluated only at the nodes inside the support; zeros outside."""
         r, z = np.broadcast_arrays(np.asarray(r, dtype=float),
                                    np.asarray(z, dtype=float))
         a2 = self.radius ** 2
         t = ((r - self.r0) ** 2 + (z - self.z0) ** 2) / a2
-        inside = t < 1.0 - 1e-14
-        dr, dz, om = r[inside] - self.r0, z[inside] - self.z0, 1.0 - t[inside]
+        inside = np.flatnonzero(t < 1.0 - 1e-14)
+        dr, dz = r.take(inside) - self.r0, z.take(inside) - self.z0
+        om = 1.0 - t.take(inside)
         f = self.amplitude * np.exp(1.0 - 1.0 / om)
         fp = -f / om ** 2
         fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
         tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
-        out = np.zeros((6,) + t.shape)
-        out[:, inside] = (f, fp * 2.0 * dr / a2, fp * 2.0 * dz / a2,
-                          fpp * tr * tr + fp * 2.0 / a2,
-                          fpp * tz * tz + fp * 2.0 / a2, fpp * tr * tz)
-        return out
+        # one row at a time, so no derivative outlives its copy into out
+        out = np.zeros((6, t.size))
+        out[0, inside] = f
+        out[1, inside] = fp * 2.0 * dr / a2
+        out[2, inside] = fp * 2.0 * dz / a2
+        out[3, inside] = fpp * tr * tr + fp * 2.0 / a2
+        out[4, inside] = fpp * tz * tz + fp * 2.0 / a2
+        out[5, inside] = fpp * tr * tz
+        return out.reshape((6,) + t.shape)
 
     def value(self, r, z):
         return self.jet(r, z)[0]
 
     def profile(self):
-        def part(i):
-            return lambda r, z: self.jet(r, z)[i]
-
-        return Profile(fn=self.value, d_r=part(1), d_z=part(2), d_rr=part(3),
-                       d_zz=part(4), d_rz=part(5),
-                       name="bump(%g,%g;%g)" % (self.r0, self.z0, self.radius))
+        # the jet's order is Profile's: fn, d_r, d_z, d_rr, d_zz, d_rz
+        parts = [lambda r, z, i=i: self.jet(r, z)[i] for i in range(6)]
+        return Profile(*parts, name="bump(%g,%g;%g)"
+                       % (self.r0, self.z0, self.radius))
 
     @property
     def support(self):

@@ -228,8 +228,8 @@ def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
         return (r + np.concatenate([a, -b, -a, b]),
                 z + np.concatenate([b, a, -b, -a]), np.tile(w * s0 * a, 4))
 
-    return _integrate_rules(terms, r, z, map(rule, (n_u, max(n_u - 1, 3)),
-                                             (n_v, max(n_v // 2, 4))))
+    return _integrate_rules(terms, r, z,
+                            map(rule, (n_u, n_u - 1), (n_v, n_v // 2)))
 
 
 def _support_box(w_field, rho_max, z_max):

@@ -315,3 +315,30 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     assert "error: %s %s" % (key, message) in capsys.readouterr().err
     assert not (out / "roundtrip_report.json").exists()
     assert not (out / "roundtrip_probes.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("kernel-scan", "scan.r_max = nan", "scan.r_max: must be finite"),
+    ("kernel-scan", "scan.stability = nan", "scan.stability: must be finite"),
+    ("decay", "decay.slope_tolerance = nan",
+     "decay.slope_tolerance: must be finite"),
+    ("roundtrip", "roundtrip.threshold = nan",
+     "roundtrip.threshold: must be finite"),
+    ("feasibility", "feas.mu = nan", "feas.mu: must be finite"),
+    ("feasibility", "feas.mu = -1", "every feas.mu_sweep entry must"),
+    ("feasibility", "feas.mu_sweep = 1,0", "every feas.mu_sweep entry must"),
+    ("kernel-scan", "scan.kinds =", "scan.kinds: nothing to scan"),
+    ("kernel-scan", "scan.kinds = gamma23; scan.alphas23 =",
+     "scan.kinds: nothing to scan"),
+], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
+        "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas"])
+def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
+                                                     text, message):
+    # small grids, so a run that wrongly goes ahead still ends quickly
+    path = write_cfg(tmp_path, text.replace("; ", "\n") + "\n" + FAST_SCAN
+                     + "decay.n_points = 3\nroundtrip.n_r = 1\n"
+                     "roundtrip.n_z = 1\nfeas.n_delta = 20\nfeas.n_q = 20\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
