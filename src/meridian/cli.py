@@ -31,9 +31,9 @@ from .fields import AxialEnvelope, MeridianPoint, power_law_vorticity, \
     stream_bump_field, swirl_bump_field
 from .norms import bmo_oscillation_ln, disk_mean_ln
 from .quadrature import QuadratureError
-from .rates import (bruteforce_feasible_set, construct_feasible_pair,
-                    feasibility_predicates, fit_decay, predicted_decay,
-                    InfeasibleExponentError)
+from .rates import (FIT_MIN_SAMPLES, bruteforce_feasible_set,
+                    construct_feasible_pair, feasibility_predicates,
+                    fit_decay, predicted_decay, InfeasibleExponentError)
 from .reconstruct import REGION_NAMES, decay_trace, reconstruct_ur, \
     reconstruct_utheta, reconstruct_uz
 
@@ -108,10 +108,9 @@ def _parse_value(key, raw):
 
 
 def load_config(path=None):
-    cfg = {}
-    for key, (default, typ, _) in DEFAULTS.items():
-        cfg[key] = ([float(t) for t in default.split(",")]
-                    if typ == "floats" else default)
+    # every default round-trips through str, so one parser reads both
+    cfg = {key: _parse_value(key, str(default))
+           for key, (default, _, _) in DEFAULTS.items()}
     if path is None:
         return cfg
     with open(path) as fh:
@@ -225,16 +224,19 @@ def cmd_decay(cfg, out_dir):
         env = AxialEnvelope("compact", half_width=cfg["decay.envelope_scale"])
     else:
         raise ConfigError("decay.envelope must be gauss or compact")
+    if cfg["decay.n_points"] < FIT_MIN_SAMPLES:
+        raise ConfigError("decay.n_points must be at least %d, the fewest "
+                          "samples a decay fit takes" % FIT_MIN_SAMPLES)
     w = power_law_vorticity(beta, component=comp_kind, axial_envelope=env)
     ladder = [cfg["decay.r_min"] * 2.0 ** j for j in range(cfg["decay.n_points"])]
-    samples = decay_trace(w, component, ladder, z=cfg["decay.z"])
-    sweeps = {}
+    heights = {"trace": cfg["decay.z"]}
     if cfg["decay.z_sweep"]:
         # the predicted envelopes are uniform in z: the bound must hold
         # with the probe riding at z = r/2 and z = r as well
-        for label, heights in (("half_r", [r / 2 for r in ladder]),
-                               ("full_r", list(ladder))):
-            sweeps[label] = decay_trace(w, component, ladder, z=heights)
+        heights.update(half_r=[r / 2 for r in ladder], full_r=list(ladder))
+    traces = {label: decay_trace(w, component, ladder, z=z)
+              for label, z in heights.items()}
+    samples = traces["trace"]
 
     _write_csv(_out(out_dir, "decay_trace_beta%g.csv" % beta),
                ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES),
@@ -242,7 +244,10 @@ def cmd_decay(cfg, out_dir):
                 + [_fmt(s.per_region[n]) for n in REGION_NAMES]
                 for s in samples))
 
-    fit = fit_decay([(s.r, s.value, s.quad_err + s.tail_bound) for s in samples])
+    fits = {label: fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
+                              for s in trace])
+            for label, trace in traces.items()}
+    fit = fits.pop("trace")
     pred = predicted_decay(beta)
     # the prediction is an upper envelope: measured decay may be faster,
     # never slower beyond tolerance.  The log-corrected detection is
@@ -254,11 +259,8 @@ def cmd_decay(cfg, out_dir):
     env_fit = fit_decay([(1.0 + r, pred.envelope(r), 0.0) for r in ladder])
     slope = fit.selected_slope
     max_slope = pred.exponent + cfg["decay.slope_tolerance"]
-    sweep_fits = {label: fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
-                                    for s in sw]).selected_slope
-                  for label, sw in sweeps.items()}
-    passed = slope <= max_slope and all(v <= max_slope
-                                        for v in sweep_fits.values())
+    sweep_fits = {label: f.selected_slope for label, f in fits.items()}
+    passed = all(v <= max_slope for v in [slope, *sweep_fits.values()])
     payload = {
         "beta": beta,
         "component": component,

@@ -217,52 +217,33 @@ def evaluate_scan_grid(grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[None, :]
-    rs, rhos, zetas = [], [], []
-    k23, k1, k1z = [], [], []
-    excluded = 0
-    failures = []
-    for r in np.unique(grid[:, 0]):
-        sel = grid[:, 0] == r
-        rho = grid[sel, 1]
-        zeta = grid[sel, 2]
-        if r <= 1.0:
-            excluded += int(sel.sum())
-            continue
-        d = np.sqrt((r - rho) ** 2 + zeta ** 2)
-        keep = d >= DIAGONAL_MARGIN * np.maximum(r, rho)
-        excluded += int((~keep).sum())
-        if not np.any(keep):
-            continue
-        rho = rho[keep]
-        zeta = zeta[keep]
-        kb = kernel_batch(r, rho, zeta)
-        v23 = np.maximum(np.abs(kb.g2), np.abs(kb.g3))
-        v1 = np.abs(kb.g1)
-        v1z = np.abs(kb.g1_over_zeta)
-        bad = ~(np.isfinite(v23) & np.isfinite(v1) & np.isfinite(v1z))
-        for i in np.nonzero(bad)[0]:
-            failures.append((float(r), float(rho[i]), float(zeta[i])))
-        good = ~bad
-        rs.append(np.full(int(good.sum()), r))
-        rhos.append(rho[good])
-        zetas.append(zeta[good])
-        k23.append(v23[good])
-        k1.append(v1[good])
-        k1z.append(v1z[good])
-    cat = (lambda parts: np.concatenate(parts) if parts else np.empty(0))
-    r_all, rho_all = cat(rs), cat(rhos)
-    zeta_all = cat(zetas)
-    K = k_modulus(r_all, rho_all, zeta_all)
+    # sorted by r, stably: each field radius is one contiguous block, its
+    # points in grid order
+    grid = grid[np.argsort(grid[:, 0], kind="stable")]
+    r, rho, zeta = grid.T
+    d = np.sqrt((r - rho) ** 2 + zeta ** 2)
+    grid = grid[(r > 1.0) & (d >= DIAGONAL_MARGIN * np.maximum(r, rho))]
+    r, rho, zeta = grid.T
+    # rows: max(|G2|, |G3|), |G1|, |G1 / zeta|
+    kernels = np.empty((3, len(grid)))
+    _, starts = np.unique(r, return_index=True)
+    for a, b in zip(starts, np.append(starts[1:], len(grid))):
+        kb = kernel_batch(r[a], rho[a:b], zeta[a:b])
+        kernels[:, a:b] = (np.maximum(np.abs(kb.g2), np.abs(kb.g3)),
+                           np.abs(kb.g1), np.abs(kb.g1_over_zeta))
+    good = np.isfinite(kernels).all(axis=0)
+    r, rho, zeta = grid[good].T
+    K = k_modulus(r, rho, zeta)
     # the K <= 1 regime rests on the exact inequality d^2 >= max(r, rho)^2/2;
     # it must hold at every scanned point or the regime split is wrong
-    if not np.all(k_split_consistency(r_all, rho_all, zeta_all)):
+    if not np.all(k_split_consistency(r, rho, zeta)):
         raise AssertionError("K <= 1 split arithmetic violated on the grid")
-    band = np.where(rho_all < r_all / 4.0, 0,
-                    np.where(rho_all > 4.0 * r_all, 2, 1))
-    return ScanData(r=r_all, rho=rho_all, zeta=zeta_all, K=K,
-                    kernel23=cat(k23), kernel1=cat(k1),
-                    kernel1_over_zeta=cat(k1z), regime=2 * band + (K > 1.0),
-                    excluded=excluded, failures=failures)
+    band = np.where(rho < r / 4.0, 0, np.where(rho > 4.0 * r, 2, 1))
+    k23, k1, k1z = kernels[:, good]
+    return ScanData(r=r, rho=rho, zeta=zeta, K=K, kernel23=k23, kernel1=k1,
+                    kernel1_over_zeta=k1z, regime=2 * band + (K > 1.0),
+                    excluded=len(d) - len(grid),
+                    failures=list(map(tuple, grid[~good].tolist())))
 
 
 def _admissible_ratio(env, data):

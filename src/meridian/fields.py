@@ -31,16 +31,11 @@ class MeridianPoint:
 
 @dataclass
 class AxisymField:
-    """Axisymmetric velocity (u_r, u_theta, u_z) with optional pressure.
-
-    decay_mu is the claimed power of (1 + r)^(-mu) controlling |u|; it is
-    metadata used by the norm growth-law checks, not enforced pointwise.
-    """
+    """Axisymmetric velocity (u_r, u_theta, u_z) with optional pressure."""
     u_r: Profile
     u_theta: Profile
     u_z: Profile
     pressure: Optional[Profile] = None
-    decay_mu: Optional[float] = None
 
 
 class AxialEnvelope:
@@ -102,7 +97,7 @@ class VorticityField:
     resolution: Optional[float] = None  # intrinsic variation scale, if short
 
 
-def stream_function_field(psi: Profile, support=None, axis_clearance=0.0):
+def stream_function_field(psi: Profile, support=None):
     """Divergence-free no-swirl velocity from a stream function.
 
     u_r = -(1/r) dpsi/dz,  u_z = (1/r) dpsi/dr,  u_theta = 0.  The identity
@@ -112,7 +107,7 @@ def stream_function_field(psi: Profile, support=None, axis_clearance=0.0):
     """
     if not psi.has_second_derivatives:
         raise ValueError("stream function needs analytic first and second derivatives")
-    if support is not None and support[0] <= axis_clearance:
+    if support is not None and support[0] <= 0.0:
         raise ValueError("stream-function support must stay off the axis (r > 0)")
 
     def ur(r, z):
@@ -137,7 +132,7 @@ def stream_function_field(psi: Profile, support=None, axis_clearance=0.0):
     return AxisymField(u_r=u_r, u_theta=zero_profile(), u_z=u_z)
 
 
-def stream_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
+def stream_bump_field(r0=3.0, z0=0.0, radius=1.0):
     """Stream-function bump field plus its exact curl's w_theta.
 
     Returns (field, vorticity).  With psi a SmoothBump,
@@ -147,7 +142,7 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
-    bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
+    bump = SmoothBump(r0=r0, z0=z0, radius=radius)
     field = stream_function_field(bump.profile(), support=bump.support)
 
     def wt(r, z):
@@ -164,7 +159,7 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     return field, w
 
 
-def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
+def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
     """Pure-swirl bump u_theta plus its exact curl (w_r, w_z).
 
     w_r = -dz u_theta,  w_z = (1/r) dr(r u_theta) = dr u_theta + u_theta/r.
@@ -173,7 +168,7 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
-    bump = SmoothBump(r0=r0, z0=z0, radius=radius, amplitude=amplitude)
+    bump = SmoothBump(r0=r0, z0=z0, radius=radius)
     field = AxisymField(u_r=zero_profile(), u_theta=bump.profile(),
                         u_z=zero_profile())
 
@@ -192,8 +187,8 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0, amplitude=1.0):
     return field, w
 
 
-def power_law_vorticity(beta, component="theta", axial_envelope=None, amplitude=1.0):
-    """Vorticity profile w = amplitude * (1 + rho)^(-beta) * eta(k).
+def power_law_vorticity(beta, component="theta", axial_envelope=None):
+    """Vorticity profile w = (1 + rho)^(-beta) * eta(k).
 
     `component` selects which components carry the profile: "theta" for the
     swirl-generating w_theta, "r_and_z" for the meridian pair feeding the
@@ -210,19 +205,17 @@ def power_law_vorticity(beta, component="theta", axial_envelope=None, amplitude=
     if not np.all(env(np.linspace(-50, 50, 101)) <= 1.0 + 1e-12):
         raise ValueError("axial envelope must be bounded by 1")
 
-    amp = float(amplitude)
-
     def w(rho, k):
         rho = np.asarray(rho, dtype=float)
-        return amp * (1.0 + rho) ** (-beta) * env(k)
+        return (1.0 + rho) ** (-beta) * env(k)
 
     prof = Profile(fn=w, name="power_law_w(beta=%g)" % beta)
     zero = zero_profile()
     if component == "theta":
         return VorticityField(w_r=zero, w_theta=prof, w_z=zero,
-                              decay_beta=beta, radial_amplitude=amp, axial_envelope=env)
+                              decay_beta=beta, axial_envelope=env)
     return VorticityField(w_r=prof, w_theta=zero, w_z=prof,
-                          decay_beta=beta, radial_amplitude=amp, axial_envelope=env)
+                          decay_beta=beta, axial_envelope=env)
 
 
 def _ramp(t):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _first_derivs
 from .quadrature import (gauss_legendre, geometric_mesh, graded_mesh,
                          panel_nodes)
 
@@ -284,12 +285,7 @@ def dirichlet_energy(field, dom, h=1e-4):
         r = np.asarray(r, dtype=float)
         total = np.zeros(np.broadcast(r, z).shape)
         for prof in comps:
-            if prof.has_derivatives:
-                fr = prof.d_r(r, z)
-                fz = prof.d_z(r, z)
-            else:
-                fr = (prof.fn(r + h, z) - prof.fn(r - h, z)) / (2 * h)
-                fz = (prof.fn(r, z + h) - prof.fn(r, z - h)) / (2 * h)
+            fr, fz = _first_derivs(prof, r, z, h, need_axis_room=False)
             total = total + fr ** 2 + fz ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             swirl = np.where(r > 0, field.u_theta(r, z) ** 2 / np.where(r > 0, r, 1) ** 2, 0.0)

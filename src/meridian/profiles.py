@@ -65,7 +65,6 @@ class SmoothBump:
     r0: float
     z0: float
     radius: float
-    amplitude: float = 1.0
 
     def jet(self, r, z):
         """(f, f_r, f_z, f_rr, f_zz, f_rz) at (r, z) from one exponential,
@@ -77,7 +76,7 @@ class SmoothBump:
         inside = np.flatnonzero(t < 1.0 - 1e-14)
         dr, dz = r.take(inside) - self.r0, z.take(inside) - self.z0
         om = 1.0 - t.take(inside)
-        f = self.amplitude * np.exp(1.0 - 1.0 / om)
+        f = np.exp(1.0 - 1.0 / om)
         fp = -f / om ** 2
         fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
         tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
@@ -106,34 +105,32 @@ class SmoothBump:
                 self.z0 - self.radius, self.z0 + self.radius)
 
 
-def gaussian_swirl_profile(amplitude=1.0, width=1.0):
-    """u_theta = A r exp(-(r^2 + z^2)/w^2), smooth through the axis."""
-    w2 = width ** 2
-
+def gaussian_swirl_profile():
+    """u_theta = r exp(-(r^2 + z^2)), smooth through the axis."""
     def g(r, z):
-        return np.exp(-(np.asarray(r, float) ** 2 + np.asarray(z, float) ** 2) / w2)
+        return np.exp(-(np.asarray(r, float) ** 2 + np.asarray(z, float) ** 2))
 
     return Profile(
-        fn=lambda r, z: amplitude * np.asarray(r, float) * g(r, z),
-        d_r=lambda r, z: amplitude * g(r, z) * (1.0 - 2.0 * np.asarray(r, float) ** 2 / w2),
-        d_z=lambda r, z: amplitude * np.asarray(r, float) * g(r, z) * (-2.0 * np.asarray(z, float) / w2),
-        d_rr=lambda r, z: amplitude * g(r, z) * (-2.0 * np.asarray(r, float) / w2) * (3.0 - 2.0 * np.asarray(r, float) ** 2 / w2),
-        d_zz=lambda r, z: amplitude * np.asarray(r, float) * g(r, z) * (4.0 * np.asarray(z, float) ** 2 / w2 ** 2 - 2.0 / w2),
-        d_rz=lambda r, z: amplitude * g(r, z) * (-2.0 * np.asarray(z, float) / w2) * (1.0 - 2.0 * np.asarray(r, float) ** 2 / w2),
+        fn=lambda r, z: np.asarray(r, float) * g(r, z),
+        d_r=lambda r, z: g(r, z) * (1.0 - 2.0 * np.asarray(r, float) ** 2),
+        d_z=lambda r, z: np.asarray(r, float) * g(r, z) * (-2.0 * np.asarray(z, float)),
+        d_rr=lambda r, z: g(r, z) * (-2.0 * np.asarray(r, float)) * (3.0 - 2.0 * np.asarray(r, float) ** 2),
+        d_zz=lambda r, z: np.asarray(r, float) * g(r, z) * (4.0 * np.asarray(z, float) ** 2 - 2.0),
+        d_rz=lambda r, z: g(r, z) * (-2.0 * np.asarray(z, float)) * (1.0 - 2.0 * np.asarray(r, float) ** 2),
         name="gaussian_swirl",
     )
 
 
-def power_law_profile(mu, offset=1.0):
-    """f(r, z) = (offset + r)^(-mu), z-independent."""
+def power_law_profile(mu):
+    """f(r, z) = (1 + r)^(-mu), z-independent."""
     def f(r, z):
-        return (offset + np.asarray(r, dtype=float)) ** (-mu)
+        return (1.0 + np.asarray(r, dtype=float)) ** (-mu)
 
     return Profile(
         fn=f,
-        d_r=lambda r, z: -mu * (offset + np.asarray(r, float)) ** (-mu - 1.0),
+        d_r=lambda r, z: -mu * (1.0 + np.asarray(r, float)) ** (-mu - 1.0),
         d_z=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_rr=lambda r, z: mu * (mu + 1.0) * (offset + np.asarray(r, float)) ** (-mu - 2.0),
+        d_rr=lambda r, z: mu * (mu + 1.0) * (1.0 + np.asarray(r, float)) ** (-mu - 2.0),
         d_zz=lambda r, z: np.zeros(np.broadcast(r, z).shape),
         d_rz=lambda r, z: np.zeros(np.broadcast(r, z).shape),
         name="power_law(mu=%g)" % mu,

@@ -3,7 +3,7 @@
 Everything downstream (angular kernels, half-plane reconstruction, norm
 integrals) is built from composite Gauss-Legendre rules on explicit panel
 meshes.  Panel meshes are ordinary 1-D float arrays of edges; helpers below
-build uniform, geometric and feature-graded meshes.  The adaptive routine is
+build geometric and feature-graded meshes.  The adaptive routine is
 a worst-panel-first bisection with a hard subdivision budget so worst-case
 cost stays bounded in grid scans.
 """
@@ -16,7 +16,6 @@ from numpy.polynomial.legendre import leggauss
 DEFAULT_PANEL_BUDGET = 2 ** 14
 ADAPTIVE_N_HI = 15          # adaptive_integrate: GL nodes per panel
 ADAPTIVE_N_LO = 7           # and per panel of its embedded error rule
-FIXED_N_ERR = 7             # fixed_integrate: nodes of the error rule
 
 _GL_CACHE = {}
 
@@ -42,10 +41,6 @@ def panel_nodes(edges, n):
     return nodes, weights
 
 
-def uniform_mesh(a, b, n_panels):
-    return np.linspace(a, b, n_panels + 1)
-
-
 def geometric_mesh(a, b, scale, grow=2.0):
     """Edges on [a, b] graded geometrically away from `a`.
 
@@ -68,12 +63,12 @@ def geometric_mesh(a, b, scale, grow=2.0):
     return a + np.asarray(edges)
 
 
-def graded_mesh(a, b, features, scale, grow=2.0):
+def graded_mesh(a, b, features, scale):
     """Edges on [a, b] refined geometrically around each feature point.
 
     `features` are locations (inside or outside [a, b]) where the integrand
     has a short length-scale `scale`; panel edges accumulate at distances
-    scale * grow^j from each feature, so the mesh is fine there and coarse
+    scale * 2^j from each feature, so the mesh is fine there and coarse
     elsewhere.  Edges closer together than ~scale/4 are merged.
     """
     if b <= a:
@@ -88,7 +83,7 @@ def graded_mesh(a, b, features, scale, grow=2.0):
             for p in (c - d, c + d):
                 if a < p < b:
                     pts.append(p)
-            d *= grow
+            d *= 2.0
     pts = np.array(sorted(pts))
     keep = np.concatenate([[True], np.diff(pts) > 0.25 * scale])
     keep[-1] = True
@@ -159,11 +154,3 @@ def adaptive_integrate(f, a, b, tol, budget=DEFAULT_PANEL_BUDGET,
             % (tol, budget, total_err), total, total_err)
     return total, total_err
 
-
-def fixed_integrate(f, edges, n=12):
-    """Composite GL integral on a fixed mesh with a companion error estimate."""
-    x, w = panel_nodes(edges, n)
-    hi = float(np.dot(w, f(x)))
-    xe, we = panel_nodes(edges, FIXED_N_ERR)
-    lo = float(np.dot(we, f(xe)))
-    return hi, abs(hi - lo)

@@ -262,15 +262,16 @@ class FitResult:
 # at numerical noise level
 LOG_MODEL_GAIN = 0.5
 PLAIN_NOISE_FLOOR = 1e-9
+FIT_MIN_SAMPLES = 5         # fit_decay: fewest positive samples it fits
 
 
 def fit_decay(samples):
     """Weighted least-squares decay fit of {(r, value, error)} triples.
 
-    Requires >= 5 usable samples with strictly increasing r > 1.  Samples
-    with nonpositive |value| are dropped (with a count in the result);
-    weights are 1/sigma^2 with sigma the relative error |error/value|,
-    floored to avoid infinite weight on error-free synthetic data.
+    Requires >= FIT_MIN_SAMPLES positive samples at strictly increasing
+    r > 1; samples with nonpositive value are dropped (with a count in the
+    result).  Weights are 1/sigma^2 with sigma the relative error
+    |error/value|, floored against infinite weight on error-free data.
     """
     pts = [(float(r), float(v), float(e)) for (r, v, e) in samples]
     if any(p[0] <= 1.0 for p in pts):
@@ -279,9 +280,9 @@ def fit_decay(samples):
         raise ValueError("fit requires strictly increasing radii")
     used = [(r, v, e) for (r, v, e) in pts if v > 0.0]
     dropped = len(pts) - len(used)
-    if len(used) < 5:
-        raise ValueError("fewer than 5 positive samples remain (%d dropped)"
-                         % dropped)
+    if len(used) < FIT_MIN_SAMPLES:
+        raise ValueError("fewer than %d positive samples remain (%d dropped)"
+                         % (FIT_MIN_SAMPLES, dropped))
 
     r = np.array([p[0] for p in used])
     v = np.array([p[1] for p in used])

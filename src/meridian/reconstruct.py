@@ -39,7 +39,7 @@ from scipy.integrate import quad as _scipy_quad
 
 from .fields import MeridianPoint, VorticityField
 from .kernels import kernel_batch
-from .quadrature import fixed_integrate, geometric_mesh, graded_mesh, panel_nodes
+from .quadrature import geometric_mesh, graded_mesh, panel_nodes
 from .rates import optimize_split, predicted_decay
 
 REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
@@ -291,10 +291,8 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
         0.0, 1.0, limit=200)
     radial_tail = env_total * rad
 
-    ax, _ = fixed_integrate(
-        lambda rho: ax_kernel(rho) * bound(rho) * rho,
-        geometric_mesh(0.0, rho_max, scale=1.0), n=12)
-    axial_tail = env_tail * ax
+    x, wts = panel_nodes(geometric_mesh(0.0, rho_max, scale=1.0), 12)
+    axial_tail = env_tail * float(np.dot(wts, ax_kernel(x) * bound(x) * x))
     return radial_tail + axial_tail
 
 

@@ -38,6 +38,14 @@ def test_print_config_lists_every_key(capsys):
         assert key in out
 
 
+def test_print_config_loads_back_as_the_defaults(tmp_path, capsys):
+    assert main(["print-config"]) == 0
+    loaded = load_config(write_cfg(tmp_path, capsys.readouterr().out))
+    defaults = load_config(None)
+    assert loaded == defaults
+    assert all(type(loaded[k]) is type(defaults[k]) for k in defaults)
+
+
 def test_config_defaults_and_parse(tmp_path):
     cfg = load_config(None)
     assert cfg["feas.mu"] == 1.0
@@ -330,14 +338,18 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     ("kernel-scan", "scan.kinds =", "scan.kinds: nothing to scan"),
     ("kernel-scan", "scan.kinds = gamma23; scan.alphas23 =",
      "scan.kinds: nothing to scan"),
+    ("decay", "decay.n_points = 4", "decay.n_points must be at least 5"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
-        "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas"])
+        "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas",
+        "n_points-4"])
 def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
                                                      text, message):
-    # small grids, so a run that wrongly goes ahead still ends quickly
-    path = write_cfg(tmp_path, text.replace("; ", "\n") + "\n" + FAST_SCAN
-                     + "decay.n_points = 3\nroundtrip.n_r = 1\n"
-                     "roundtrip.n_z = 1\nfeas.n_delta = 20\nfeas.n_q = 20\n")
+    # small grids, so a run that wrongly goes ahead still ends quickly; the
+    # case's own lines come last and override them
+    path = write_cfg(tmp_path, FAST_SCAN
+                     + "decay.n_points = 5\nroundtrip.n_r = 1\n"
+                     "roundtrip.n_z = 1\nfeas.n_delta = 20\nfeas.n_q = 20\n"
+                     + text.replace("; ", "\n") + "\n")
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from meridian.quadrature import (QuadratureError, adaptive_integrate,
-                                 fixed_integrate, geometric_mesh, graded_mesh,
-                                 panel_nodes, uniform_mesh)
+                                 geometric_mesh, graded_mesh, panel_nodes)
 
 
 def test_adaptive_polynomial_exact():
@@ -50,8 +49,6 @@ def test_graded_mesh_refines_at_features():
     assert np.all(gaps > 0)
 
 
-def test_fixed_integrate_matches_uniform():
-    f = lambda x: np.sin(x)
-    val, err = fixed_integrate(f, uniform_mesh(0.0, np.pi, 8), n=12)
-    assert abs(val - 2.0) < 1e-12
-    assert err < 1e-10
+def test_panel_nodes_integrate_sine():
+    x, w = panel_nodes(np.linspace(0.0, np.pi, 9), 12)
+    assert abs(np.dot(w, np.sin(x)) - 2.0) < 1e-12
