@@ -34,8 +34,7 @@ from .quadrature import QuadratureError
 from .rates import (FIT_MIN_SAMPLES, bruteforce_feasible_set,
                     construct_feasible_pair, feasibility_predicates,
                     fit_decay, predicted_decay, InfeasibleExponentError)
-from .reconstruct import REGION_NAMES, decay_trace, reconstruct_ur, \
-    reconstruct_utheta, reconstruct_uz
+from .reconstruct import COMPONENTS, REGION_NAMES, decay_trace, reconstruct
 
 # key -> (default, type, doc); types: int, float, str, bool, list of floats
 DEFAULTS = {
@@ -215,7 +214,7 @@ def cmd_decay(cfg, out_dir):
     if not beta > 1.0:
         raise ConfigError("decay.beta must exceed 1")
     component = cfg["decay.component"]
-    if component not in ("u_r", "u_z", "u_theta"):
+    if component not in COMPONENTS:
         raise ConfigError("decay.component must be u_r, u_z or u_theta")
     comp_kind = "theta" if component in ("u_r", "u_z") else "r_and_z"
     if cfg["decay.envelope"] == "gauss":
@@ -372,26 +371,24 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     for kind in kinds:
         if kind == "no_swirl":
             field, w = stream_bump_field(r0=r0, radius=radius)
-            comps = (("u_r", reconstruct_ur, field.u_r),
-                     ("u_z", reconstruct_uz, field.u_z))
+            truth = {"u_r": field.u_r, "u_z": field.u_z}
         elif kind == "pure_swirl":
             field, w = swirl_bump_field(r0=r0, radius=radius)
-            comps = (("u_theta", reconstruct_utheta, field.u_theta),)
+            truth = {"u_theta": field.u_theta}
         else:
             raise ConfigError("roundtrip.kind must be no_swirl, pure_swirl or both")
 
         def probe_one(pz):
             r, z = pz
-            out = {}
-            for name, rec, exact in comps:
-                res = rec(w, MeridianPoint(r, z))
-                out[name] = (res.value, float(exact(np.asarray(r), np.asarray(z))))
-            return out
+            found = reconstruct(w, MeridianPoint(r, z), tuple(truth))
+            return {name: (found[name].value,
+                           float(u(np.asarray(r), np.asarray(z))))
+                    for name, u in truth.items()}
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(probe_one, probes))
 
-        for name, _, _ in comps:
+        for name in truth:
             err2 = sum((res[name][0] - res[name][1]) ** 2 for res in results)
             ref2 = sum(res[name][1] ** 2 for res in results)
             if ref2 > 0:
@@ -411,7 +408,10 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
 
     _write_csv(_out(out_dir, "roundtrip_probes.csv"),
                ["kind", "component", "r", "z", "reconstructed", "exact"],
-               ([row[0], row[1]] + [_fmt(v) for v in row[2:]] for row in rows))
+               # 17 digits give the values back exactly, so the report's
+               # norms can be recomputed from the file
+               ([kind, name, _fmt(r), _fmt(z), "%.17g" % rec, "%.17g" % exact]
+                for kind, name, r, z, rec, exact in rows))
     payload["pass"] = bool(ok)
     _write_json(_out(out_dir, "roundtrip_report.json"), payload)
     return 0 if ok else 1

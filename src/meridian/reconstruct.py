@@ -131,23 +131,25 @@ def _resolution_edges(edges, resolution, deepen):
 def _integrands(terms, r, z, rho, kk):
     """kernel * weight * rho at the nodes (rho, kk), one array per term.
 
-    The kernels are evaluated in one call, on the nodes where some term's
-    weight is nonzero; NaN and inf weights count as nonzero, so they still
-    reach the sums.  At every other node each integrand is the zero a zero
-    weight would give, and the arrays keep their full length, so the sums
-    over them are the same as with every node evaluated.
+    Each distinct weight is sampled once, however many terms share it, and
+    the kernels are evaluated in one call, on the nodes where some weight
+    is nonzero; NaN and inf weights count as nonzero, so they still reach
+    the sums.  At every other node each integrand is the zero a zero weight
+    would give, and the arrays keep their full length, so the sums over
+    them are the same as with every node evaluated.
     """
-    weights = [weight(rho, kk) for _, weight in terms]
+    weights = {id(weight): weight for _, weight in terms}
+    samples = {key: weight(rho, kk) for key, weight in weights.items()}
     live = np.zeros(rho.shape, dtype=bool)
-    for w in weights:
+    for w in samples.values():
         live |= w != 0
     kv = kernel_batch(r, rho[live], z - kk[live]) if live.any() else None
     integrands = []
-    for (sel, _), w in zip(terms, weights):
+    for sel, weight in terms:
         vals = np.zeros(rho.shape)
         if kv is not None:
             vals[live] = sel(kv)
-        vals *= w
+        vals *= samples[id(weight)]
         vals *= rho
         integrands.append(vals)
     return integrands
@@ -296,12 +298,14 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     return radial_tail + axial_tail
 
 
-def _component_integral(terms, w_field, p, spec):
+def _component_integral(components, w_field, p, spec):
     """Region-decomposed integrals of kernel * weight * rho over the window.
 
-    One integral per (kernel selector, vorticity profile) term; the terms
-    share each kernel evaluation and refine together while their summed
-    error exceeds spec.tol.  Returns (per-region values, per-term error
+    `components` maps each name to its terms, (kernel selector, vorticity
+    profile) pairs.  All pending terms share each node set and kernel
+    evaluation; a component leaves the passes once its summed error meets
+    spec.tol or MAX_REFINEMENTS is reached, so its integrals are those it
+    gets alone.  Returns name -> (per-region values, per-term error
     estimates); each region value is an array with one entry per term.
     Raises ValueError when a region value or error is non-finite (a
     vorticity sample that is not a finite number).
@@ -335,7 +339,7 @@ def _component_integral(terms, w_field, p, spec):
             rects.append((name, ((ra, rb), k_span), k_scale))
     res = w_field.resolution
 
-    def one_pass(deepen):
+    def one_pass(terms, deepen):
         per_region = {name: np.zeros(len(terms)) for name in REGION_NAMES}
         per_err = {name: np.zeros(len(terms)) for name in REGION_NAMES}
         for name, rect, k_scale in rects:
@@ -354,66 +358,88 @@ def _component_integral(terms, w_field, p, spec):
                     "vorticity must be finite on the window" % (name, r, z))
         return per_region, sum(per_err.values())
 
-    deepen = 0
-    per_region, errors = one_pass(deepen)
-    while sum(errors) > spec.tol and deepen < MAX_REFINEMENTS:
+    done, pending, deepen = {}, dict(components), 0
+    while pending:
+        per_region, errors = one_pass(
+            [term for terms in pending.values() for term in terms], deepen)
+        start = 0
+        for name, terms in list(pending.items()):
+            own = slice(start, start + len(terms))
+            start = own.stop
+            if sum(errors[own]) <= spec.tol or deepen == MAX_REFINEMENTS:
+                done[name] = ({region: values[own]
+                               for region, values in per_region.items()},
+                              errors[own])
+                del pending[name]
         deepen += 1
-        per_region, errors = one_pass(deepen)
-    return per_region, errors
+    return done
 
 
-def _reconstruct(component, w_field, p, spec, terms):
-    """Signed sum of region integrals over the component's terms.
+# component -> its terms (label, kernel, vorticity attribute, sign): `kernel`
+# names the KernelValues field and the tail majorant; the labels name the
+# term values reported when there are several
+COMPONENTS = {
+    "u_r": (("u_r", "g1", "w_theta", 1.0),),
+    "u_z": (("u_z", "g2", "w_theta", -1.0),),
+    "u_theta": (("axial_source", "g_swirl", "w_z", 1.0),
+                ("radial_source", "g1", "w_r", -1.0)),
+}
 
-    Each term is (label, kernel, vorticity attribute, sign): `kernel` names
-    the KernelValues field and the tail majorant; the labels name the term
-    values reported when there are several.
+
+def reconstruct(w_field: VorticityField, p: MeridianPoint, components,
+                spec: QuadratureSpec = QuadratureSpec()):
+    """The named velocity components at p, name -> ReconstructionResult.
+
+    Each is the signed sum of its terms' region integrals.  The components
+    share one node set per rule and refine each on its own error, so each
+    result is the one its component gets alone.
     """
     if not p.r > 1.0:
         raise ValueError("reconstruction requires probe radius r > 1 "
                          "(kernel bounds hold on r > 1); got r=%g" % p.r)
-    regions, errors = _component_integral(
-        [(attrgetter(kernel), getattr(w_field, weight))
-         for _, kernel, weight, _ in terms], w_field, p, spec)
+    integrals = _component_integral(
+        {c: [(attrgetter(kernel), getattr(w_field, weight))
+             for _, kernel, weight, _ in COMPONENTS[c]] for c in components},
+        w_field, p, spec)
     rho_max, z_max = spec.resolved(p.r)
-    tail = sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
-               for _, kernel, _, _ in terms)
-    signs = [sign for _, _, _, sign in terms]
-    per_region = {name: float(sum(s * v for s, v in zip(signs, values)))
-                  for name, values in regions.items()}
-    quad_err = float(sum(errors))
-    term_values = None
-    if len(terms) > 1:
-        totals = sum(regions.values())
-        term_values = {label: float(sign * total)
-                       for (label, _, _, sign), total in zip(terms, totals)}
-    return ReconstructionResult(
-        value=sum(per_region.values()), per_region=per_region,
-        tail_bound=tail, quad_err=quad_err, tol_met=quad_err <= spec.tol,
-        component=component, r=p.r, z=p.z, term_values=term_values)
+    results = {}
+    for component in components:
+        terms = COMPONENTS[component]
+        regions, errors = integrals[component]
+        tail = sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
+                   for _, kernel, _, _ in terms)
+        signs = [sign for _, _, _, sign in terms]
+        per_region = {name: float(sum(s * v for s, v in zip(signs, values)))
+                      for name, values in regions.items()}
+        quad_err = float(sum(errors))
+        term_values = None
+        if len(terms) > 1:
+            totals = sum(regions.values())
+            term_values = {label: float(sign * total)
+                           for (label, _, _, sign), total in zip(terms, totals)}
+        results[component] = ReconstructionResult(
+            value=sum(per_region.values()), per_region=per_region,
+            tail_bound=tail, quad_err=quad_err, tol_met=quad_err <= spec.tol,
+            component=component, r=p.r, z=p.z, term_values=term_values)
+    return results
 
 
 def reconstruct_ur(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_r from the swirl vorticity via the G1 kernel."""
-    return _reconstruct("u_r", w_field, p, spec,
-                        (("u_r", "g1", "w_theta", 1.0),))
+    return reconstruct(w_field, p, ("u_r",), spec)["u_r"]
 
 
 def reconstruct_uz(w_field: VorticityField, p: MeridianPoint,
                    spec: QuadratureSpec = QuadratureSpec()):
     """u_z from the swirl vorticity via the (negated) G2 kernel."""
-    return _reconstruct("u_z", w_field, p, spec,
-                        (("u_z", "g2", "w_theta", -1.0),))
+    return reconstruct(w_field, p, ("u_z",), spec)["u_z"]
 
 
 def reconstruct_utheta(w_field: VorticityField, p: MeridianPoint,
                        spec: QuadratureSpec = QuadratureSpec()):
     """u_theta from (w_r, w_z): the difference of two region integrals."""
-    return _reconstruct(
-        "u_theta", w_field, p, spec,
-        (("axial_source", "g_swirl", "w_z", 1.0),
-         ("radial_source", "g1", "w_r", -1.0)))
+    return reconstruct(w_field, p, ("u_theta",), spec)["u_theta"]
 
 
 _RECONSTRUCTORS = {"u_r": reconstruct_ur, "u_z": reconstruct_uz,
@@ -441,8 +467,8 @@ def decay_trace(w_field, component, r_ladder, z=0.0):
     height or a sequence matching the ladder (the decay envelopes are
     uniform in z, so sweeping z = r/2 or z = r is a uniformity spot-check).
     """
-    if component not in _RECONSTRUCTORS:
-        raise ValueError("component must be one of %s" % (sorted(_RECONSTRUCTORS),))
+    if component not in COMPONENTS:
+        raise ValueError("component must be one of %s" % (sorted(COMPONENTS),))
     r_ladder = [float(r) for r in r_ladder]
     if any(r <= 1.0 for r in r_ladder):
         raise ValueError("trace radii must exceed 1")

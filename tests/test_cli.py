@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -284,6 +286,27 @@ def test_roundtrip_command_small(tmp_path):
     assert payload["pure_swirl"]["u_theta_normalization"] == "absolute"
 
 
+def test_roundtrip_csv_recomputes_the_report(tmp_path):
+    # the relative errors are about 1e-7, so 12-digit values would leave
+    # only about 5 digits of each difference
+    path = write_cfg(tmp_path, "roundtrip.n_r = 3\n")
+    out = tmp_path / "rt"
+    assert main(["roundtrip", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "roundtrip_report.json").read_text())
+    sums = {}
+    with open(out / "roundtrip_probes.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            rec, exact = float(row["reconstructed"]), float(row["exact"])
+            acc = sums.setdefault((row["kind"], row["component"]), [0.0, 0.0])
+            acc[0] += (rec - exact) ** 2
+            acc[1] += exact ** 2
+    assert sorted(comp for _, comp in sums) == ["u_r", "u_theta", "u_z"]
+    for (kind, comp), (err2, ref2) in sums.items():
+        assert report[kind][comp + "_normalization"] == "relative"
+        assert math.sqrt(err2 / ref2) == pytest.approx(report[kind][comp],
+                                                       rel=1e-12, abs=0.0)
+
+
 def test_roundtrip_interior_probes_use_relative_norm(tmp_path):
     path = write_cfg(tmp_path, "roundtrip.kind = pure_swirl\n"
                                "roundtrip.n_r = 3\nroundtrip.n_z = 3\n")
@@ -315,8 +338,7 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     def no_probe(*args, **kwargs):
         raise AssertionError("a probe was evaluated")
 
-    for name in ("reconstruct_ur", "reconstruct_uz", "reconstruct_utheta"):
-        monkeypatch.setattr(cli, name, no_probe)
+    monkeypatch.setattr(cli, "reconstruct", no_probe)
     path = write_cfg(tmp_path, "%s = %s\n" % (key, value))
     out = tmp_path / "rt"
     assert main(["roundtrip", "--config", path, "--out", str(out)]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from meridian.quadrature import panel_nodes
 from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_SIDE,
                                   QuadratureSpec, _integrands,
                                   _integrate_polar_core,
-                                  _resolution_edges, decay_trace,
+                                  _resolution_edges, decay_trace, reconstruct,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
 
@@ -142,6 +144,43 @@ def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
     node_sets = [(rho.tobytes(), zeta.tobytes()) for rho, zeta in calls]
     assert len(node_sets) == 36
     assert len(set(node_sets)) == len(node_sets)
+
+
+def test_joint_reconstruction_equals_single_calls(monkeypatch):
+    # here u_z meets tol one pass before u_r: jointly it leaves the passes
+    # then, and u_r goes on with the node sets it gets alone, so the joint
+    # call costs what u_r alone costs
+    _, w = stream_bump_field()
+    samples = []
+
+    def w_theta(rho, k, base=w.w_theta):
+        samples.append(rho.size)
+        return base(rho, k)
+
+    w = replace(w, w_theta=Profile(fn=w_theta))
+    p, spec = MeridianPoint(4.5, -1.2), QuadratureSpec(tol=3e-6)
+    calls = recording_kernel_batch(monkeypatch)
+    single, counts = {}, {}
+    for name, rec in (("u_r", reconstruct_ur), ("u_z", reconstruct_uz)):
+        del calls[:], samples[:]
+        single[name] = rec(w, p, spec)
+        counts[name] = (len(calls), len(samples))
+    assert counts == {"u_r": (12, 18), "u_z": (8, 12)}
+    del calls[:], samples[:]
+    assert reconstruct(w, p, ("u_r", "u_z"), spec) == single
+    assert (len(calls), len(samples)) == (12, 18)
+
+
+def test_joint_reconstruction_of_every_component_equals_single_calls():
+    # w_theta and (w_r, w_z) come from bumps at different centres, so the
+    # joint kernel calls run on the union of the two live node sets
+    _, ws = stream_bump_field(r0=3.0)
+    _, wt = swirl_bump_field(r0=3.5, z0=0.4)
+    w = _on_common_nodes(ws, wt, w_theta=ws.w_theta, w_r=wt.w_r, w_z=wt.w_z)
+    p = MeridianPoint(3.2, 0.3)
+    single = {"u_theta": reconstruct_utheta(w, p), "u_r": reconstruct_ur(w, p),
+              "u_z": reconstruct_uz(w, p)}
+    assert reconstruct(w, p, tuple(single)) == single
 
 
 def integrand_nodes(n=4000, seed=3):
