@@ -216,17 +216,11 @@ def cmd_decay(cfg, out_dir):
     component = cfg["decay.component"]
     if component not in COMPONENTS:
         raise ConfigError("decay.component must be u_r, u_z or u_theta")
-    comp_kind = "theta" if component in ("u_r", "u_z") else "r_and_z"
-    if cfg["decay.envelope"] == "gauss":
-        env = AxialEnvelope("gauss", scale=cfg["decay.envelope_scale"])
-    elif cfg["decay.envelope"] == "compact":
-        env = AxialEnvelope("compact", half_width=cfg["decay.envelope_scale"])
-    else:
-        raise ConfigError("decay.envelope must be gauss or compact")
+    env = AxialEnvelope(cfg["decay.envelope"], scale=cfg["decay.envelope_scale"])
     if cfg["decay.n_points"] < FIT_MIN_SAMPLES:
         raise ConfigError("decay.n_points must be at least %d, the fewest "
                           "samples a decay fit takes" % FIT_MIN_SAMPLES)
-    w = power_law_vorticity(beta, component=comp_kind, axial_envelope=env)
+    w = power_law_vorticity(beta, axial_envelope=env)
     ladder = [cfg["decay.r_min"] * 2.0 ** j for j in range(cfg["decay.n_points"])]
     heights = {"trace": cfg["decay.z"]}
     if cfg["decay.z_sweep"]:
@@ -342,10 +336,18 @@ def cmd_feasibility(cfg, out_dir):
     return 0 if agree else 1
 
 
+# roundtrip.kind -> (bump field factory, velocity components it checks)
+ROUNDTRIP_FIELDS = {"no_swirl": (stream_bump_field, ("u_r", "u_z")),
+                    "pure_swirl": (swirl_bump_field, ("u_theta",))}
+
+
 def cmd_roundtrip(cfg, out_dir, workers, seed):
     """curl -> reconstruct identity; exit 0 iff rel L2 below threshold."""
-    kinds = (("no_swirl", "pure_swirl") if cfg["roundtrip.kind"] == "both"
+    kinds = (tuple(ROUNDTRIP_FIELDS) if cfg["roundtrip.kind"] == "both"
              else (cfg["roundtrip.kind"],))
+    if not set(kinds) <= set(ROUNDTRIP_FIELDS):
+        raise ConfigError("roundtrip.kind must be %s or both"
+                          % ", ".join(ROUNDTRIP_FIELDS))
     r0 = cfg["roundtrip.bump_r0"]
     radius = cfg["roundtrip.bump_radius"]
     if not (math.isfinite(radius) and radius > 0):
@@ -369,14 +371,9 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     rows = []
     ok = True
     for kind in kinds:
-        if kind == "no_swirl":
-            field, w = stream_bump_field(r0=r0, radius=radius)
-            truth = {"u_r": field.u_r, "u_z": field.u_z}
-        elif kind == "pure_swirl":
-            field, w = swirl_bump_field(r0=r0, radius=radius)
-            truth = {"u_theta": field.u_theta}
-        else:
-            raise ConfigError("roundtrip.kind must be no_swirl, pure_swirl or both")
+        bump_field, names = ROUNDTRIP_FIELDS[kind]
+        field, w = bump_field(r0=r0, radius=radius)
+        truth = {name: getattr(field, name) for name in names}
 
         def probe_one(pz):
             r, z = pz

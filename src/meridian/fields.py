@@ -42,39 +42,39 @@ class AxialEnvelope:
     """Integrable bound eta(k) on the axial dependence of a vorticity profile.
 
     kind "gauss": eta(k) = exp(-(k/scale)^2); kind "compact": eta supported
-    on |k| <= half_width (bounded by 1).  The envelope powers the analytic
+    on |k| <= scale (bounded by 1).  `scale` is also the axial feature scale
+    the reconstruction meshes read.  The envelope powers the analytic
     truncation-tail majorants, so it must majorize the actual k-dependence.
     """
 
-    def __init__(self, kind="gauss", scale=1.0, half_width=1.0):
+    def __init__(self, kind="gauss", scale=1.0):
         if kind not in ("gauss", "compact"):
-            raise ValueError("unknown axial envelope kind %r" % (kind,))
-        # a scale or half-width <= 0 would make the tail majorants <= 0
-        for name, v in (("scale", scale), ("half_width", half_width)):
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError("axial envelope %s must be finite and "
-                                 "positive, got %r" % (name, v))
+            raise ValueError("axial envelope kind must be gauss or compact, "
+                             "got %r" % (kind,))
+        # a scale <= 0 would make the tail majorants <= 0
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError("axial envelope scale must be finite and "
+                             "positive, got %r" % (scale,))
         self.kind = kind
         self.scale = float(scale)
-        self.half_width = float(half_width)
 
     def __call__(self, k):
         k = np.asarray(k, dtype=float)
         if self.kind == "gauss":
             return np.exp(-((k / self.scale) ** 2))
-        return np.where(np.abs(k) <= self.half_width, 1.0, 0.0)
+        return np.where(np.abs(k) <= self.scale, 1.0, 0.0)
 
     def integral(self):
         if self.kind == "gauss":
             return self.scale * math.sqrt(math.pi)
-        return 2.0 * self.half_width
+        return 2.0 * self.scale
 
     def tail_integral(self, k0):
         """integral of eta over |k| > k0."""
         if self.kind == "gauss":
             from scipy.special import erfc
             return self.scale * math.sqrt(math.pi) * float(erfc(k0 / self.scale))
-        return max(0.0, 2.0 * (self.half_width - k0)) if k0 < self.half_width else 0.0
+        return max(0.0, 2.0 * (self.scale - k0)) if k0 < self.scale else 0.0
 
 
 @dataclass
@@ -187,19 +187,17 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
     return field, w
 
 
-def power_law_vorticity(beta, component="theta", axial_envelope=None):
-    """Vorticity profile w = (1 + rho)^(-beta) * eta(k).
+def power_law_vorticity(beta, axial_envelope=None):
+    """Vorticity profile w = (1 + rho)^(-beta) * eta(k) in all three slots.
 
-    `component` selects which components carry the profile: "theta" for the
-    swirl-generating w_theta, "r_and_z" for the meridian pair feeding the
-    u_theta reconstruction.  beta must exceed 1 or the reconstruction
-    integrals may diverge.
+    Each velocity component samples only the slots its reconstruction
+    terms name (reconstruct.COMPONENTS), so one field serves u_r, u_z and
+    u_theta.  beta must exceed 1 or the reconstruction integrals may
+    diverge.
     """
     if not beta > 1.0:
         raise ValueError("beta must exceed 1 (got %g): reconstruction integrals "
                          "may diverge" % beta)
-    if component not in ("theta", "r_and_z"):
-        raise ValueError("component must be 'theta' or 'r_and_z'")
     env = (axial_envelope if axial_envelope is not None
            else AxialEnvelope("gauss", scale=1.0))
     if not np.all(env(np.linspace(-50, 50, 101)) <= 1.0 + 1e-12):
@@ -210,11 +208,7 @@ def power_law_vorticity(beta, component="theta", axial_envelope=None):
         return (1.0 + rho) ** (-beta) * env(k)
 
     prof = Profile(fn=w, name="power_law_w(beta=%g)" % beta)
-    zero = zero_profile()
-    if component == "theta":
-        return VorticityField(w_r=zero, w_theta=prof, w_z=zero,
-                              decay_beta=beta, axial_envelope=env)
-    return VorticityField(w_r=prof, w_theta=zero, w_z=prof,
+    return VorticityField(w_r=prof, w_theta=prof, w_z=prof,
                           decay_beta=beta, axial_envelope=env)
 
 

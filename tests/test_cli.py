@@ -361,9 +361,13 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     ("kernel-scan", "scan.kinds = gamma23; scan.alphas23 =",
      "scan.kinds: nothing to scan"),
     ("decay", "decay.n_points = 4", "decay.n_points must be at least 5"),
+    ("roundtrip", "roundtrip.kind = bogus",
+     "roundtrip.kind must be no_swirl, pure_swirl or both"),
+    ("decay", "decay.envelope = bogus",
+     "axial envelope kind must be gauss or compact, got 'bogus'"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
         "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas",
-        "n_points-4"])
+        "n_points-4", "roundtrip-kind-bogus", "envelope-bogus"])
 def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
                                                      text, message):
     # small grids, so a run that wrongly goes ahead still ends quickly; the

@@ -190,15 +190,14 @@ def test_power_law_vorticity_validation():
     power_law_vorticity(5.0 / 3.0 + 1e-6)
     with pytest.raises(ValueError):
         power_law_vorticity(1.0)
-    with pytest.raises(ValueError):
-        power_law_vorticity(3.0, component="bogus")
 
 
 def test_power_law_vorticity_components():
-    w = power_law_vorticity(2.0, component="r_and_z")
-    assert float(w.w_theta(np.array(1.0), np.array(0.0))) == 0.0
-    assert float(w.w_r(np.array(1.0), np.array(0.0))) == pytest.approx(0.25)
-    assert float(w.w_z(np.array(1.0), np.array(0.0))) == pytest.approx(0.25)
+    # one profile in every slot; each component reads the slots it needs
+    w = power_law_vorticity(2.0)
+    assert w.w_r is w.w_theta is w.w_z
+    for slot in (w.w_r, w.w_theta, w.w_z):
+        assert float(slot(np.array(1.0), np.array(0.0))) == pytest.approx(0.25)
 
 
 def test_axial_envelope_kinds():
@@ -206,7 +205,7 @@ def test_axial_envelope_kinds():
     assert g(np.array(0.0)) == 1.0
     assert g.integral() == pytest.approx(2.0 * np.sqrt(np.pi))
     assert g.tail_integral(20.0) < 1e-6 * g.integral()
-    c = AxialEnvelope("compact", half_width=3.0)
+    c = AxialEnvelope("compact", scale=3.0)
     assert c.integral() == 6.0
     assert c.tail_integral(3.0) == 0.0
     with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ def test_axial_envelope_kinds():
 
 
 @pytest.mark.parametrize("kind", ["gauss", "compact"])
-@pytest.mark.parametrize("key", ["scale", "half_width"])
+@pytest.mark.parametrize("key", ["scale"])
 @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
 def test_axial_envelope_rejects_non_positive_widths(kind, key, bad):
     # a width <= 0 gives negative tail majorants, a certified negative error

@@ -183,6 +183,33 @@ def test_joint_reconstruction_of_every_component_equals_single_calls():
     assert reconstruct(w, p, tuple(single)) == single
 
 
+@pytest.mark.parametrize("r", [10.0, 40.0])
+def test_each_component_reads_only_the_slots_its_terms_name(r):
+    # the power-law field fills every slot; zeroing the slots a component
+    # does not read leaves its result unchanged, bit for bit
+    w = power_law_vorticity(3.0)
+    p = MeridianPoint(r, 1.0)
+    zero = zero_profile()
+    swirl_only = replace(w, w_r=zero, w_z=zero)
+    meridian_only = replace(w, w_theta=zero)
+    expected = dict(reconstruct(swirl_only, p, ("u_r", "u_z")),
+                    **reconstruct(meridian_only, p, ("u_theta",)))
+    assert reconstruct(w, p, ("u_r", "u_z", "u_theta")) == expected
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r, z", [(10.0, 1.0), (5.0, 0.3)])
+def test_compact_envelope_certificate_at_narrow_and_wide_sizes(h, r, z):
+    # the support box makes the envelope's jumps at k = +-h rectangle
+    # edges, so the reference does not straddle them in the rectangles
+    w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=h))
+    ref_w = replace(w, support=(0.0, np.inf, -h, h))
+    p = MeridianPoint(r, z)
+    res = reconstruct_ur(w, p)
+    ref = reconstruct_ur(ref_w, p, QuadratureSpec(tol=1e-10))
+    assert abs(res.value - ref.value) <= res.total_error
+
+
 def integrand_nodes(n=4000, seed=3):
     rng = np.random.default_rng(seed)
     return rng.uniform(1.5, 6.0, n), rng.uniform(-3.0, 3.0, n)
@@ -536,7 +563,7 @@ def test_decay_trace_validation_and_flags():
 
 def test_decay_trace_utheta_and_z_sequence():
     ladder = [10.0, 20.0, 40.0]
-    w = power_law_vorticity(3.0, component="r_and_z")
+    w = power_law_vorticity(3.0)
     samples = decay_trace(w, "u_theta", ladder, z=1.0)
     assert all(s.value > 0 for s in samples)
     assert samples[0].value > samples[-1].value
