@@ -201,7 +201,9 @@ def test_each_component_reads_only_the_slots_its_terms_name(r):
 @pytest.mark.parametrize("r, z", [(10.0, 1.0), (5.0, 0.3)])
 def test_compact_envelope_certificate_at_narrow_and_wide_sizes(h, r, z):
     # the support box makes the envelope's jumps at k = +-h rectangle
-    # edges, so the reference does not straddle them in the rectangles
+    # edges, so the reference does not straddle them in the rectangles; it
+    # does not clip the polar core, which at h = 0.5, (5, 0.3) straddles
+    # k = h in both computations
     w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=h))
     ref_w = replace(w, support=(0.0, np.inf, -h, h))
     p = MeridianPoint(r, z)
