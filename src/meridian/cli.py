@@ -157,6 +157,10 @@ def _write_csv(path, header, rows):
         wr.writerows(rows)
 
 
+# scan.kinds entry -> the config key of its alpha values
+SCAN_ALPHAS = {"gamma23": "scan.alphas23", "gamma1": "scan.alphas1"}
+
+
 def cmd_kernel_scan(cfg, out_dir):
     """Envelope-ratio scans; exit 0 iff stable and no non-finite kernel values."""
     kinds = [k.strip() for k in cfg["scan.kinds"].split(",") if k.strip()]
@@ -165,16 +169,27 @@ def cmd_kernel_scan(cfg, out_dir):
                        r_range=(cfg["scan.r_min"], cfg["scan.r_max"]))
     if cfg["scan.r_min"] <= 1.0:
         raise ConfigError("scan.r_min must exceed 1 (envelopes hold for r > 1)")
-    jobs = []
+    if cfg["scan.r_max"] < cfg["scan.r_min"]:
+        raise ConfigError("scan.r_max must be at least scan.r_min, got %g < %g"
+                          % (cfg["scan.r_max"], cfg["scan.r_min"]))
+    jobs = {}                        # CSV name -> (kind, alpha)
     for kind in kinds:
-        alphas = cfg["scan.alphas23"] if kind == "gamma23" else cfg["scan.alphas1"]
-        for alpha in alphas:
+        if kind not in SCAN_ALPHAS:
+            raise ConfigError("scan.kinds: kind must be %s, got %r" % (
+                " or ".join(map(repr, SCAN_ALPHAS)), kind))
+        for alpha in cfg[SCAN_ALPHAS[kind]]:
             # validate the alpha gate before any work; alpha > 1 for gamma1
             # is only admissible outside the near-diagonal band, which the
             # scan itself restricts, but alpha beyond the global range is a
             # config error
             envelopes.BoundEnvelope(kind=kind, alpha=alpha)
-            jobs.append((kind, alpha))
+            # %g names the file, so alphas that print alike would collide
+            name = "scan_%s_alpha%g.csv" % (kind, alpha)
+            if name in jobs:
+                raise ConfigError(
+                    "scan jobs (%s, alpha=%r) and (%s, alpha=%r) both write %s"
+                    % (jobs[name] + (kind, alpha, name)))
+            jobs[name] = (kind, alpha)
     if not jobs:
         raise ConfigError("scan.kinds: nothing to scan (no kind or no alpha)")
 
@@ -190,7 +205,7 @@ def cmd_kernel_scan(cfg, out_dir):
 
     reports = []
     ok = True
-    for kind, alpha in jobs:
+    for kind, alpha in jobs.values():
         if fine_data is not None:
             _, rep = envelopes.refine_and_compare(
                 kind, alpha, coarse_data, fine_data,
@@ -200,9 +215,10 @@ def cmd_kernel_scan(cfg, out_dir):
             rep = envelopes.report_from_data(kind, alpha, coarse_data)
         ok = ok and not rep.failures
         reports.append(rep)
-        envelopes.write_scan_csv(
-            _out(out_dir, "scan_%s_alpha%g.csv" % (kind, alpha)),
-            kind, alpha, coarse_data)
+    # free the fine grid before the coarse grid's CSV text is built
+    del fine_data
+    for name, (kind, alpha) in jobs.items():
+        envelopes.write_scan_csv(_out(out_dir, name), kind, alpha, coarse_data)
     envelopes.write_summary_json(_out(out_dir, "kernel_scan_summary.json"),
                                  reports)
     return 0 if ok else 1

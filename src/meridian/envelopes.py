@@ -22,6 +22,8 @@ share one kernel evaluation pass per field radius.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import List, Optional
 
 import numpy as np
@@ -132,6 +134,19 @@ class ScanData:
     regime: np.ndarray               # index into REGIMES per point
     excluded: int
     failures: List[tuple]
+
+    @cached_property
+    def csv_lead(self):
+        """Per point, the r,rho,zeta,K,regime CSV text every job shares."""
+        return list(map("%.10g,%.10g,%.10g,%.10g,%s,".__mod__, zip(
+            self.r.tolist(), self.rho.tolist(), self.zeta.tolist(),
+            self.K.tolist(), [REGIMES[i] for i in self.regime.tolist()])))
+
+    @cached_property
+    def csv_kernel(self):
+        """Per kind, each point's kernel CSV field, shared by every alpha."""
+        return {kind: list(map("%.12g,".__mod__, kv.tolist())) for kind, kv
+                in (("gamma23", self.kernel23), ("gamma1", self.kernel1))}
 
 
 @dataclass
@@ -315,19 +330,18 @@ def refine_and_compare(kind, alpha, coarse_data, fine_data,
 
 
 def write_scan_csv(path, kind, alpha, data):
-    """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio."""
+    """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio;
+    only envelope and ratio are formatted here, the rest is `data`'s text."""
     env = BoundEnvelope(kind=kind, alpha=alpha)
     ok, ratio = _admissible_ratio(env, data)
-    kv = (data.kernel23 if kind == "gamma23" else data.kernel1)[ok]
-    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
-    envv = envelope_value(env, r, rho, zeta)
-    labels = [REGIMES[i] for i in data.regime[ok].tolist()]
-    row = "%.10g,%.10g,%.10g,%.10g,%s,%.12g,%.12g,%.12g\r\n"
+    envv = envelope_value(env, data.r[ok], data.rho[ok], data.zeta[ok])
+    keep = ok.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("r,rho,zeta,K,regime,kernel,envelope,ratio\r\n")
-        fh.writelines(row % cols for cols in zip(
-            r.tolist(), rho.tolist(), zeta.tolist(), data.K[ok].tolist(),
-            labels, kv.tolist(), envv.tolist(), ratio.tolist()))
+        fh.writelines(map("%s%s%.12g,%.12g\r\n".__mod__, zip(
+            compress(data.csv_lead, keep),
+            compress(data.csv_kernel[kind], keep),
+            envv.tolist(), ratio.tolist())))
 
 
 def write_summary_json(path, reports):

@@ -148,6 +148,19 @@ def test_kernel_scan_outputs_and_determinism(tmp_path):
     assert all(rep["n_failures"] == 0 for rep in summary)
 
 
+def test_kernel_scan_accepts_equal_radius_bounds(tmp_path):
+    # r_max = r_min is a one-radius ladder, not a reversed range
+    path = write_cfg(tmp_path, FAST_SCAN + "scan.refine = false\n"
+                                           "scan.kinds = gamma23\n"
+                                           "scan.alphas23 = 0\n"
+                                           "scan.r_min = 2\nscan.r_max = 2\n")
+    out = tmp_path / "out"
+    assert main(["kernel-scan", "--config", path, "--out", str(out)]) == 0
+    with open(out / "scan_gamma23_alpha0.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["r"] for row in rows} == {"2"}
+
+
 def test_kernel_scan_refined_two_kinds_deterministic(tmp_path):
     path = write_cfg(tmp_path, FAST_SCAN + "scan.alphas23 = 0.5\n"
                                            "scan.alphas1 = 0,3\n")
@@ -365,9 +378,26 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "roundtrip.kind must be no_swirl, pure_swirl or both"),
     ("decay", "decay.envelope = bogus",
      "axial envelope kind must be gauss or compact, got 'bogus'"),
+    ("kernel-scan", "scan.alphas23 = 0.5,0.5",
+     "scan jobs (gamma23, alpha=0.5) and (gamma23, alpha=0.5) both write "
+     "scan_gamma23_alpha0.5.csv"),
+    # %g prints both alphas as 0.5, so their CSVs would share a name
+    ("kernel-scan", "scan.alphas23 = 0.5,0.5000001",
+     "and (gamma23, alpha=0.5000001) both write scan_gamma23_alpha0.5.csv"),
+    ("kernel-scan", "scan.kinds = gamma1,gamma1",
+     "both write scan_gamma1_alpha0.csv"),
+    # with no gamma1 alphas an unknown kind used to be skipped silently
+    ("kernel-scan", "scan.kinds = gamma23,bogus; scan.alphas1 =",
+     "scan.kinds: kind must be 'gamma23' or 'gamma1', got 'bogus'"),
+    ("kernel-scan", "scan.kinds = bogus",
+     "scan.kinds: kind must be 'gamma23' or 'gamma1', got 'bogus'"),
+    ("kernel-scan", "scan.r_min = 50; scan.r_max = 2",
+     "scan.r_max must be at least scan.r_min, got 2 < 50"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
         "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas",
-        "n_points-4", "roundtrip-kind-bogus", "envelope-bogus"])
+        "n_points-4", "roundtrip-kind-bogus", "envelope-bogus",
+        "alphas-duplicate", "alphas-same-name", "kinds-duplicate",
+        "kind-bogus-no-alphas", "kind-bogus", "r_max-below-r_min"])
 def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
                                                      text, message):
     # small grids, so a run that wrongly goes ahead still ends quickly; the

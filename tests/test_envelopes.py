@@ -11,6 +11,7 @@ from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
                                 evaluate_scan_grid, k_split_consistency,
                                 refine_and_compare, report_from_data,
                                 scan_grid, write_scan_csv)
+from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
 
 
@@ -176,6 +177,28 @@ def test_write_scan_csv_matches_csv_writer_reference(tmp_path, kind, alpha):
     write_scan_csv(str(out), kind, alpha, data)
     assert out.read_bytes() == ref.read_bytes()
     assert r.size > 0 and (r.size < data.r.size) == (alpha > 1)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_write_scan_csv_shares_no_rows_between_jobs(tmp_path, order):
+    # one ScanData serves every default job; each file must equal the one
+    # written from a freshly evaluated grid, whichever job came first
+    cfg = load_config()
+    jobs = ([("gamma23", a) for a in cfg["scan.alphas23"]]
+            + [("gamma1", a) for a in cfg["scan.alphas1"]])
+    assert ("gamma1", 3.0) in jobs and ("gamma1", 1.0) in jobs
+    grid = scan_grid(n_r=3, n_ratio=8, n_zeta=6)
+    shared = evaluate_scan_grid(grid)
+    rows = {}
+    for kind, alpha in jobs[::order]:
+        path = tmp_path / ("%s_%g.csv" % (kind, alpha))
+        write_scan_csv(str(path), kind, alpha, shared)
+        write_scan_csv(str(tmp_path / "fresh.csv"), kind, alpha,
+                       evaluate_scan_grid(grid))
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        rows[kind, alpha] = path.read_bytes().count(b"\r\n")
+    # gamma1 at alpha = 3 drops the near-diagonal band, alpha <= 1 keeps it
+    assert rows["gamma1", 3.0] < rows["gamma1", 1.0] == rows["gamma23", 1.0]
 
 
 def test_scan_regime_matches_band_and_k_side():
