@@ -192,7 +192,8 @@ def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0)):
     structures sampled exactly, grid doubling only probes smooth interior
     maxima and the suprema converge fast.
     """
-    rs = np.geomspace(*r_range, n_r)
+    # coinciding rungs (r_min = r_max) are one rung, scanned once
+    rs = np.unique(np.geomspace(*r_range, n_r))
     base = np.geomspace(*RATIO_RANGE, n_ratio)
     near = np.geomspace(5e-3, 0.74, max(n_ratio // 2, 3))
     n4 = max(n_ratio // 4, 3)

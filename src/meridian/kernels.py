@@ -48,6 +48,7 @@ like K^{-1/2} (beta > 1) or K^{-delta/2} (beta = 1, any delta < 1).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ellipe, ellipkm1
@@ -263,21 +264,27 @@ def ring_moments(r, rho, zeta):
     return j0.reshape(shape), j1.reshape(shape), j2.reshape(shape)
 
 
-@dataclass
 class KernelValues:
     """Batched kernel values from the closed-form moments.
 
+    Each field is formed from the moments on first read and then cached,
+    so a caller pays only for the kernels it reads (u_r reads g1 alone).
     g_swirl is the kernel pairing the axial vorticity in the swirl
     reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
     of D it equals -G2(rho, r, zeta) and shares the reduced moments.
     g1_over_zeta = G1 / zeta stays finite through zeta = 0 (G1 is odd in
     zeta); envelope-ratio scans use it to evaluate the zeta -> 0 limit.
     """
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g_swirl: np.ndarray
-    g1_over_zeta: np.ndarray
+
+    def __init__(self, r, rho, zeta, moments):
+        self.r, self.rho, self.zeta = r, rho, zeta
+        self.j0, self.j1, self.j2 = moments
+
+    g1 = cached_property(lambda s: (s.zeta / np.pi) * s.j1)
+    g2 = cached_property(lambda s: -(s.rho * s.j0 - s.r * s.j1) / np.pi)
+    g3 = cached_property(lambda s: -(s.rho * s.j1 - s.r * s.j2) / np.pi)
+    g_swirl = cached_property(lambda s: (s.r * s.j0 - s.rho * s.j1) / np.pi)
+    g1_over_zeta = cached_property(lambda s: s.j1 / np.pi)
 
 
 def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
@@ -285,22 +292,19 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
     """Vectorized kernels over source-point arrays for one field radius r.
 
     Closed forms from `ring_moments`, O(1) per point and accurate to about
-    4e-13 relative in the moments, so no error estimate is returned.  This
-    is the workhorse for grid scans and half-plane reconstruction; its
-    agreement with the adaptive `kernel_triple` oracle is asserted in
-    tests.  `n_nodes`, `n_err`, `deepen` and `with_errors` are ignored:
-    they remain only because the benchmark's trace binds them by name.
+    4e-13 relative in the moments, so no error estimate is returned.  The
+    moments are evaluated here; the returned `KernelValues` forms each
+    kernel from them when it is first read.  This is the workhorse for grid
+    scans and half-plane reconstruction; its agreement with the adaptive
+    `kernel_triple` oracle is asserted in tests.  `n_nodes`, `n_err`,
+    `deepen` and `with_errors` are ignored: they remain only because the
+    benchmark's trace binds them by name.
     """
     rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                     np.asarray(zeta, dtype=float))
     if np.any((r - rho) ** 2 + zeta ** 2 <= 0):
         raise ValueError("kernel_batch received a diagonal point")
-    j0, j1, j2 = ring_moments(r, rho, zeta)
-    return KernelValues(g1=(zeta / np.pi) * j1,
-                        g2=-(rho * j0 - r * j1) / np.pi,
-                        g3=-(rho * j1 - r * j2) / np.pi,
-                        g_swirl=(r * j0 - rho * j1) / np.pi,
-                        g1_over_zeta=j1 / np.pi)
+    return KernelValues(r, rho, zeta, ring_moments(r, rho, zeta))
 
 
 def swirl_source_kernel(r, rho, zeta, tol=1e-12):

@@ -18,6 +18,7 @@ admissible interval (0, min{1, (6 mu - 4)/(2 mu - 1)}) and
 which satisfies all three predicates whenever mu > 2/3.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,6 +212,7 @@ SPLIT_GAMMAS = np.linspace(0.0, 1.0, 201)
 SPLIT_DELTAS = np.array([1.0, 1.0 - SPLIT_EPS, 0.9, 0.75, 0.5, 0.25])
 
 
+@functools.lru_cache(maxsize=None)
 def optimize_split(beta):
     """Grid-minimize the worst region exponent over the splitting knobs.
 
@@ -218,7 +220,8 @@ def optimize_split(beta):
     admissible range, so alpha is pinned at 1 - SPLIT_EPS; gamma is scanned
     over SPLIT_GAMMAS and delta over SPLIT_DELTAS (which includes 1).  Ties
     are broken toward smaller gamma then larger delta, which reproduces the
-    boundary choice gamma = 0, delta = 1 for 1 < beta < 2.
+    boundary choice gamma = 0, delta = 1 for 1 < beta < 2.  The optimum is
+    cached per beta, so repeated traces at one beta search once.
     """
     alpha = 1.0 - SPLIT_EPS
 

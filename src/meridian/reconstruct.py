@@ -129,45 +129,53 @@ def _resolution_edges(edges, resolution, deepen):
 
 
 def _integrands(terms, r, z, rho, kk):
-    """kernel * weight * rho at the nodes (rho, kk), one array per term.
+    """kernel * weight * rho at the nodes (rho, kk), one flat array per term.
 
-    Each distinct weight is sampled once, however many terms share it, and
-    the kernels are evaluated in one call, on the nodes where some weight
-    is nonzero; NaN and inf weights count as nonzero, so they still reach
-    the sums.  At every other node each integrand is the zero a zero weight
-    would give, and the arrays keep their full length, so the sums over
-    them are the same as with every node evaluated.
+    rho and kk broadcast against each other: a rectangle passes its rho
+    nodes as a column and its k nodes as a row, so a separable weight
+    evaluates each factor once per row or column; the arrays returned are
+    flat in C order.  Each distinct weight is sampled once, however many
+    terms share it, and the kernels are evaluated in one call, on the nodes
+    where some weight is nonzero; NaN and inf weights count as nonzero, so
+    they still reach the sums.  At every other node each integrand is the
+    zero a zero weight would give, and the arrays keep their full length,
+    so the sums over them are the same as with every node evaluated.
     """
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(kk))
     weights = {id(weight): weight for _, weight in terms}
     samples = {key: weight(rho, kk) for key, weight in weights.items()}
-    live = np.zeros(rho.shape, dtype=bool)
+    live = np.zeros(shape, dtype=bool)
     for w in samples.values():
         live |= w != 0
-    kv = kernel_batch(r, rho[live], z - kk[live]) if live.any() else None
+    kv = None
+    if live.any():
+        kv = kernel_batch(r, np.broadcast_to(rho, shape)[live],
+                          np.broadcast_to(z - kk, shape)[live])
     integrands = []
     for sel, weight in terms:
-        vals = np.zeros(rho.shape)
+        vals = np.zeros(shape)
         if kv is not None:
             vals[live] = sel(kv)
         vals *= samples[id(weight)]
         vals *= rho
-        integrands.append(vals)
+        integrands.append(vals.ravel())
     return integrands
 
 
 def _tensor_nodes(x_edges, y_edges, n_x, n_y):
-    """Flat nodes (x, y) and weights of the tensor rule with n_x, n_y GL
-    nodes per panel of the meshes `x_edges`, `y_edges`; y varies fastest."""
+    """The tensor rule with n_x, n_y GL nodes per panel of the meshes
+    `x_edges`, `y_edges`: x nodes as a column, y nodes as a row, and the
+    weights of their outer product flat in C order (y varies fastest)."""
     xn, xw = panel_nodes(x_edges, n_x)
     yn, yw = panel_nodes(y_edges, n_y)
-    return (np.repeat(xn, yn.size), np.tile(yn, xn.size),
-            np.repeat(xw, yn.size) * np.tile(yw, xn.size))
+    return xn[:, None], yn[None, :], (xw[:, None] * yw[None, :]).ravel()
 
 
 def _integrate_rules(terms, r, z, rules):
     """Integrals of kernel * weight * rho under a value rule and an error
-    rule, each a flat node set (rho, k, weight) with any Jacobian folded
-    into the weights; `rules` yields them in that order, so a lazy iterable
+    rule, each a node set (rho, k, weight): rho and k broadcast to the
+    nodes (see `_integrands`), the weights are flat with any Jacobian
+    folded in; `rules` yields them in that order, so a lazy iterable
     builds each only when it is used.  Returns (values, |values - error
     rule's values|), one entry per term."""
     sums = []
@@ -223,8 +231,8 @@ def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
 
     def rule(n_u_rule, n_v_rule):
         un, vn, w = _tensor_nodes(u_edges, (-1.0, 1.0), n_u_rule, n_v_rule)
-        a = s0 * un             # offset along the side's normal
-        b = a * vn              # and along its tangent
+        # offsets along the side's normal and along its tangent, flat
+        a, b = (x.ravel() for x in np.broadcast_arrays(s0 * un, s0 * un * vn))
         # sides n = (1, 0), (0, 1), (-1, 0), (0, -1), each with t = n
         # turned a quarter counter-clockwise
         return (r + np.concatenate([a, -b, -a, b]),

@@ -149,16 +149,24 @@ def test_kernel_scan_outputs_and_determinism(tmp_path):
 
 
 def test_kernel_scan_accepts_equal_radius_bounds(tmp_path):
-    # r_max = r_min is a one-radius ladder, not a reversed range
-    path = write_cfg(tmp_path, FAST_SCAN + "scan.refine = false\n"
-                                           "scan.kinds = gamma23\n"
-                                           "scan.alphas23 = 0\n"
-                                           "scan.r_min = 2\nscan.r_max = 2\n")
-    out = tmp_path / "out"
-    assert main(["kernel-scan", "--config", path, "--out", str(out)]) == 0
-    with open(out / "scan_gamma23_alpha0.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and {row["r"] for row in rows} == {"2"}
+    # r_max = r_min is a one-radius ladder, not a reversed range: its
+    # n_r = 4 coinciding rungs are scanned once, as with n_r = 1
+    text = FAST_SCAN + ("scan.refine = false\nscan.kinds = gamma23\n"
+                        "scan.alphas23 = 0\nscan.r_min = 2\nscan.r_max = 2\n")
+    assert "scan.n_r = 4" in text
+    suprema = {}
+    for n_r in (4, 1):
+        path = write_cfg(tmp_path, text.replace("scan.n_r = 4",
+                                                "scan.n_r = %d" % n_r))
+        out = tmp_path / ("out%d" % n_r)
+        assert main(["kernel-scan", "--config", path, "--out", str(out)]) == 0
+        with open(out / "scan_gamma23_alpha0.csv", newline="") as fh:
+            rows = [tuple(row.values()) for row in csv.DictReader(fh)]
+        assert rows and {row[0] for row in rows} == {"2"}
+        assert len(set(rows)) == len(rows)
+        summary = json.loads((out / "kernel_scan_summary.json").read_text())
+        suprema[n_r] = [rep["suprema"] for rep in summary]
+    assert suprema[4] == suprema[1]
 
 
 def test_kernel_scan_refined_two_kinds_deterministic(tmp_path):
@@ -243,6 +251,25 @@ def test_decay_z_sweep_option(tmp_path):
     payload = json.loads((out / "decay_fit_beta3.json").read_text())
     assert set(payload["z_sweep_slopes"]) == {"half_r", "full_r"}
     assert all(v <= -1.25 + 0.1 for v in payload["z_sweep_slopes"].values())
+
+
+def test_decay_searches_the_split_once_per_beta(tmp_path, monkeypatch):
+    # the z sweep's three traces share one cached split search
+    from meridian import rates
+    searched = []
+
+    def counting(*args):
+        searched.append(args)
+        return region_term_exponents(*args)
+
+    region_term_exponents = rates.region_term_exponents
+    monkeypatch.setattr(rates, "region_term_exponents", counting)
+    rates.optimize_split.cache_clear()
+    path = write_cfg(tmp_path, "decay.beta = 3.0\ndecay.n_points = 5\n"
+                               "decay.z_sweep = true\n")
+    assert main(["decay", "--config", path, "--out", str(tmp_path / "d")]) == 0
+    assert len(searched) == rates.SPLIT_GAMMAS.size * rates.SPLIT_DELTAS.size
+    assert rates.optimize_split(3.0) == rates.optimize_split.__wrapped__(3.0)
 
 
 def test_decay_compact_envelope_option(tmp_path):

@@ -166,6 +166,22 @@ def test_kernel_batch_matches_triple():
         assert abs(kb.g3[i] - kt.gamma3) < 1e-9 + kt.err3
 
 
+def test_kernel_batch_forms_each_field_on_first_read():
+    # a field is formed from the moments when read, once, by the closed
+    # forms of the module docstring; unread fields are never formed
+    r, rho, zeta = 3.0, np.array([0.5, 2.9, 7.0]), np.array([-1.0, 0.05, 2.0])
+    j0, j1, j2 = ring_moments(r, rho, zeta)
+    kb = kernel_batch(r, rho, zeta)
+    fields = ("g1", "g2", "g3", "g_swirl", "g1_over_zeta")
+    assert not set(fields) & set(vars(kb))
+    assert kb.g1 is kb.g1 and set(fields) & set(vars(kb)) == {"g1"}
+    expected = ((zeta / np.pi) * j1, -(rho * j0 - r * j1) / np.pi,
+                -(rho * j1 - r * j2) / np.pi, (r * j0 - rho * j1) / np.pi,
+                j1 / np.pi)
+    for name, want in zip(fields, expected):
+        assert np.array_equal(getattr(kb, name), want)
+
+
 def test_kernel_batch_g1_over_zeta_limit():
     kb0 = kernel_batch(2.0, np.array([3.0]), np.array([0.0]))
     kb1 = kernel_batch(2.0, np.array([3.0]), np.array([1e-8]))
