@@ -81,6 +81,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _unparsable(key, raw, typ):
+    return ConfigError("config key %s: cannot parse %r as %s"
+                       % (key, raw, getattr(typ, "__name__", typ)))
+
+
 def _parse_value(key, raw):
     default, typ, _ = DEFAULTS[key]
     raw = raw.strip()
@@ -94,8 +99,7 @@ def _parse_value(key, raw):
         value = ([float(tok) for tok in raw.split(",") if tok.strip()]
                  if typ == "floats" else typ(raw))
     except ValueError:
-        raise ConfigError("config key %s: cannot parse %r as %s"
-                          % (key, raw, getattr(typ, "__name__", typ)))
+        raise _unparsable(key, raw, typ)
     # nan fails every comparison a gate makes; inf makes no gate meaningful
     if typ in (float, "floats") and not np.all(np.isfinite(value)):
         raise ConfigError("config key %s: must be finite, got %r" % (key, raw))
@@ -299,7 +303,13 @@ def cmd_decay(cfg, out_dir):
 def cmd_feasibility(cfg, out_dir):
     """Brute-force region + construction; exit 0 iff they agree."""
     mu = cfg["feas.mu"]
-    sweep = [float(t) for t in cfg["feas.mu_sweep"].split(",") if t.strip()]
+    # the key stays a str (its readers split it); parse it as _parse_value would
+    sweep = []
+    for tok in filter(None, map(str.strip, cfg["feas.mu_sweep"].split(","))):
+        try:
+            sweep.append(float(tok))
+        except ValueError:
+            raise _unparsable("feas.mu_sweep", tok, float)
     if not all(math.isfinite(m) and m > 0 for m in [mu] + sweep):
         raise ConfigError("feas.mu and every feas.mu_sweep entry must be "
                           "finite and positive")
@@ -355,6 +365,8 @@ def cmd_feasibility(cfg, out_dir):
 # roundtrip.kind -> (bump field factory, velocity components it checks)
 ROUNDTRIP_FIELDS = {"no_swirl": (stream_bump_field, ("u_r", "u_z")),
                     "pure_swirl": (swirl_bump_field, ("u_theta",))}
+# probes stay clear of the r <= 1 band that reconstruction rejects
+PROBE_R_MIN = 1.2
 
 
 def cmd_roundtrip(cfg, out_dir, workers, seed):
@@ -368,17 +380,22 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     radius = cfg["roundtrip.bump_radius"]
     if not (math.isfinite(radius) and radius > 0):
         raise ConfigError("roundtrip.bump_radius must be finite and positive")
+    r_max = r0 + 2.5 * radius
+    if not r_max > PROBE_R_MIN:
+        raise ConfigError(
+            "roundtrip.bump_r0 + 2.5 * roundtrip.bump_radius must exceed %g, "
+            "the smallest probe radius, got %g" % (PROBE_R_MIN, r_max))
     layout = cfg["roundtrip.probe_layout"]
     if layout not in ("grid", "random"):
         raise ConfigError("roundtrip.probe_layout must be grid or random")
     if layout == "random":
         rng = np.random.default_rng(seed)
         n = cfg["roundtrip.n_r"] * cfg["roundtrip.n_z"]
-        rs = rng.uniform(max(1.2, r0 - 2 * radius), r0 + 2.5 * radius, n)
+        rs = rng.uniform(max(PROBE_R_MIN, r0 - 2 * radius), r_max, n)
         zs = rng.uniform(-1.5 * radius, 1.5 * radius, n)
         probes = list(zip(rs.tolist(), zs.tolist()))
     else:
-        rs = np.linspace(max(1.2, r0 - 1.5 * radius), r0 + 2.5 * radius,
+        rs = np.linspace(max(PROBE_R_MIN, r0 - 1.5 * radius), r_max,
                          cfg["roundtrip.n_r"])
         zs = np.linspace(-1.2 * radius, 1.2 * radius, cfg["roundtrip.n_z"])
         probes = [(float(r), float(z)) for r in rs for z in zs]

@@ -293,20 +293,6 @@ def report_from_data(kind, alpha, data):
                       failures=data.failures)
 
 
-def bound_scan(kind, alpha, grid=None):
-    """Supremum of |kernel| / envelope per regime over the grid.
-
-    Grid points with r <= 1 (outside the envelope's validity) and points
-    near the diagonal (dist < DIAGONAL_MARGIN * max(r, rho)) are excluded
-    and counted; for gamma1 with alpha > 1 the near-diagonal band is
-    additionally dropped by the regime gate.  Points with a non-finite
-    kernel value are recorded as failures and skipped.
-    """
-    if grid is None:
-        grid = scan_grid()
-    return report_from_data(kind, alpha, evaluate_scan_grid(grid))
-
-
 def refine_and_compare(kind, alpha, coarse_data, fine_data,
                        stability_threshold=0.05):
     """Reports on a scan and on its refinement; flag stability.

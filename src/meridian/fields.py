@@ -1,4 +1,4 @@
-"""Axisymmetric field containers, test-field factories and cutoff functions.
+"""Axisymmetric field containers and test-field factories.
 
 Velocity fields carry cylindrical components (u_r, u_theta, u_z) as profiles
 over the meridian half-plane; vorticity fields carry (w_r, w_theta, w_z) and
@@ -81,9 +81,9 @@ class AxialEnvelope:
 class VorticityField:
     """Axisymmetric vorticity with decay metadata.
 
-    decay_beta / radial_amplitude declare |w| <= amplitude * (1+rho)^(-beta)
-    * envelope(k); support is an optional (rho_lo, rho_hi, k_lo, k_hi) box
-    outside which the field vanishes identically (compact test fields).
+    decay_beta declares |w| <= (1+rho)^(-beta) * envelope(k); support is
+    an optional (rho_lo, rho_hi, k_lo, k_hi) box outside which the field
+    vanishes identically (compact test fields).
     Either a support box or (decay_beta, envelope) is required for
     reconstruction so truncation tails can be certified.
     """
@@ -91,7 +91,6 @@ class VorticityField:
     w_theta: Profile
     w_z: Profile
     decay_beta: Optional[float] = None
-    radial_amplitude: float = 1.0
     axial_envelope: Optional[AxialEnvelope] = None
     support: Optional[tuple] = None
     resolution: Optional[float] = None  # intrinsic variation scale, if short
@@ -210,77 +209,3 @@ def power_law_vorticity(beta, axial_envelope=None):
     prof = Profile(fn=w, name="power_law_w(beta=%g)" % beta)
     return VorticityField(w_r=prof, w_theta=prof, w_z=prof,
                           decay_beta=beta, axial_envelope=env)
-
-
-def _ramp(t):
-    """(ramp, ramp', ramp'') at t: 1 on t <= 1/2, 0 on t >= 1, and the C^2
-    quintic 1 - x^3 (10 - 15 x + 6 x^2), x = 2t - 1, in between."""
-    x = 2.0 * np.asarray(t, dtype=float) - 1.0
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    return (1.0 - xc ** 3 * (10.0 + xc * (-15.0 + 6.0 * xc)),
-            -2.0 * np.where(inside, 30.0 * xc ** 2 * (xc - 1.0) ** 2, 0.0),
-            -4.0 * np.where(inside, 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0),
-                            0.0))
-
-
-@dataclass
-class CutoffPhi:
-    """C^2 cutoff for the cylinder C_R = {r <= R, |z| <= R}.
-
-    Identically 1 on C_{R/2}, identically 0 outside C_R, with
-    R * sup|grad phi| and R^2 * sup|hess phi| independent of R by the
-    scale-invariant construction phi_R(x) = phi_1(x/R).  `grad` returns the
-    gradient magnitude sqrt(phi_r^2 + phi_z^2); `hess` the magnitude of the
-    full cylindrical second derivative including the angular (1/r) phi_r
-    curvature term.
-    """
-    R: float
-    value: Profile
-    grad: Profile
-    hess: Profile
-
-    def components(self, r, z):
-        """(phi, phi_r, phi_z) for callers that need signed derivatives."""
-        R = self.R
-        (pr, d1r, _), (pz, d1z, _) = _ramps(r, z, R)
-        return pr * pz, d1r / R * pz, pr * d1z * np.sign(z) / R
-
-
-def _ramps(r, z, R):
-    """_ramp at r/R and at |z|/R: phi_R's two factors and their derivatives
-    in the scaled variables."""
-    return (_ramp(np.asarray(r, dtype=float) / R),
-            _ramp(np.abs(np.asarray(z, dtype=float)) / R))
-
-
-def cutoff_phi(R):
-    """Build the product-ramp cutoff phi_R(r, z) = ramp(r/R) ramp(|z|/R)."""
-    if not R > 0:
-        raise ValueError("cutoff scale R must be positive")
-    R = float(R)
-
-    def val(r, z):
-        (pr, _, _), (pz, _, _) = _ramps(r, z, R)
-        return pr * pz
-
-    def grad_mag(r, z):
-        (pr, d1r, _), (pz, d1z, _) = _ramps(r, z, R)
-        return np.sqrt((d1r / R * pz) ** 2 + (pr * d1z / R) ** 2)
-
-    def hess_mag(r, z):
-        r = np.asarray(r, dtype=float)
-        (pr, d1r, d2r), (pz, d1z, d2z) = _ramps(r, z, R)
-        d1r, d1z = d1r / R, d1z / R
-        h_rr = d2r / R ** 2 * pz
-        h_zz = pr * (d2z / R ** 2)
-        h_rz = d1r * d1z
-        h_ang = np.where(r > 0, d1r * pz / np.where(r > 0, r, 1.0), 0.0)
-        return np.sqrt(h_rr ** 2 + h_zz ** 2 + 2.0 * h_rz ** 2 + h_ang ** 2)
-
-    return CutoffPhi(
-        R=R,
-        value=Profile(fn=val, name="phi_R(%g)" % R),
-        grad=Profile(fn=grad_mag, name="grad_phi_R(%g)" % R),
-        hess=Profile(fn=hess_mag, name="hess_phi_R(%g)" % R),
-    )

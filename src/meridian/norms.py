@@ -1,5 +1,4 @@
-"""Cylinder L^q norms, weak-Lorentz norms, mean oscillation of ln r, and
-grid Dirichlet energy.
+"""Cylinder L^q norms, weak-Lorentz norms and mean oscillation of ln r.
 
 All 3-D integrals over axisymmetric integrands reduce to weighted 2-D
 integrals with measure 2 pi r dr dz; nothing here ever samples in the
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _first_derivs
 from .quadrature import (gauss_legendre, geometric_mesh, graded_mesh,
                          panel_nodes)
 
@@ -21,7 +19,6 @@ from .quadrature import (gauss_legendre, geometric_mesh, graded_mesh,
 LQ_TOL = 1e-8               # lq_norm_cylinder: absolute settling tolerance
 WEAK_LEVELS = 200           # weak_lorentz_norm: geometric level grid size
 LN_NODES = 14               # GL nodes per panel of the ln r integrals
-ENERGY_NODES, ENERGY_R_PANELS, ENERGY_Z_PANELS = 10, 20, 14  # dirichlet_energy
 
 
 class DivergentNormError(ArithmeticError):
@@ -268,34 +265,3 @@ def bmo_oscillation_ln(R, p):
     radial = float(np.dot(w, x * np.abs(np.log(x) - gbar) ** power))
     integral = 2.0 * R * 2.0 * math.pi * radial   # z-extent x angular measure
     return R ** (-norm_pow) * integral ** outer_pow
-
-
-def dirichlet_energy(field, dom, h=1e-4):
-    """integral over dom of the axisymmetric gradient energy density
-
-        |du_r|^2 + |du_theta|^2 + |du_z|^2 + u_r^2/r^2 + u_theta^2/r^2
-
-    with |df|^2 = f_r^2 + f_z^2, measure 2 pi r dr dz.  Components without
-    analytic derivatives are differenced with step h, which requires the
-    domain quadrature nodes to keep r > h.
-    """
-    comps = [field.u_r, field.u_theta, field.u_z]
-
-    def density(r, z):
-        r = np.asarray(r, dtype=float)
-        total = np.zeros(np.broadcast(r, z).shape)
-        for prof in comps:
-            fr, fz = _first_derivs(prof, r, z, h, need_axis_room=False)
-            total = total + fr ** 2 + fz ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            swirl = np.where(r > 0, field.u_theta(r, z) ** 2 / np.where(r > 0, r, 1) ** 2, 0.0)
-            radial = np.where(r > 0, field.u_r(r, z) ** 2 / np.where(r > 0, r, 1) ** 2, 0.0)
-        return total + swirl + radial
-
-    val = _domain_integral(density, dom, n_nodes=ENERGY_NODES,
-                           n_r_coarse=ENERGY_R_PANELS, n_z=ENERGY_Z_PANELS)
-    if not math.isfinite(val):
-        raise DivergentNormError(
-            "gradient energy non-finite on %s: axis terms at r < h need "
-            "analytic derivatives" % (dom,))
-    return val

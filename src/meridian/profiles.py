@@ -3,8 +3,8 @@
 A Profile wraps f(r, z) together with optional analytic derivatives.  All
 callables must accept numpy arrays and broadcast; quadrature and scan code
 relies on vectorized evaluation.  Derivative-hungry operators (curl,
-divergence, momentum residual, Dirichlet energy) use the analytic channel
-when present and fall back to central finite differences otherwise.
+divergence, momentum residual) use the analytic channel when present and
+fall back to central finite differences otherwise.
 """
 
 from dataclasses import dataclass

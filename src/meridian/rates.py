@@ -101,22 +101,6 @@ def bruteforce_feasible_set(mu, delta_grid, q_grid):
     return (Q > lower) & (Q < 3.0) & (2.0 - D / 2.0 - (6.0 - 2.0 * D) / Q < 0.0)
 
 
-def energy_growth_exponents(delta, q):
-    """The two scale-growth exponents of the exterior energy estimate.
-
-    Returns (1 - 4/q, (2 - delta/2 - (6 - 2 delta)/q) * 2/(2 - delta)); the
-    gradient energy on the half-size cylinder is controlled by R to these
-    powers, so both negative means the energy vanishes as R -> infinity.
-    """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    if not q > 0:
-        raise ValueError("q must be positive")
-    first = 1.0 - 4.0 / q
-    second = (2.0 - delta / 2.0 - (6.0 - 2.0 * delta) / q) * 2.0 / (2.0 - delta)
-    return first, second
-
-
 @dataclass(frozen=True)
 class DecayPrediction:
     """Predicted power of (1 + r) for reconstructed velocity components."""

@@ -255,9 +255,8 @@ def _radial_majorant(w_field):
         raise ValueError(
             "vorticity carries neither a support box nor decay metadata: "
             "truncation tails cannot be certified (nonintegrable tail risk)")
-    amp = w_field.radial_amplitude
     beta = w_field.decay_beta
-    return lambda rho: amp * (1.0 + rho) ** (-beta)
+    return lambda rho: (1.0 + rho) ** (-beta)
 
 
 def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):

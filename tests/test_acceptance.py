@@ -7,7 +7,6 @@ report.  Tolerances are pinned here, not configurable.
 import math
 
 import numpy as np
-import pytest
 
 from meridian.envelopes import (evaluate_scan_grid, refine_and_compare,
                                 scan_grid)

@@ -420,11 +420,20 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "scan.kinds: kind must be 'gamma23' or 'gamma1', got 'bogus'"),
     ("kernel-scan", "scan.r_min = 50; scan.r_max = 2",
      "scan.r_max must be at least scan.r_min, got 2 < 50"),
+    # every probe radius would lie at or below the 1.2 floor
+    ("roundtrip", "roundtrip.bump_r0 = 0.4; roundtrip.bump_radius = 0.28",
+     "roundtrip.bump_r0 + 2.5 * roundtrip.bump_radius must exceed 1.2"),
+    ("roundtrip", "roundtrip.bump_r0 = 0.4; roundtrip.bump_radius = 0.28; "
+     "roundtrip.probe_layout = random",
+     "roundtrip.bump_r0 + 2.5 * roundtrip.bump_radius must exceed 1.2"),
+    ("feasibility", "feas.mu_sweep = 1,abc",
+     "config key feas.mu_sweep: cannot parse 'abc' as float"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
         "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas",
         "n_points-4", "roundtrip-kind-bogus", "envelope-bogus",
         "alphas-duplicate", "alphas-same-name", "kinds-duplicate",
-        "kind-bogus-no-alphas", "kind-bogus", "r_max-below-r_min"])
+        "kind-bogus-no-alphas", "kind-bogus", "r_max-below-r_min",
+        "probe-window-grid", "probe-window-random", "mu_sweep-not-float"])
 def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
                                                      text, message):
     # small grids, so a run that wrongly goes ahead still ends quickly; the

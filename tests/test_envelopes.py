@@ -6,11 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
-                                ZETA_SCALE_RANGE, BoundEnvelope, bound_scan,
-                                crude_bounds, envelope_value,
-                                evaluate_scan_grid, k_split_consistency,
-                                refine_and_compare, report_from_data,
-                                scan_grid, write_scan_csv)
+                                ZETA_SCALE_RANGE, BoundEnvelope, crude_bounds,
+                                envelope_value, evaluate_scan_grid,
+                                k_split_consistency, refine_and_compare,
+                                report_from_data, scan_grid, write_scan_csv)
 from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
 
@@ -72,7 +71,8 @@ def test_k_split_arithmetic_exact():
 
 
 def test_scan_report_single_point():
-    rep = bound_scan("gamma23", 0.5, grid=np.array([[2.0, 1.0, 0.5]]))
+    rep = report_from_data("gamma23", 0.5, evaluate_scan_grid(
+        np.array([[2.0, 1.0, 0.5]])))
     assert rep.n_points == 1
     (label, sup), = rep.suprema.items()
     kt = kernel_triple(2.0, 1.0, 0.5)
@@ -84,7 +84,7 @@ def test_scan_excludes_r_below_one_and_diagonal():
     grid = np.array([[0.5, 1.0, 1.0],       # r <= 1: excluded
                      [2.0, 2.0000001, 0.0],  # inside diagonal margin
                      [2.0, 4.0, 1.0]])
-    rep = bound_scan("gamma23", 0.0, grid=grid)
+    rep = report_from_data("gamma23", 0.0, evaluate_scan_grid(grid))
     assert rep.excluded == 2
     assert rep.n_points == 1
 

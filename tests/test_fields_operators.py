@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from meridian.fields import (AxialEnvelope, AxisymField, MeridianPoint,
-                             cutoff_phi, power_law_vorticity,
-                             stream_bump_field, stream_function_field,
-                             swirl_bump_field)
+                             power_law_vorticity, stream_bump_field,
+                             stream_function_field, swirl_bump_field)
 from meridian.operators import (AxisTooCloseError, curl_axisym,
                                 divergence_axisym, ns_residual)
 from meridian.profiles import (Profile, SmoothBump, constant_profile,
@@ -221,51 +220,6 @@ def test_axial_envelope_rejects_non_positive_widths(kind, key, bad):
         AxialEnvelope(kind, **{key: bad})
 
 
-def test_cutoff_plateau_and_support():
-    for R in (4.0, 1024.0):
-        phi = cutoff_phi(R)
-        inside = [(0.3 * R, 0.2 * R), (0.5 * R, 0.5 * R), (0.0, 0.0)]
-        outside = [(1.01 * R, 0.0), (0.2 * R, 1.2 * R), (1.5 * R, 1.5 * R)]
-        for (r, z) in inside:
-            assert float(phi.value(np.array(r), np.array(z))) == 1.0
-        for (r, z) in outside:
-            assert float(phi.value(np.array(r), np.array(z))) == 0.0
-
-
-def test_cutoff_gradient_scaling_across_scales():
-    # R sup|grad phi| is the same number at R = 4 and R = 1024
-    rel = np.linspace(0.0, 1.05, 401)
-    sups = {}
-    hess_sups = {}
-    for R in (4.0, 1024.0):
-        phi = cutoff_phi(R)
-        RR, ZZ = np.meshgrid(rel * R, rel * R, indexing="ij")
-        sups[R] = R * float(np.max(phi.grad(RR, ZZ)))
-        hess_sups[R] = R ** 2 * float(np.max(phi.hess(RR, ZZ)))
-    assert abs(sups[4.0] - sups[1024.0]) < 1e-6 * sups[4.0]
-    assert abs(hess_sups[4.0] - hess_sups[1024.0]) < 1e-6 * hess_sups[4.0]
-    assert 0 < sups[4.0] < 10.0
-    assert 0 < hess_sups[4.0] < 100.0
-
-
-def test_cutoff_continuity_on_mesh():
-    R = 8.0
-    phi = cutoff_phi(R)
-    mesh = np.linspace(0.0, 1.1 * R, 600)
-    h = mesh[1] - mesh[0]
-    RR, ZZ = np.meshgrid(mesh, mesh, indexing="ij")
-    vals = phi.value(RR, ZZ)
-    sup_grad = float(np.max(phi.grad(RR, ZZ)))
-    jump_r = np.max(np.abs(np.diff(vals, axis=0)))
-    jump_z = np.max(np.abs(np.diff(vals, axis=1)))
-    assert max(jump_r, jump_z) < h * sup_grad * 1.1
-
-
-def test_cutoff_validation():
-    with pytest.raises(ValueError):
-        cutoff_phi(0.0)
-
-
 def test_swirl_bump_exact_curl():
     field, w = swirl_bump_field()
     p = MeridianPoint(3.2, 0.3)
@@ -338,41 +292,3 @@ def test_bump_vorticity_matches_reference_from_one_jet_call(monkeypatch, r0):
     assert np.array_equal(wz, f_r + f / r)
     assert np.array_equal(ws.w_r(r, z), -f_z)
     assert np.all(wt[~inside] == 0.0) and np.any(wt[inside] != 0.0)
-
-
-def reference_ramp(t):
-    """1 - s(2t - 1) for the quintic smoothstep s(x) = x^3 (10 - 15x + 6x^2)
-    on [0, 1], with its first and second derivatives in t."""
-    x = 2.0 * t - 1.0
-    xc = np.clip(x, 0.0, 1.0)
-    inside = (x > 0.0) & (x < 1.0)
-    return (1.0 - xc ** 3 * (10.0 + xc * (-15.0 + 6.0 * xc)),
-            -2.0 * np.where(inside, 30.0 * xc ** 2 * (xc - 1.0) ** 2, 0.0),
-            -4.0 * np.where(inside, 60.0 * xc * (2.0 * xc - 1.0) * (xc - 1.0),
-                            0.0))
-
-
-@pytest.mark.parametrize("R", [4.0, 8.0, 1024.0])
-def test_cutoff_matches_reference_ramps(R):
-    rng = np.random.default_rng(3)
-    r = np.concatenate([[0.0, 0.5 * R, R], rng.uniform(0.0, 1.2 * R, 3000)])
-    z = np.concatenate([[0.0, -0.75 * R, 0.0],
-                        rng.uniform(-1.2 * R, 1.2 * R, 3000)])
-    pr, d1r, d2r = reference_ramp(r / R)
-    pz, d1z, d2z = reference_ramp(np.abs(z) / R)
-    phi_r, phi_z = d1r / R * pz, pr * d1z * np.sign(z) / R
-    h_ang = np.where(r > 0, phi_r / np.where(r > 0, r, 1.0), 0.0)
-    hess = np.sqrt((d2r / R ** 2 * pz) ** 2 + (pr * d2z / R ** 2) ** 2
-                   + 2.0 * (d1r * d1z / R ** 2) ** 2 + h_ang ** 2)
-    phi = cutoff_phi(R)
-    value, grad_r, grad_z = phi.components(r, z)
-    assert np.array_equal(phi.value(r, z), pr * pz)
-    assert np.array_equal(value, pr * pz)
-    assert np.array_equal(grad_r, phi_r) and np.array_equal(grad_z, phi_z)
-    assert np.allclose(phi.grad(r, z), np.hypot(phi_r, phi_z),
-                       rtol=1e-13, atol=0.0)
-    assert np.allclose(phi.hess(r, z), hess, rtol=1e-13, atol=0.0)
-    # the sample covers the plateau, the transition and the outside
-    for ramp in (pr, pz):
-        assert np.any(ramp == 1.0) and np.any(ramp == 0.0)
-        assert np.any((ramp > 0.0) & (ramp < 1.0))

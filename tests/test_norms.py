@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from meridian.fields import AxisymField
 from meridian.norms import (CylinderDomain, DivergentNormError,
-                            bmo_oscillation_ln, dirichlet_energy,
-                            disk_mean_ln, lq_growth_exponent,
-                            lq_norm_cylinder, weak_lorentz_norm)
-from meridian.profiles import (Profile, constant_profile, power_law_profile,
-                               zero_profile)
+                            bmo_oscillation_ln, disk_mean_ln,
+                            lq_growth_exponent, lq_norm_cylinder,
+                            weak_lorentz_norm)
+from meridian.profiles import Profile, constant_profile, power_law_profile
 
 
 # ---------- oracles ----------
@@ -196,35 +194,3 @@ def test_oscillation_alias_and_validation():
         bmo_oscillation_ln(4.0, 2.0 / 3.0), rel=1e-12)
     with pytest.raises(ValueError):
         bmo_oscillation_ln(4.0, 5)
-
-
-# ---------- Dirichlet energy ----------
-
-def test_dirichlet_zero_field():
-    field = AxisymField(u_r=zero_profile(), u_theta=zero_profile(),
-                        u_z=zero_profile())
-    assert dirichlet_energy(field, CylinderDomain(1.0)) == pytest.approx(0.0)
-
-
-def test_dirichlet_rigid_swirl():
-    # u_theta = r on C_1: density = 1 + u^2/r^2 = 2, energy = 2 vol = 4 pi
-    swirl = Profile(fn=lambda r, z: np.asarray(r, float) + 0 * np.asarray(z, float),
-                    d_r=lambda r, z: np.ones(np.broadcast(r, z).shape),
-                    d_z=lambda r, z: np.zeros(np.broadcast(r, z).shape))
-    field = AxisymField(u_r=zero_profile(), u_theta=swirl, u_z=zero_profile())
-    val = dirichlet_energy(field, CylinderDomain(1.0))
-    assert val == pytest.approx(4 * math.pi, rel=1e-9)
-
-
-def test_dirichlet_fd_stable_under_h_refinement():
-    from meridian.fields import stream_bump_field
-    field, _ = stream_bump_field()
-    fd = AxisymField(
-        u_r=Profile(fn=field.u_r.fn), u_theta=zero_profile(),
-        u_z=Profile(fn=field.u_z.fn))
-    dom = CylinderDomain(5.0)
-    exact = dirichlet_energy(field, dom)
-    e1 = dirichlet_energy(fd, dom, h=0.02)
-    e2 = dirichlet_energy(fd, dom, h=0.01)
-    assert abs(e1 - exact) > abs(e2 - exact)
-    assert 4.0 == pytest.approx(abs(e1 - exact) / abs(e2 - exact), abs=0.8)

@@ -3,9 +3,8 @@ import pytest
 
 from meridian.rates import (InfeasibleExponentError, balancing_gamma,
                             bruteforce_feasible_set, construct_feasible_pair,
-                            energy_growth_exponents, evaluate_pair, fit_decay,
-                            optimize_split, predicted_decay,
-                            region_term_exponents)
+                            evaluate_pair, fit_decay, optimize_split,
+                            predicted_decay, region_term_exponents)
 
 
 def test_construction_mu_one_matches_hand_arithmetic():
@@ -73,17 +72,6 @@ def test_feasible_area_shrinks_toward_boundary():
     areas = [bruteforce_feasible_set(mu, deltas, qs).sum()
              for mu in (1.0, 0.8, 0.7, 0.68, 0.67)]
     assert all(a > b for a, b in zip(areas, areas[1:]))
-
-
-def test_energy_growth_exponents():
-    first, second = energy_growth_exponents(0.5, 4.0)
-    assert first == 0.0
-    d, q = 0.5, 215.0 / 77.0
-    _, second = energy_growth_exponents(d, q)
-    assert second == pytest.approx((2 - 0.25 - 5.0 / q) * 2.0 / 1.5, rel=1e-12)
-    assert second == pytest.approx(-8.75 / 215.0 * 4.0 / 3.0, rel=1e-12)
-    # q < 3 < 4 always makes the first exponent negative on feasible pairs
-    assert energy_growth_exponents(0.5, 2.9)[0] < 0
 
 
 def test_predicted_decay_table():

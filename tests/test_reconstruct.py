@@ -621,7 +621,6 @@ def test_non_finite_vorticity_is_rejected():
 
     w = VorticityField(w_r=zero_profile(), w_theta=Profile(fn=wt),
                        w_z=zero_profile(), decay_beta=3.0,
-                       radial_amplitude=1.0,
                        axial_envelope=base.axial_envelope)
     with pytest.raises(ValueError, match="non-finite"):
         reconstruct_ur(w, MeridianPoint(10.0, 1.0))
