@@ -227,58 +227,74 @@ SERIES_M = 0.1
 _SERIES = _series_coefficients(20)
 
 
-def ring_moments(r, rho, zeta):
+class RingMoments:
     """Reduced moments J0, J1, J2 in closed form (see the module docstring).
 
     For m >= SERIES_M they come from K = ellipkm1(y) and E = ellipe(m),
     with y = 1 - m formed from the squared distance to the diagonal so it
     does not cancel as the source ring nears the field point; below it,
-    from the power series in m.  Arrays broadcast; callers reject the
-    diagonal point itself.
+    from the power series in m.  J0 and J1 are formed at once; J2, which
+    only G3 reads, is formed on first read.  Arrays broadcast, and each
+    moment has their broadcast shape; callers reject the diagonal point
+    itself.
     """
-    rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                    np.asarray(zeta, dtype=float))
-    shape = rho.shape
-    rho, zeta = rho.ravel(), zeta.ravel()
-    a2 = (r + rho) ** 2 + zeta ** 2
-    # rounding can carry 4 r rho past a^2 by an ulp at zeta = 0
-    m = np.minimum(4.0 * r * rho / a2, 1.0)
-    y = ((r - rho) ** 2 + zeta ** 2) / a2
-    inv_a3 = 1.0 / (a2 * np.sqrt(a2))
-    K = ellipkm1(y)
-    E = ellipe(m)
-    # m = 0 divides by zero here; the series overwrites those points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p0 = E / y
-        p1 = (p0 - K) / m
-        p2 = (p1 - (K - E) / m) / m
-    j0 = p0 * inv_a3
-    j1 = (2.0 * p1 - p0) * inv_a3
-    j2 = (4.0 * p2 - 4.0 * p1 + p0) * inv_a3
 
-    small = m < SERIES_M
-    if np.any(small):
-        ms, inv_s = m[small], inv_a3[small]
-        for out, coef in zip((j0, j1, j2), _SERIES):
-            out[small] = np.polyval(coef, ms) * inv_s
-    return j0.reshape(shape), j1.reshape(shape), j2.reshape(shape)
+    def __init__(self, r, rho, zeta):
+        rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
+                                        np.asarray(zeta, dtype=float))
+        self.r, self.rho, self.zeta = r, rho, zeta
+        rho, zeta = rho.ravel(), zeta.ravel()
+        a2 = (r + rho) ** 2 + zeta ** 2
+        # rounding can carry 4 r rho past a^2 by an ulp at zeta = 0
+        m = np.minimum(4.0 * r * rho / a2, 1.0)
+        y = ((r - rho) ** 2 + zeta ** 2) / a2
+        inv_a3 = 1.0 / (a2 * np.sqrt(a2))
+        K = ellipkm1(y)
+        E = ellipe(m)
+        # m = 0 divides by zero here; the series overwrites those points
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = E / y
+            p1 = (p0 - K) / m
+        self._small = m < SERIES_M
+        self._parts = m, inv_a3, K, E, p0, p1
+        self.j0 = self._series(0, p0 * inv_a3)
+        self.j1 = self._series(1, (2.0 * p1 - p0) * inv_a3)
+
+    def _series(self, k, out):
+        """`out`, the closed form of J_k on the flat nodes, with the series
+        put in below SERIES_M, in the nodes' shape."""
+        small = self._small
+        if np.any(small):
+            m, inv_a3 = self._parts[:2]
+            out[small] = np.polyval(_SERIES[k], m[small]) * inv_a3[small]
+        return out.reshape(self.rho.shape)
+
+    @cached_property
+    def j2(self):
+        m, inv_a3, K, E, p0, p1 = self._parts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p2 = (p1 - (K - E) / m) / m
+        return self._series(2, (4.0 * p2 - 4.0 * p1 + p0) * inv_a3)
 
 
-class KernelValues:
+def ring_moments(r, rho, zeta):
+    """(J0, J1, J2) of `RingMoments`, all formed."""
+    moments = RingMoments(r, rho, zeta)
+    return moments.j0, moments.j1, moments.j2
+
+
+class KernelValues(RingMoments):
     """Batched kernel values from the closed-form moments.
 
     Each field is formed from the moments on first read and then cached,
-    so a caller pays only for the kernels it reads (u_r reads g1 alone).
+    so a caller pays only for the kernels it reads (u_r reads g1 alone, and
+    no reconstruction kernel reads J2).
     g_swirl is the kernel pairing the axial vorticity in the swirl
     reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
     of D it equals -G2(rho, r, zeta) and shares the reduced moments.
     g1_over_zeta = G1 / zeta stays finite through zeta = 0 (G1 is odd in
     zeta); envelope-ratio scans use it to evaluate the zeta -> 0 limit.
     """
-
-    def __init__(self, r, rho, zeta, moments):
-        self.r, self.rho, self.zeta = r, rho, zeta
-        self.j0, self.j1, self.j2 = moments
 
     g1 = cached_property(lambda s: (s.zeta / np.pi) * s.j1)
     g2 = cached_property(lambda s: -(s.rho * s.j0 - s.r * s.j1) / np.pi)
@@ -291,10 +307,10 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
                  with_errors=True):
     """Vectorized kernels over source-point arrays for one field radius r.
 
-    Closed forms from `ring_moments`, O(1) per point and accurate to about
-    4e-13 relative in the moments, so no error estimate is returned.  The
-    moments are evaluated here; the returned `KernelValues` forms each
-    kernel from them when it is first read.  This is the workhorse for grid
+    Closed forms from `RingMoments`, O(1) per point and accurate to about
+    4e-13 relative in the moments, so no error estimate is returned.  J0
+    and J1 are evaluated here; the returned `KernelValues` forms J2 and
+    each kernel when it is first read.  This is the workhorse for grid
     scans and half-plane reconstruction; its agreement with the adaptive
     `kernel_triple` oracle is asserted in tests.  `n_nodes`, `n_err`,
     `deepen` and `with_errors` are ignored: they remain only because the
@@ -304,7 +320,7 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
                                     np.asarray(zeta, dtype=float))
     if np.any((r - rho) ** 2 + zeta ** 2 <= 0):
         raise ValueError("kernel_batch received a diagonal point")
-    return KernelValues(r, rho, zeta, ring_moments(r, rho, zeta))
+    return KernelValues(r, rho, zeta)
 
 
 def swirl_source_kernel(r, rho, zeta, tol=1e-12):

@@ -30,14 +30,16 @@ def gauss_legendre(n):
 def panel_nodes(edges, n):
     """Composite GL nodes and weights for the panel mesh `edges`.
 
-    Returns (x, w) flat arrays; sum(w) equals the mesh span.
+    Returns (x, w) arrays, flat along the mesh; sum(w) equals the mesh
+    span.  Leading axes of `edges` stack separate meshes and are kept.
     """
     edges = np.asarray(edges, dtype=float)
     x, w = gauss_legendre(n)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (np.abs(half)[:, None] * w[None, :]).ravel()
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    weights = (np.abs(half)[..., None] * w).reshape(shape)
     return nodes, weights
 
 

@@ -28,6 +28,12 @@ cancels the 1/s kernel singularity.  Every piece, triangles and
 rectangles, then takes a tensor Gauss-Legendre rule on a graded mesh;
 truncation beyond (rho_max, z_max) is certified by crude-bound tail
 majorants, never by extrapolation.
+
+A component whose estimated error misses tol on those meshes refines where
+the error is (the globally adaptive region scheme of Berntsen, Espelid and
+Genz, ACM TOMS 17, 1991): its rectangle panels split 2 x 2, worst first,
+each generation's new panels evaluated in one kernel call per rule, and
+its core deepens its rules.
 """
 
 from dataclasses import dataclass, replace
@@ -45,14 +51,17 @@ from .rates import optimize_split, predicted_decay
 REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
                 "right_band", "far_tail")
 
-# Fixed quadrature rules; refinement pass `deepen` adds nodes to each.
-N_NODES = 6                 # GL nodes per rectangle panel (+2 per pass)
-N_ERR = 4                   # embedded error rule (+1 per pass)
+# Fixed quadrature rules.  Rectangles refine by splitting panels, the polar
+# core by deepening its rules.
+N_NODES = 6                 # GL nodes per rectangle panel, each direction
+N_ERR = 4                   # embedded error rule
+SPLIT_TARGET = 0.1          # later generations split until the rest hold this share of tol
+PANEL_BUDGET = 8192         # most rectangle panels one component may hold
 CORE_RADIUS = 0.5           # core half-width, in axial envelope scales
-NEAR_DIAG_REFINEMENT = 22   # geometric levels in the core's u (+2 per pass)
-N_SIDE = 16                 # GL nodes in v per core side (doubled per pass)
-N_S_NODES = 6               # GL nodes per core u panel (+1 per pass)
-MAX_REFINEMENTS = 2
+NEAR_DIAG_REFINEMENT = 22   # geometric levels in the core's u (+2 per deepening)
+N_SIDE = 16                 # GL nodes in v per core side (doubled per deepening)
+N_S_NODES = 6               # GL nodes per core u panel (+1 per deepening)
+MAX_CORE_DEEPEN = 2
 RESOLUTION_CAP = 512        # most uniform panels a profile resolution adds
 TRACE_REL_TOL = 0.02        # decay_trace: first tolerance, relative to value
 
@@ -65,9 +74,10 @@ class QuadratureSpec:
     r^gamma/8 and r +- r^delta/2).  rho_max / z_max default to 8*max(1, r)
     at evaluation time and may only be enlarged.  tol is the target
     absolute error per component.  The node counts are the fixed module
-    rules above: when the estimated error exceeds tol, each refinement pass
-    adds nodes to every rule, up to MAX_REFINEMENTS passes, and the result
-    is flagged if the target is still unmet.
+    rules above: when the estimated error exceeds tol, the rectangle panels
+    split, up to PANEL_BUDGET panels per component, and the polar core
+    deepens its rules, up to MAX_CORE_DEEPEN; the result is flagged if the
+    target is still unmet.
     """
     gamma: float = 0.0
     delta: float = 1.0
@@ -165,10 +175,12 @@ def _integrands(terms, r, z, rho, kk):
 def _tensor_nodes(x_edges, y_edges, n_x, n_y):
     """The tensor rule with n_x, n_y GL nodes per panel of the meshes
     `x_edges`, `y_edges`: x nodes as a column, y nodes as a row, and the
-    weights of their outer product flat in C order (y varies fastest)."""
+    weights of their outer product flat in C order (y varies fastest).
+    Leading axes of the meshes stack separate meshes, and lead the nodes."""
     xn, xw = panel_nodes(x_edges, n_x)
     yn, yw = panel_nodes(y_edges, n_y)
-    return xn[:, None], yn[None, :], (xw[:, None] * yw[None, :]).ravel()
+    return (xn[..., :, None], yn[..., None, :],
+            (xw[..., :, None] * yw[..., None, :]).ravel())
 
 
 def _integrate_rules(terms, r, z, rules):
@@ -186,27 +198,36 @@ def _integrate_rules(terms, r, z, rules):
     return hi, np.abs(hi - lo)
 
 
-def _integrate_rect(terms, r, z, rect, k_scale, deepen=0, resolution=None):
-    """Tensor GL integrals of kernel * weight * rho over one rectangle.
+def _integrate_rect(terms, r, z, x_edges, y_edges):
+    """Tensor GL integrals of kernel * weight * rho over rectangle panels.
 
-    One per (kernel selector, vorticity profile) in `terms`, all from one
-    kernel evaluation per rule.  Meshes are graded toward rho = r (radial)
-    and toward k = z and k = 0 (axial) with feature scale `k_scale`;
-    profiles with a short intrinsic `resolution` additionally force uniform
-    panels at that scale.  `deepen` halves the scales and bumps node counts
-    for refinement passes.  Returns (values, error estimates) per term.
+    `x_edges`, `y_edges` are the rho and k panel meshes of one rectangle,
+    or, with a leading axis, of several: refinement hands in its panels as
+    meshes of one panel each, edges of shape (P, 2).  The value rule
+    (N_NODES GL nodes per panel and direction) and the error rule (N_ERR)
+    are one kernel evaluation each over every panel, shared by all
+    `terms`.  Returns (sums, panels): sums[i, t] is rule i's integral of
+    term t over all the panels, and panels(own) forms the same per panel
+    for the terms that the slice `own` selects, an array (rule, term,
+    panel) with each mesh's panels in C order (k fastest).
     """
-    (ra, rb), (ka, kb) = rect
-    if rb <= ra or kb <= ka:
-        return np.zeros(len(terms)), np.zeros(len(terms))
-    scale = max(k_scale * 0.5 ** deepen, 1e-12)
-    r_edges = _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale),
-                                resolution, deepen)
-    k_edges = _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale),
-                                resolution, deepen)
-    return _integrate_rules(terms, r, z, (
-        _tensor_nodes(r_edges, k_edges, n, n)
-        for n in (N_NODES + 2 * deepen, N_ERR + deepen)))
+    parts = []
+    for n in (N_NODES, N_ERR):
+        rho, kk, w = _tensor_nodes(x_edges, y_edges, n, n)
+        parts.append((_integrands(terms, r, z, rho, kk), w, n))
+    sums = np.array([[np.einsum("i,i->", vals, w) for vals in integrands]
+                     for integrands, w, _ in parts])
+
+    def panels(own):
+        # each panel's n x n block of nodes is summed on its own, so its
+        # integral does not depend on the panels evaluated with it
+        px, py = np.shape(x_edges)[-1] - 1, np.shape(y_edges)[-1] - 1
+        return np.array([[(vals * w).reshape(-1, px, n, py, n).swapaxes(2, 3)
+                          .reshape(-1, n * n).sum(axis=1)
+                          for vals in integrands[own]]
+                         for integrands, w, n in parts])
+
+    return sums, panels
 
 
 def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
@@ -305,17 +326,107 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     return radial_tail + axial_tail
 
 
+def _mesh_boxes(x_edges, y_edges):
+    """The panels of a tensor mesh as rows (rho_a, rho_b, k_a, k_b), in C
+    order (k fastest)."""
+    px, py = len(x_edges) - 1, len(y_edges) - 1
+    return np.column_stack([np.repeat(x_edges[:-1], py),
+                            np.repeat(x_edges[1:], py),
+                            np.tile(y_edges[:-1], px),
+                            np.tile(y_edges[1:], px)])
+
+
+def _quarters(boxes):
+    """The 2 x 2 split of each panel row (rho_a, rho_b, k_a, k_b), four
+    rows per panel."""
+    xa, xb, ya, yb = boxes.T
+    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    return np.stack([np.stack(q, axis=-1) for q in (
+        (xa, xm, ya, ym), (xa, xm, ym, yb), (xm, xb, ya, ym),
+        (xm, xb, ym, yb))], axis=1).reshape(-1, 4)
+
+
+class _Leaves:
+    """One component's refinement state after generation 0: its rectangle
+    panels, each with its region, box (rho_a, rho_b, k_a, k_b) and per-term
+    value and error, and its polar core's deepening with per-term value
+    and error."""
+
+    def __init__(self, region, boxes, values, errors, core):
+        self.region, self.boxes = region, boxes
+        self.values, self.errors = values, errors
+        self.core_deepen, self.core_values, self.core_errors = core
+        self.generation = 0
+
+    def term_errors(self):
+        return self.errors.sum(axis=1) + self.core_errors
+
+    def integrals(self):
+        per_region = {name: self.values[:, self.region == i].sum(axis=1)
+                      for i, name in enumerate(REGION_NAMES)}
+        per_region["diagonal"] = per_region["diagonal"] + self.core_values
+        return per_region, self.term_errors()
+
+    def plan(self, tol):
+        """(panels to split, whether the core deepens) in the next generation.
+
+        The first splits every panel with a nonzero value or error: the
+        value and error rules can err alike at a steep edge of the
+        vorticity, and only a finer sample shows it.  Later ones split the
+        worst panels until the rest hold less than SPLIT_TARGET * tol, and
+        none once the error meets tol.  A live core deepens in each
+        generation up to MAX_CORE_DEEPEN, even when the error meets tol:
+        its two rules share one u mesh, and their difference can undershoot
+        until the deepest rules.
+        """
+        err = self.errors.sum(axis=0)
+        if self.generation == 0:
+            split = np.flatnonzero((err > 0) | np.any(self.values != 0, axis=0))
+        elif sum(self.term_errors()) <= tol:
+            split = np.zeros(0, dtype=int)
+        else:
+            order = np.argsort(-err, kind="stable")
+            rest = np.append(np.cumsum(err[order][::-1])[::-1], 0.0)
+            split = order[:int(np.argmax(rest < SPLIT_TARGET * tol))]
+        live = np.any(self.core_values != 0) or np.any(self.core_errors > 0)
+        return split, bool(live) and self.core_deepen < MAX_CORE_DEEPEN
+
+    def split(self, split, values, errors):
+        """Replace the panels `split` by their quarters, whose values and
+        errors come in `_quarters` order.  A quarter's error is at least a
+        quarter of the distance between its panel's value and the sum of
+        the four quarters, so a panel whose rules erred alike passes that
+        error on."""
+        diff = np.abs(self.values[:, split]
+                      - values.reshape(len(values), -1, 4).sum(axis=2))
+        errors = np.maximum(errors, np.repeat(diff / 4, 4, axis=1))
+        keep = np.ones(len(self.region), dtype=bool)
+        keep[split] = False
+        self.region = np.concatenate([self.region[keep],
+                                      np.repeat(self.region[split], 4)])
+        self.boxes = np.concatenate([self.boxes[keep],
+                                     _quarters(self.boxes[split])])
+        self.values = np.concatenate([self.values[:, keep], values], axis=1)
+        self.errors = np.concatenate([self.errors[:, keep], errors], axis=1)
+
+
 def _component_integral(components, w_field, p, spec):
     """Region-decomposed integrals of kernel * weight * rho over the window.
 
     `components` maps each name to its terms, (kernel selector, vorticity
-    profile) pairs.  All pending terms share each node set and kernel
-    evaluation; a component leaves the passes once its summed error meets
-    spec.tol or MAX_REFINEMENTS is reached, so its integrals are those it
-    gets alone.  Returns name -> (per-region values, per-term error
-    estimates); each region value is an array with one entry per term.
-    Raises ValueError when a region value or error is non-finite (a
-    vorticity sample that is not a finite number).
+    profile) pairs.  Generation 0 puts the fixed rules on each rectangle's
+    graded mesh and on the polar core, every term sharing each node set
+    and kernel evaluation; a component whose summed error meets spec.tol
+    there is done.  Every other one refines its own leaves, the panels of
+    those meshes with their own values and |hi - lo| (see `_Leaves.plan`),
+    until its error meets tol, it has nothing left to refine, or a split
+    would take it past PANEL_BUDGET panels.  The new panels of a
+    generation are evaluated together, once per distinct panel, and the
+    cores once per depth, so each component's integrals are those it gets
+    alone.  Returns name -> (per-region values, per-term error estimates);
+    each region value is an array with one entry per term.  Raises
+    ValueError when a region value or error is non-finite (a vorticity
+    sample that is not a finite number).
     """
     r, z = p.r, p.z
     rho_max, z_max = spec.resolved(r)
@@ -323,7 +434,11 @@ def _component_integral(components, w_field, p, spec):
     (rho_lo, rho_hi), (k_lo, k_hi) = _support_box(w_field, rho_max, z_max)
 
     env_scale = w_field.axial_envelope.scale if w_field.axial_envelope is not None else 1.0
-    s0 = min(w_half, CORE_RADIUS * min(env_scale, 1.0))
+    res = w_field.resolution
+    # the core's v rule is one panel per side, so the core is kept within
+    # the profile's resolution
+    s0 = min(w_half, CORE_RADIUS * min(env_scale, 1.0),
+             res if res is not None and res > 0 else np.inf)
     far = min(env_scale, 1.0) * 0.5
     band = min(w_half, env_scale, 1.0) * 0.5
     # (region, radial span, axial span, axial feature scale); the diagonal
@@ -339,46 +454,114 @@ def _component_integral(components, w_field, p, spec):
              ("diagonal", (r - s0, r + s0), (max(z + s0, k_lo), k_hi), 0.5 * s0),
              ("right_band", (b4, b5), full, band),
              ("far_tail", (b5, rho_max), full, far))
+    # (region index, rho mesh, k mesh): meshes graded toward rho = r and
+    # toward k = z and k = 0 with the axial feature scale, plus uniform
+    # panels at a short profile resolution
     rects = []
-    for name, (ra, rb), k_span, k_scale in spans:
+    for name, (ra, rb), (ka, kb), k_scale in spans:
         ra, rb = max(ra, rho_lo), min(rb, rho_hi)
-        if rb > ra:
-            rects.append((name, ((ra, rb), k_span), k_scale))
-    res = w_field.resolution
+        if rb > ra and kb > ka:
+            scale = max(k_scale, 1e-12)
+            rects.append((REGION_NAMES.index(name),
+                          _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale), res, 0),
+                          _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale), res, 0)))
 
-    def one_pass(terms, deepen):
-        per_region = {name: np.zeros(len(terms)) for name in REGION_NAMES}
-        per_err = {name: np.zeros(len(terms)) for name in REGION_NAMES}
-        for name, rect, k_scale in rects:
-            v, e = _integrate_rect(terms, r, z, rect, k_scale, deepen,
-                                   resolution=res)
-            per_region[name] += v
-            per_err[name] += e
-        v, e = _integrate_polar_core(terms, r, z, s0, deepen, resolution=res)
-        per_region["diagonal"] += v
-        per_err["diagonal"] += e
-        for name in REGION_NAMES:
-            if not np.all(np.isfinite(per_region[name])
-                          & np.isfinite(per_err[name])):
-                raise ValueError(
-                    "non-finite %s integral at probe (r=%g, z=%g): the "
-                    "vorticity must be finite on the window" % (name, r, z))
-        return per_region, sum(per_err.values())
+    def fail(region):
+        raise ValueError(
+            "non-finite %s integral at probe (r=%g, z=%g): the "
+            "vorticity must be finite on the window" % (region, r, z))
 
-    done, pending, deepen = {}, dict(components), 0
+    def joint(names):
+        """The terms of `names` in order, and each name's slice of them."""
+        terms, owns = [], {}
+        for name in names:
+            owns[name] = slice(len(terms), len(terms) + len(components[name]))
+            terms += components[name]
+        return terms, owns
+
+    # generation 0
+    terms, owns = joint(list(components))
+    per_region = {name: np.zeros(len(terms)) for name in REGION_NAMES}
+    per_err = {name: np.zeros(len(terms)) for name in REGION_NAMES}
+    breakdowns = []
+    for region, x_edges, y_edges in rects:
+        (hi, lo), panels = _integrate_rect(terms, r, z, x_edges, y_edges)
+        per_region[REGION_NAMES[region]] += hi
+        per_err[REGION_NAMES[region]] += np.abs(hi - lo)
+        breakdowns.append(panels)
+    # a core outside the support box integrates zeros
+    core = ((np.zeros(len(terms)), np.zeros(len(terms)))
+            if r + s0 <= rho_lo or r - s0 >= rho_hi or z + s0 <= k_lo
+            or z - s0 >= k_hi else
+            _integrate_polar_core(terms, r, z, s0, 0, resolution=res))
+    per_region["diagonal"] += core[0]
+    per_err["diagonal"] += core[1]
+    for name in REGION_NAMES:
+        if not np.all(np.isfinite(per_region[name]) & np.isfinite(per_err[name])):
+            fail(name)
+    errors = sum(per_err.values())
+
+    done, pending = {}, {}
+    for name, own in owns.items():
+        if sum(errors[own]) <= spec.tol:
+            done[name] = ({region: values[own]
+                           for region, values in per_region.items()},
+                          errors[own])
+            continue
+        hi, lo = np.concatenate([panels(own) for panels in breakdowns], axis=2)
+        pending[name] = _Leaves(
+            np.concatenate([np.full((len(x) - 1) * (len(y) - 1), i)
+                            for i, x, y in rects]),
+            np.concatenate([_mesh_boxes(x, y) for _, x, y in rects]),
+            hi, np.abs(hi - lo), (0, core[0][own], core[1][own]))
+
     while pending:
-        per_region, errors = one_pass(
-            [term for terms in pending.values() for term in terms], deepen)
-        start = 0
-        for name, terms in list(pending.items()):
-            own = slice(start, start + len(terms))
-            start = own.stop
-            if sum(errors[own]) <= spec.tol or deepen == MAX_REFINEMENTS:
-                done[name] = ({region: values[own]
-                               for region, values in per_region.items()},
-                              errors[own])
+        splits, deepens = {}, {}
+        for name, leaves in list(pending.items()):
+            split, deepen = leaves.plan(spec.tol)
+            if (not (split.size or deepen)
+                    or len(leaves.region) + 3 * split.size > PANEL_BUDGET):
+                done[name] = leaves.integrals()
                 del pending[name]
-        deepen += 1
+                continue
+            leaves.generation += 1
+            if split.size:
+                splits[name] = split
+            if deepen:
+                deepens.setdefault(leaves.core_deepen + 1, []).append(name)
+
+        if splits:
+            # each distinct panel is split and evaluated once; a component
+            # reads its quarters at `cols`
+            parents, cols = {}, {}
+            for name, split in splits.items():
+                index = [parents.setdefault(box.tobytes(), (len(parents), box))[0]
+                         for box in pending[name].boxes[split]]
+                cols[name] = (4 * np.array(index)[:, None] + np.arange(4)).ravel()
+            quarters = _quarters(np.array([box for _, box in parents.values()]))
+            terms, owns = joint(list(splits))
+            _, panels = _integrate_rect(terms, r, z, quarters[:, :2],
+                                        quarters[:, 2:])
+            hi, lo = panels(slice(None))
+            for name, own in owns.items():
+                leaves, split = pending[name], splits[name]
+                values = hi[own][:, cols[name]]
+                errors = np.abs(values - lo[own][:, cols[name]])
+                finite = np.all(np.isfinite(values) & np.isfinite(errors), axis=0)
+                if not finite.all():
+                    fail(REGION_NAMES[leaves.region[split][np.argmin(finite) // 4]])
+                leaves.split(split, values, errors)
+
+        for deepen, names in deepens.items():
+            terms, owns = joint(names)
+            values, errors = _integrate_polar_core(terms, r, z, s0, deepen,
+                                                   resolution=res)
+            if not np.all(np.isfinite(values) & np.isfinite(errors)):
+                fail("diagonal")
+            for name, own in owns.items():
+                leaves = pending[name]
+                leaves.core_deepen = deepen
+                leaves.core_values, leaves.core_errors = values[own], errors[own]
     return done
 
 
