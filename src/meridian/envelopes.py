@@ -8,11 +8,7 @@ The interpolated envelopes (constants normalized to 1) are
 with d^2 = (r - rho)^2 + zeta^2, valid for r > 1.  The admissible alpha
 range is gated by regime: env23 takes 0 <= alpha <= 1 everywhere; env1
 takes 0 <= alpha <= 1 on the near-diagonal band r/4 <= rho <= 4r and
-0 <= alpha <= 3 outside it.  The crude global bounds
-
-    |G2|, |G3| <= (rho + r) / d^3,      |G1| <= |zeta| / d^3
-
-hold for all rho, r > 0 with constant 1.  Scans report the supremum of
+0 <= alpha <= 3 outside it.  Scans report the supremum of
 |kernel| / envelope per regime together with a refinement-stability flag:
 the supremum is an empirical constant, and its stability under grid
 densification is the falsifiable content.  Scans over several alpha values
@@ -83,26 +79,6 @@ def envelope_value(env, r, rho, zeta):
     else:
         out = np.abs(zeta_a) * m ** (-env.alpha) * d2 ** (-(3.0 - env.alpha) / 2.0)
     return out if out.shape else float(out)
-
-
-def crude_bounds(r, rho, zeta):
-    """Global bounds ((rho + r)/d^3 for G2 and G3, |zeta|/d^3 for G1).
-
-    Valid for all rho > 0, r > 0 with constant 1; only the diagonal point
-    is excluded.
-    """
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    d2 = (r - rho) ** 2 + zeta ** 2
-    if np.any(d2 <= 0):
-        raise ValueError("crude bounds undefined on the diagonal")
-    d3 = d2 ** 1.5
-    b23 = (rho + r) / d3
-    b1 = np.abs(zeta) / d3
-    if b23.shape:
-        return b23, b1
-    return float(b23), float(b1)
 
 
 def k_split_consistency(r, rho, zeta):

@@ -31,11 +31,10 @@ class MeridianPoint:
 
 @dataclass
 class AxisymField:
-    """Axisymmetric velocity (u_r, u_theta, u_z) with optional pressure."""
+    """Axisymmetric velocity (u_r, u_theta, u_z)."""
     u_r: Profile
     u_theta: Profile
     u_z: Profile
-    pressure: Optional[Profile] = None
 
 
 class AxialEnvelope:

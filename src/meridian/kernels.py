@@ -38,13 +38,6 @@ where
 
 is the near-diagonal modulus; geometrically graded panels resolve it and
 `adaptive_integrate` refines to a requested absolute tolerance.
-
-The model integral behind the kernel envelopes is
-
-    I(K, beta) = int_0^{pi/2} dt / (1 + K sin(t)^2)^{beta/2}
-
-which admits the closed form pi / (2 sqrt(1 + K)) at beta = 2 and decays
-like K^{-1/2} (beta > 1) or K^{-delta/2} (beta = 1, any delta < 1).
 """
 
 from dataclasses import dataclass
@@ -53,30 +46,11 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ellipe, ellipkm1
 
-from .quadrature import DEFAULT_PANEL_BUDGET, adaptive_integrate
+from .quadrature import adaptive_integrate
 
 # K above which kernel quadrature switches to the u = sin(t) substitution;
 # the layer is then exactly algebraic and geometric panels in u are optimal.
 SUBSTITUTION_K = 1e6
-
-
-@dataclass(frozen=True)
-class AngularIntegralSpec:
-    """Parameters of the model integral I(K, beta)."""
-    K: float
-    beta: float
-    tol: float = 1e-10
-    budget: int = DEFAULT_PANEL_BUDGET
-
-    def __post_init__(self):
-        if not (self.K >= 0):
-            raise ValueError("K must be >= 0, got %r" % (self.K,))
-        if not (self.beta >= 1):
-            raise ValueError("beta must be >= 1, got %r" % (self.beta,))
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
-        if self.budget < 1:
-            raise ValueError("subdivision budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,41 +74,6 @@ def layer_panels(K, span=np.pi / 2, deepen=0):
         edges.append(e)
     edges.append(0.0)
     return np.array(sorted(edges))
-
-
-def angular_integral(spec):
-    """Evaluate I(K, beta) to spec.tol (absolute).
-
-    Adaptive bisection seeded with layer-resolving panels; raises
-    QuadratureError carrying the best estimate if the budget is exhausted.
-    Returns (value, error_estimate).
-    """
-    K, beta = spec.K, spec.beta
-
-    def f(t):
-        return (1.0 + K * np.sin(t) ** 2) ** (-0.5 * beta)
-
-    seed = layer_panels(K)
-    return adaptive_integrate(f, 0.0, np.pi / 2, spec.tol, budget=spec.budget,
-                              seed_edges=seed)
-
-
-def angular_bound_ratio(spec, delta=None):
-    """Ratio of I(K, beta) to its decay envelope.
-
-    envelope = min(1, K^{-delta/2}) for beta = 1 (requires 0 <= delta < 1)
-    and min(1, K^{-1/2}) for beta > 1.  Scanning the ratio over K estimates
-    the sharp constant in the envelope; the ratio at K = 0 is pi/2.
-    """
-    if spec.beta == 1.0:
-        if delta is None or not (0 <= delta < 1):
-            raise ValueError("beta = 1 requires an exponent 0 <= delta < 1")
-        expo = 0.5 * delta
-    else:
-        expo = 0.5
-    value, _ = angular_integral(spec)
-    envelope = min(1.0, spec.K ** (-expo)) if spec.K > 0 else 1.0
-    return value / envelope
 
 
 def k_modulus(r, rho, zeta):
@@ -277,12 +216,6 @@ class RingMoments:
         return self._series(2, (4.0 * p2 - 4.0 * p1 + p0) * inv_a3)
 
 
-def ring_moments(r, rho, zeta):
-    """(J0, J1, J2) of `RingMoments`, all formed."""
-    moments = RingMoments(r, rho, zeta)
-    return moments.j0, moments.j1, moments.j2
-
-
 class KernelValues(RingMoments):
     """Batched kernel values from the closed-form moments.
 
@@ -321,18 +254,3 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
     if np.any((r - rho) ** 2 + zeta ** 2 <= 0):
         raise ValueError("kernel_batch received a diagonal point")
     return KernelValues(r, rho, zeta)
-
-
-def swirl_source_kernel(r, rho, zeta, tol=1e-12):
-    """Kernel pairing the axial vorticity component in swirl reconstruction.
-
-    Direct evaluation of the cross product in the Biot-Savart integral gives
-
-        M(r, rho, zeta) = (1/4pi) int_0^{2pi} (r - rho cos p) / D(p)^{3/2} dp
-
-    for the w_k factor of u_theta, i.e. M(r, rho, zeta) = -G2(rho, r, zeta).
-    The round-trip identity on pure-swirl fields holds with M and fails with
-    G3; see the package notes on the swirl representation.
-    """
-    kt = kernel_triple(rho, r, zeta, tol=tol)
-    return -kt.gamma2, kt.err2

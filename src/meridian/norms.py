@@ -2,9 +2,7 @@
 
 All 3-D integrals over axisymmetric integrands reduce to weighted 2-D
 integrals with measure 2 pi r dr dz; nothing here ever samples in the
-angle.  Domains are the solid cylinder C_R = {r <= R, |z| <= R}, the
-dyadic shell C_R \\ C_{R/2}, and the ball B_R, nested as
-B_R inside C_R inside B_{sqrt(2) R}.
+angle.  The domain is the solid cylinder C_R = {r <= R, |z| <= R}.
 """
 
 import math
@@ -12,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (gauss_legendre, geometric_mesh, graded_mesh,
-                         panel_nodes)
+from .quadrature import geometric_mesh, graded_mesh, panel_nodes
 
 
 LQ_TOL = 1e-8               # lq_norm_cylinder: absolute settling tolerance
@@ -28,36 +25,12 @@ class DivergentNormError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CylinderDomain:
-    """Axisymmetric integration domain at scale R.
-
-    shape: "cylinder" for C_R, "shell" for C_R \\ C_{R/2}, "ball" for B_R.
-    """
+    """The solid cylinder C_R = {r <= R, |z| <= R}."""
     R: float
-    shape: str = "cylinder"
 
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("domain scale must be positive")
-        if self.shape not in ("cylinder", "shell", "ball"):
-            raise ValueError("unknown domain shape %r" % (self.shape,))
-
-    def volume(self):
-        if self.shape == "cylinder":
-            return 2.0 * math.pi * self.R ** 3
-        if self.shape == "shell":
-            return 2.0 * math.pi * self.R ** 3 * (1.0 - 0.125)
-        return 4.0 * math.pi * self.R ** 3 / 3.0
-
-    def contains(self, r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        in_cyl = (r <= self.R) & (np.abs(z) <= self.R)
-        if self.shape == "cylinder":
-            return in_cyl
-        if self.shape == "shell":
-            inner = (r <= self.R / 2) & (np.abs(z) <= self.R / 2)
-            return in_cyl & ~inner
-        return r ** 2 + z ** 2 <= self.R ** 2
 
 
 def _r_mesh(R, n_coarse=24):
@@ -79,31 +52,6 @@ def _cylinder_quad(f, R, n_nodes=12, n_r_coarse=24, n_z=16):
     return float(np.einsum("i,ij,j->", rw, vals, zw))
 
 
-def _ball_quad(f, R, n_nodes=12, n_r_coarse=24):
-    """integral of f(r,z) * 2 pi r over B_R; z-limits depend on r."""
-    re = _r_mesh(R, n_r_coarse)
-    rn, rw = panel_nodes(re, n_nodes)
-    x, w = gauss_legendre(n_nodes)
-    total = 0.0
-    for r, wr in zip(rn, rw):
-        zmax = math.sqrt(max(R ** 2 - r ** 2, 0.0))
-        if zmax == 0.0:
-            continue
-        zn = zmax * x
-        total += wr * zmax * float(np.dot(w, f(np.full_like(zn, r), zn))) * 2.0 * np.pi * r
-    return total
-
-
-def _domain_integral(f, dom, n_nodes=12, n_r_coarse=24, n_z=16):
-    if dom.shape == "cylinder":
-        return _cylinder_quad(f, dom.R, n_nodes, n_r_coarse, n_z)
-    if dom.shape == "shell":
-        outer = _cylinder_quad(f, dom.R, n_nodes, n_r_coarse, n_z)
-        inner = _cylinder_quad(f, dom.R / 2, n_nodes, n_r_coarse, n_z)
-        return outer - inner
-    return _ball_quad(f, dom.R, n_nodes, n_r_coarse)
-
-
 def lq_norm_cylinder(f, q, dom):
     """(integral_dom |f|^q 2 pi r dr dz)^(1/q) with a refinement check.
 
@@ -114,8 +62,8 @@ def lq_norm_cylinder(f, q, dom):
     if q < 1:
         raise ValueError("q must be >= 1")
     g = lambda r, z: np.abs(f(r, z)) ** q
-    coarse = _domain_integral(g, dom, n_nodes=10, n_r_coarse=16, n_z=12)
-    fine = _domain_integral(g, dom, n_nodes=14, n_r_coarse=32, n_z=20)
+    coarse = _cylinder_quad(g, dom.R, n_nodes=10, n_r_coarse=16, n_z=12)
+    fine = _cylinder_quad(g, dom.R, n_nodes=14, n_r_coarse=32, n_z=20)
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         raise DivergentNormError("non-finite integral of |f|^%g on %s" % (q, dom))
     if abs(fine - coarse) > max(LQ_TOL, 1e-6 * abs(fine), 1e-300):
@@ -170,10 +118,9 @@ class WeakLorentzEstimate:
 def weak_lorentz_norm(f, q, dom, n_cells=400):
     """Weak-L^q norm of f on dom via superlevel-set quadrature.
 
-    Cells are midpoint samples of a (r, z) grid restricted to the domain,
-    weighted by 2 pi r * cell area.  Raises DivergentNormError when the
-    level range degenerates (|f| constant zero) and ValueError for an
-    under-resolved level grid.
+    Cells are midpoint samples of a (r, z) grid on the cylinder, weighted
+    by 2 pi r * cell area.  A zero |f| gives a zero estimate with empty
+    level grids; an under-resolved level grid raises ValueError.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -184,12 +131,9 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
     zc = 0.5 * (ze[1:] + ze[:-1])
     dr = re[1] - re[0]
     dz = ze[1] - ze[0]
-    RR, ZZ = np.meshgrid(rc, zc, indexing="ij")
-    mask = dom.contains(RR, ZZ)
-    if not np.any(mask):
-        raise ValueError("domain contains no cells at this resolution")
-    vals = np.abs(f(RR[mask], ZZ[mask])).ravel()
-    wgts = (2.0 * np.pi * RR[mask] * dr * dz).ravel()
+    RR, ZZ = (a.ravel() for a in np.meshgrid(rc, zc, indexing="ij"))
+    vals = np.abs(f(RR, ZZ)).ravel()
+    wgts = 2.0 * np.pi * RR * dr * dz
 
     vmax = float(vals.max())
     if vmax <= 0.0:
@@ -228,7 +172,6 @@ def disk_mean_ln(R):
 # p -> (power of |g - gbar|, normalizing power of R, outer power)
 _BMO_POWERS = {3.0: (3.0, 1.0, 1.0 / 3.0),
                2.0 / 3.0: (2.0 / 3.0, 2.0, 2.0 / 3.0),
-               1.5: (2.0 / 3.0, 2.0, 2.0 / 3.0),
                12.0: (12.0, 3.0, 1.0)}
 
 
@@ -241,15 +184,14 @@ def bmo_oscillation_ln(R, p):
         p = 2/3 :  R^-2 (int_{C_R} |g - gbar|^(2/3) dx)^(2/3)
         p = 12  :  R^-3 (int_{C_R} |g - gbar|^12 dx)
 
-    (p = 3/2 is accepted as an alias for the 2/3-power display).  All three
-    quantities are exactly scale-invariant: substituting rho = R s shows
+    All three quantities are exactly scale-invariant: substituting rho = R s shows
     the R-dependence cancels against the normalizing power.  The third
     display is normalized without the 1/12 root; the dimensional asymmetry
     between the displays is preserved verbatim rather than repaired.
     """
     key = float(p)
     if key not in _BMO_POWERS:
-        raise ValueError("p must be one of 3, 2/3 (alias 3/2), or 12")
+        raise ValueError("p must be one of 3, 2/3 or 12")
     power, norm_pow, outer_pow = _BMO_POWERS[key]
 
     gbar = disk_mean_ln(R)

@@ -1,7 +1,6 @@
-"""Differential operators of the steady axisymmetric system.
+"""Differential operators of the axisymmetric system.
 
-Curl, divergence and the three momentum residuals in cylindrical
-coordinates with no angular dependence:
+Curl and divergence in cylindrical coordinates with no angular dependence:
 
     w_r     = -dz u_theta
     w_theta =  dz u_r - dr u_z
@@ -9,14 +8,12 @@ coordinates with no angular dependence:
 
     div u   =  (1/r) dr(r u_r) + dz u_z
 
-    residual_r     = b.grad u_r - L0 u_r + u_r/r^2 - u_theta^2/r + dr p
-    residual_theta = b.grad u_theta - L0 u_theta + u_theta/r^2 + u_r u_theta/r
-    residual_z     = b.grad u_z - L0 u_z + dz p
-
-with b.grad = u_r dr + u_z dz and L0 = drr + (1/r) dr + dzz.  Profiles that
-carry analytic derivatives are differentiated exactly; otherwise O(h^2)
-central differences are used, which keeps operators away from the axis
-(terms with 1/r need r > h, the residual needs r > 2h for nested stencils).
+They are the oracles for the bump fields that `roundtrip` runs on: the
+curl checks the analytic vorticity it integrates, the divergence that the
+stream-function velocity is solenoidal.  Profiles that carry analytic
+derivatives are differentiated exactly; otherwise O(h^2) central
+differences are used, which keeps the operators away from the axis (the
+1/r terms need r > h).
 """
 
 from .fields import AxisymField, MeridianPoint
@@ -26,27 +23,17 @@ class AxisTooCloseError(ValueError):
     """Finite differences would cross the axis and hit the 1/r singularity."""
 
 
-def _d1(f, r, z, h, axis):
-    if axis == "r":
-        return (f(r + h, z) - f(r - h, z)) / (2.0 * h)
-    return (f(r, z + h) - f(r, z - h)) / (2.0 * h)
-
-
-def _d2(f, r, z, h, axis):
-    if axis == "r":
-        return (f(r + h, z) - 2.0 * f(r, z) + f(r - h, z)) / h ** 2
-    return (f(r, z + h) - 2.0 * f(r, z) + f(r, z - h)) / h ** 2
-
-
-def _first_derivs(profile, r, z, h, need_axis_room):
+def _first_derivs(profile, r, z, h):
     """(d/dr, d/dz) of a profile: analytic when available, else central FD."""
     if profile.has_derivatives:
         return profile.d_r(r, z), profile.d_z(r, z)
-    if need_axis_room and r <= h:
+    if r <= h:
         raise AxisTooCloseError(
             "finite differences need r > h (r=%g, h=%g); supply analytic "
             "derivatives to evaluate near the axis" % (r, h))
-    return _d1(profile.fn, r, z, h, "r"), _d1(profile.fn, r, z, h, "z")
+    f = profile.fn
+    return ((f(r + h, z) - f(r - h, z)) / (2.0 * h),
+            (f(r, z + h) - f(r, z - h)) / (2.0 * h))
 
 
 def curl_axisym(field: AxisymField, p: MeridianPoint, h: float = 1e-4):
@@ -56,9 +43,9 @@ def curl_axisym(field: AxisymField, p: MeridianPoint, h: float = 1e-4):
     u_theta/r, so it needs r > h without analytic derivatives.
     """
     r, z = p.r, p.z
-    ut_r, ut_z = _first_derivs(field.u_theta, r, z, h, need_axis_room=True)
-    ur_r, ur_z = _first_derivs(field.u_r, r, z, h, need_axis_room=True)
-    uz_r, uz_z = _first_derivs(field.u_z, r, z, h, need_axis_room=True)
+    ut_r, ut_z = _first_derivs(field.u_theta, r, z, h)
+    ur_r, ur_z = _first_derivs(field.u_r, r, z, h)
+    uz_r, uz_z = _first_derivs(field.u_z, r, z, h)
     w_r = -ut_z
     w_theta = ur_z - uz_r
     w_z = ut_r + field.u_theta(r, z) / r if r > 0 else 2.0 * ut_r
@@ -68,55 +55,9 @@ def curl_axisym(field: AxisymField, p: MeridianPoint, h: float = 1e-4):
 def divergence_axisym(field: AxisymField, p: MeridianPoint, h: float = 1e-4):
     """(1/r) dr(r u_r) + dz u_z = dr u_r + u_r/r + dz u_z at p."""
     r, z = p.r, p.z
-    ur_r, _ = _first_derivs(field.u_r, r, z, h, need_axis_room=True)
-    _, uz_z = _first_derivs(field.u_z, r, z, h, need_axis_room=True)
+    ur_r, _ = _first_derivs(field.u_r, r, z, h)
+    _, uz_z = _first_derivs(field.u_z, r, z, h)
     if r > 0:
         return float(ur_r + field.u_r(r, z) / r + uz_z)
     # on the axis u_r(0, z) = 0 for smooth fields and u_r/r -> dr u_r
     return float(2.0 * ur_r + uz_z)
-
-
-def _laplace0(profile, r, z, h):
-    """L0 f = f_rr + (1/r) f_r + f_zz."""
-    if profile.has_second_derivatives:
-        return profile.d_rr(r, z) + profile.d_r(r, z) / r + profile.d_zz(r, z)
-    if r <= 2.0 * h:
-        raise AxisTooCloseError(
-            "momentum residual stencils need r > 2h (r=%g, h=%g) without "
-            "analytic second derivatives" % (r, h))
-    f = profile.fn
-    return (_d2(f, r, z, h, "r") + _d1(f, r, z, h, "r") / r
-            + _d2(f, r, z, h, "z"))
-
-
-def ns_residual(field: AxisymField, p: MeridianPoint, h: float = 1e-4):
-    """Momentum residuals (radial, swirl, axial) of the steady system at p.
-
-    Zero (up to O(h^2) discretization) exactly when the field solves the
-    stationary equations at p.  Requires a pressure profile.
-    """
-    if field.pressure is None:
-        raise ValueError("ns_residual needs a pressure profile; the field is "
-                         "incomplete without one")
-    r, z = p.r, p.z
-    if r <= 0:
-        raise AxisTooCloseError("momentum residuals are evaluated off the axis")
-
-    ur = field.u_r(r, z)
-    ut = field.u_theta(r, z)
-    uz = field.u_z(r, z)
-
-    ur_r, ur_z = _first_derivs(field.u_r, r, z, h, need_axis_room=True)
-    ut_r, ut_z = _first_derivs(field.u_theta, r, z, h, need_axis_room=True)
-    uz_r, uz_z = _first_derivs(field.u_z, r, z, h, need_axis_room=True)
-    p_r, p_z = _first_derivs(field.pressure, r, z, h, need_axis_room=False)
-
-    lap_ur = _laplace0(field.u_r, r, z, h)
-    lap_ut = _laplace0(field.u_theta, r, z, h)
-    lap_uz = _laplace0(field.u_z, r, z, h)
-
-    conv = lambda fr, fz: ur * fr + uz * fz
-    res_r = conv(ur_r, ur_z) - lap_ur + ur / r ** 2 - ut ** 2 / r + p_r
-    res_t = conv(ut_r, ut_z) - lap_ut + ut / r ** 2 + ur * ut / r
-    res_z = conv(uz_r, uz_z) - lap_uz + p_z
-    return float(res_r), float(res_t), float(res_z)

@@ -2,9 +2,9 @@
 
 A Profile wraps f(r, z) together with optional analytic derivatives.  All
 callables must accept numpy arrays and broadcast; quadrature and scan code
-relies on vectorized evaluation.  Derivative-hungry operators (curl,
-divergence, momentum residual) use the analytic channel when present and
-fall back to central finite differences otherwise.
+relies on vectorized evaluation.  The curl and divergence operators use
+the analytic channel when present and fall back to central finite
+differences otherwise.
 """
 
 from dataclasses import dataclass
@@ -90,9 +90,6 @@ class SmoothBump:
         out[5, inside] = fpp * tr * tz
         return out.reshape((6,) + t.shape)
 
-    def value(self, r, z):
-        return self.jet(r, z)[0]
-
     def profile(self):
         # the jet's order is Profile's: fn, d_r, d_z, d_rr, d_zz, d_rz
         parts = [lambda r, z, i=i: self.jet(r, z)[i] for i in range(6)]
@@ -105,33 +102,7 @@ class SmoothBump:
                 self.z0 - self.radius, self.z0 + self.radius)
 
 
-def gaussian_swirl_profile():
-    """u_theta = r exp(-(r^2 + z^2)), smooth through the axis."""
-    def g(r, z):
-        return np.exp(-(np.asarray(r, float) ** 2 + np.asarray(z, float) ** 2))
-
-    return Profile(
-        fn=lambda r, z: np.asarray(r, float) * g(r, z),
-        d_r=lambda r, z: g(r, z) * (1.0 - 2.0 * np.asarray(r, float) ** 2),
-        d_z=lambda r, z: np.asarray(r, float) * g(r, z) * (-2.0 * np.asarray(z, float)),
-        d_rr=lambda r, z: g(r, z) * (-2.0 * np.asarray(r, float)) * (3.0 - 2.0 * np.asarray(r, float) ** 2),
-        d_zz=lambda r, z: np.asarray(r, float) * g(r, z) * (4.0 * np.asarray(z, float) ** 2 - 2.0),
-        d_rz=lambda r, z: g(r, z) * (-2.0 * np.asarray(z, float)) * (1.0 - 2.0 * np.asarray(r, float) ** 2),
-        name="gaussian_swirl",
-    )
-
-
 def power_law_profile(mu):
     """f(r, z) = (1 + r)^(-mu), z-independent."""
-    def f(r, z):
-        return (1.0 + np.asarray(r, dtype=float)) ** (-mu)
-
-    return Profile(
-        fn=f,
-        d_r=lambda r, z: -mu * (1.0 + np.asarray(r, float)) ** (-mu - 1.0),
-        d_z=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_rr=lambda r, z: mu * (mu + 1.0) * (1.0 + np.asarray(r, float)) ** (-mu - 2.0),
-        d_zz=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_rz=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        name="power_law(mu=%g)" % mu,
-    )
+    return Profile(fn=lambda r, z: (1.0 + np.asarray(r, dtype=float)) ** (-mu),
+                   name="power_law(mu=%g)" % mu)

@@ -106,7 +106,6 @@ class DecayPrediction:
     """Predicted power of (1 + r) for reconstructed velocity components."""
     exponent: float
     has_log: bool
-    beta_case: str  # "gt2" | "between" | "eq2"
 
     def envelope(self, r):
         """(1 + r)^exponent, times log(1 + r) in the log case."""
@@ -124,10 +123,10 @@ def predicted_decay(beta):
     if not beta > 1.0:
         raise ValueError("decay prediction requires beta > 1, got %g" % beta)
     if beta > 2.0:
-        return DecayPrediction(-1.5 + 0.5 / (beta - 1.0), False, "gt2")
+        return DecayPrediction(-1.5 + 0.5 / (beta - 1.0), False)
     if beta < 2.0:
-        return DecayPrediction(1.0 - beta, False, "between")
-    return DecayPrediction(-1.0, True, "eq2")
+        return DecayPrediction(1.0 - beta, False)
+    return DecayPrediction(-1.0, True)
 
 
 def region_term_exponents(beta, alpha, gamma, delta):
@@ -172,14 +171,6 @@ def region_term_exponents(beta, alpha, gamma, delta):
     # a log factor at equal exponents is the slower decay
     worst_i = max(range(6), key=lambda i: (exps[i], logs[i]))
     return exps, logs, (exps[worst_i], logs[worst_i])
-
-
-def balancing_gamma(beta):
-    """gamma equalizing the inner-core and inner-band exponents (beta > 2):
-    -3/2 + gamma = -1 + gamma(2 - beta) at gamma = 1/(2(beta - 1))."""
-    if not beta > 1.0:
-        raise ValueError("beta must exceed 1")
-    return 0.5 / (beta - 1.0)
 
 
 @dataclass(frozen=True)

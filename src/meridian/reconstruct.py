@@ -72,7 +72,8 @@ class QuadratureSpec:
 
     gamma, delta are the radial splitting exponents (region boundaries
     r^gamma/8 and r +- r^delta/2).  rho_max / z_max default to 8*max(1, r)
-    at evaluation time and may only be enlarged.  tol is the target
+    at evaluation time and may only be enlarged; the window also widens to
+    cover a compact vorticity's support.  tol is the target
     absolute error per component.  The node counts are the fixed module
     rules above: when the estimated error exceeds tol, the rectangle panels
     split, up to PANEL_BUDGET panels per component, and the polar core
@@ -188,14 +189,15 @@ def _integrate_rules(terms, r, z, rules):
     rule, each a node set (rho, k, weight): rho and k broadcast to the
     nodes (see `_integrands`), the weights are flat with any Jacobian
     folded in; `rules` yields them in that order, so a lazy iterable
-    builds each only when it is used.  Returns (values, |values - error
-    rule's values|), one entry per term."""
-    sums = []
+    builds each only when it is used.  Returns (sums, samples): sums[i, t]
+    is rule i's integral of term t, and samples[i] is rule i's
+    (integrands, weights), from which a caller can break the sums down."""
+    samples = []
     for rho, kk, w in rules:
-        sums.append(np.array([np.einsum("i,i->", vals, w)
-                              for vals in _integrands(terms, r, z, rho, kk)]))
-    hi, lo = sums
-    return hi, np.abs(hi - lo)
+        samples.append((_integrands(terms, r, z, rho, kk), w))
+    sums = np.array([[np.einsum("i,i->", vals, w) for vals in integrands]
+                     for integrands, w in samples])
+    return sums, samples
 
 
 def _integrate_rect(terms, r, z, x_edges, y_edges):
@@ -206,17 +208,14 @@ def _integrate_rect(terms, r, z, x_edges, y_edges):
     meshes of one panel each, edges of shape (P, 2).  The value rule
     (N_NODES GL nodes per panel and direction) and the error rule (N_ERR)
     are one kernel evaluation each over every panel, shared by all
-    `terms`.  Returns (sums, panels): sums[i, t] is rule i's integral of
-    term t over all the panels, and panels(own) forms the same per panel
-    for the terms that the slice `own` selects, an array (rule, term,
-    panel) with each mesh's panels in C order (k fastest).
+    `terms`.  Returns (sums, panels): sums are `_integrate_rules`', and
+    panels(own) forms the same per panel for the terms that the slice
+    `own` selects, an array (rule, term, panel) with each mesh's panels in
+    C order (k fastest).
     """
-    parts = []
-    for n in (N_NODES, N_ERR):
-        rho, kk, w = _tensor_nodes(x_edges, y_edges, n, n)
-        parts.append((_integrands(terms, r, z, rho, kk), w, n))
-    sums = np.array([[np.einsum("i,i->", vals, w) for vals in integrands]
-                     for integrands, w, _ in parts])
+    rules = (N_NODES, N_ERR)
+    sums, samples = _integrate_rules(
+        terms, r, z, (_tensor_nodes(x_edges, y_edges, n, n) for n in rules))
 
     def panels(own):
         # each panel's n x n block of nodes is summed on its own, so its
@@ -225,7 +224,7 @@ def _integrate_rect(terms, r, z, x_edges, y_edges):
         return np.array([[(vals * w).reshape(-1, px, n, py, n).swapaxes(2, 3)
                           .reshape(-1, n * n).sum(axis=1)
                           for vals in integrands[own]]
-                         for integrands, w, n in parts])
+                         for (integrands, w), n in zip(samples, rules)])
 
     return sums, panels
 
@@ -259,8 +258,24 @@ def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
         return (r + np.concatenate([a, -b, -a, b]),
                 z + np.concatenate([b, a, -b, -a]), np.tile(w * s0 * a, 4))
 
-    return _integrate_rules(terms, r, z,
-                            map(rule, (n_u, n_u - 1), (n_v, n_v // 2)))
+    (hi, lo), _ = _integrate_rules(terms, r, z,
+                                   map(rule, (n_u, n_u - 1), (n_v, n_v // 2)))
+    return hi, np.abs(hi - lo)
+
+
+def _window(w_field, spec, r):
+    """The truncation window (rho_max, z_max) of a probe at radius r:
+    `spec.resolved(r)`, widened to each bounded side of the vorticity's
+    support box, so a compactly supported field is integrated whole and
+    has no tail.  An unbounded side keeps the window, and the decay
+    metadata certify its tail."""
+    rho_max, z_max = spec.resolved(r)
+    if w_field.support is not None:
+        # an unbounded side counts as 0, which widens nothing
+        _, rho_hi, k_lo, k_hi = np.nan_to_num(w_field.support, posinf=0.0,
+                                              neginf=0.0)
+        rho_max, z_max = max(rho_max, rho_hi), max(z_max, -k_lo, k_hi)
+    return rho_max, z_max
 
 
 def _support_box(w_field, rho_max, z_max):
@@ -429,7 +444,7 @@ def _component_integral(components, w_field, p, spec):
     sample that is not a finite number).
     """
     r, z = p.r, p.z
-    rho_max, z_max = spec.resolved(r)
+    rho_max, z_max = _window(w_field, spec, r)
     (b1, b2, b3, b4, b5), w_half = _region_edges(r, spec.gamma, spec.delta)
     (rho_lo, rho_hi), (k_lo, k_hi) = _support_box(w_field, rho_max, z_max)
 
@@ -591,7 +606,7 @@ def reconstruct(w_field: VorticityField, p: MeridianPoint, components,
         {c: [(attrgetter(kernel), getattr(w_field, weight))
              for _, kernel, weight, _ in COMPONENTS[c]] for c in components},
         w_field, p, spec)
-    rho_max, z_max = spec.resolved(p.r)
+    rho_max, z_max = _window(w_field, spec, p.r)
     results = {}
     for component in components:
         terms = COMPONENTS[component]

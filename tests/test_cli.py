@@ -357,6 +357,18 @@ def test_roundtrip_interior_probes_use_relative_norm(tmp_path):
     assert payload["pure_swirl"]["u_theta"] < 1e-3
 
 
+def test_roundtrip_bump_wider_than_the_window(tmp_path):
+    # the support reaches rho = 18, past the window 8 * 1.2 of the probe at
+    # r = 1.2, which then still covers the whole support
+    path = write_cfg(tmp_path, "roundtrip.bump_r0 = 10\n"
+                               "roundtrip.bump_radius = 8\n"
+                               "roundtrip.n_r = 2\nroundtrip.n_z = 1\n")
+    out = tmp_path / "wide"
+    assert main(["roundtrip", "--config", path, "--out", str(out)]) == 0
+    payload = json.loads((out / "roundtrip_report.json").read_text())
+    assert payload["pass"]
+
+
 @pytest.mark.parametrize("command", ["roundtrip", "decay"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_rejected_before_output(tmp_path, capsys, command,

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
-                                ZETA_SCALE_RANGE, BoundEnvelope, crude_bounds,
+                                ZETA_SCALE_RANGE, BoundEnvelope,
                                 envelope_value, evaluate_scan_grid,
                                 k_split_consistency, refine_and_compare,
                                 report_from_data, scan_grid, write_scan_csv)
 from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
+from oracles import crude_bounds
 
 
 def test_envelope_value_examples():

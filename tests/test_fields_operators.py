@@ -5,9 +5,10 @@ from meridian.fields import (AxialEnvelope, AxisymField, MeridianPoint,
                              power_law_vorticity, stream_bump_field,
                              stream_function_field, swirl_bump_field)
 from meridian.operators import (AxisTooCloseError, curl_axisym,
-                                divergence_axisym, ns_residual)
+                                divergence_axisym)
 from meridian.profiles import (Profile, SmoothBump, constant_profile,
-                               gaussian_swirl_profile, zero_profile)
+                               zero_profile)
+from oracles import gaussian_swirl_profile
 
 
 def fd_only(profile):
@@ -105,61 +106,6 @@ def test_stream_function_requires_derivatives_and_support():
         stream_function_field(bare)
     with pytest.raises(ValueError):
         stream_bump_field(r0=0.5, radius=1.0)
-
-
-def test_ns_residual_zero_field():
-    field = AxisymField(u_r=zero_profile(), u_theta=zero_profile(),
-                        u_z=zero_profile(), pressure=constant_profile(3.0))
-    res = ns_residual(field, MeridianPoint(1.5, 0.0))
-    assert res == (0.0, 0.0, 0.0)
-
-
-def test_ns_residual_missing_pressure():
-    field = AxisymField(u_r=zero_profile(), u_theta=zero_profile(),
-                        u_z=zero_profile())
-    with pytest.raises(ValueError):
-        ns_residual(field, MeridianPoint(1.0, 0.0))
-
-
-def test_ns_residual_rigid_swirl_balances():
-    # u_theta = W r with pressure p = W^2 r^2 / 2: all residuals vanish
-    W = 0.8
-    swirl = Profile(
-        fn=lambda r, z: W * np.asarray(r, float),
-        d_r=lambda r, z: np.full(np.broadcast(r, z).shape, W),
-        d_z=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_rr=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_zz=lambda r, z: np.zeros(np.broadcast(r, z).shape),
-        d_rz=lambda r, z: np.zeros(np.broadcast(r, z).shape))
-    pressure = Profile(
-        fn=lambda r, z: 0.5 * W * W * np.asarray(r, float) ** 2,
-        d_r=lambda r, z: W * W * np.asarray(r, float),
-        d_z=lambda r, z: np.zeros(np.broadcast(r, z).shape))
-    field = AxisymField(u_r=zero_profile(), u_theta=swirl,
-                        u_z=zero_profile(), pressure=pressure)
-    for (r, z) in ((0.7, 0.0), (2.0, 1.5)):
-        res = ns_residual(field, MeridianPoint(r, z))
-        assert max(abs(v) for v in res) < 1e-12
-
-
-def test_ns_residual_bump_field_fd_stable():
-    # generic non-solution: the residual is nonzero and stable under h -> h/2
-    u_r = fd_only(SmoothBump(2.5, 0.0, 1.0).profile())
-    u_z = fd_only(SmoothBump(3.0, 0.2, 1.2).profile())
-    pres = fd_only(SmoothBump(2.8, -0.2, 1.1).profile())
-    field = AxisymField(u_r=u_r, u_theta=zero_profile(), u_z=u_z, pressure=pres)
-    p = MeridianPoint(2.8, 0.1)
-    r1 = np.array(ns_residual(field, p, h=0.02))
-    r2 = np.array(ns_residual(field, p, h=0.01))
-    assert np.linalg.norm(r1) > 0.1
-    assert np.linalg.norm(r1 - r2) < 0.05 * np.linalg.norm(r2)
-
-
-def test_ns_residual_fd_requires_room():
-    field = AxisymField(u_r=fd_only(zero_profile()), u_theta=zero_profile(),
-                        u_z=zero_profile(), pressure=constant_profile(0.0))
-    with pytest.raises(AxisTooCloseError):
-        ns_residual(field, MeridianPoint(0.01, 0.0), h=0.02)
 
 
 def test_curl_second_order_convergence():

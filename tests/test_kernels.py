@@ -3,11 +3,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from meridian.kernels import (AngularIntegralSpec, SERIES_M, SUBSTITUTION_K,
-                              angular_bound_ratio, angular_integral,
-                              k_modulus, kernel_batch, kernel_triple,
-                              ring_moments, swirl_source_kernel)
-from meridian.quadrature import QuadratureError
+from meridian.kernels import (SERIES_M, SUBSTITUTION_K, RingMoments,
+                              k_modulus, kernel_batch, kernel_triple)
 
 
 def quad_kernel_reference(r, rho, zeta, which):
@@ -21,70 +18,6 @@ def quad_kernel_reference(r, rho, zeta, which):
         return -(rho - r * np.cos(p)) * np.cos(p) / den / (4 * np.pi)
     val, _ = quad(integrand, 0.0, 2.0 * np.pi, limit=400, epsabs=1e-13)
     return val
-
-
-def test_angular_closed_form_beta2():
-    for K in (0.0, 1.0, 10.0, 1e4, 1e6):
-        val, err = angular_integral(AngularIntegralSpec(K=K, beta=2.0, tol=1e-12))
-        exact = np.pi / (2.0 * np.sqrt(1.0 + K))
-        assert abs(val / exact - 1.0) < 1e-10
-
-
-def test_angular_k_zero_any_beta():
-    for beta in (1.0, 1.7, 3.0, 5.5):
-        val, _ = angular_integral(AngularIntegralSpec(K=0.0, beta=beta))
-        assert val == pytest.approx(np.pi / 2, abs=1e-12)
-
-
-def test_angular_monotone_decay_in_k():
-    for beta in (1.0, 2.0, 3.0):
-        vals = [angular_integral(AngularIntegralSpec(K=K, beta=beta))[0]
-                for K in np.geomspace(1e-2, 1e8, 11)]
-        assert np.all(np.diff(vals) < 0)
-
-
-def test_angular_bound_ratio_at_k_zero():
-    assert angular_bound_ratio(
-        AngularIntegralSpec(K=0.0, beta=3.0)) == pytest.approx(np.pi / 2)
-
-
-def test_angular_envelope_beta_gt1():
-    # I(K, 3) * sqrt(K) stays bounded: the K^{-1/2} envelope shape
-    ratios = [angular_bound_ratio(AngularIntegralSpec(K=K, beta=3.0))
-              for K in np.geomspace(1.0, 1e8, 17)]
-    assert max(ratios) < 2.0
-    assert all(r > 0 for r in ratios)
-
-
-def test_angular_envelope_beta1_needs_delta():
-    spec = AngularIntegralSpec(K=100.0, beta=1.0)
-    with pytest.raises(ValueError):
-        angular_bound_ratio(spec)
-    with pytest.raises(ValueError):
-        angular_bound_ratio(spec, delta=1.0)
-    ladder = np.geomspace(1.0, 1e6, 13)
-    ratios = [angular_bound_ratio(AngularIntegralSpec(K=K, beta=1.0), delta=0.9)
-              for K in ladder]
-    # boundedness is the claim; the constant is an empirical output.  The
-    # sup must also be stable under ladder refinement.
-    fine = [angular_bound_ratio(AngularIntegralSpec(K=K, beta=1.0), delta=0.9)
-            for K in np.geomspace(1.0, 1e6, 25)]
-    assert max(ratios) < 10.0
-    assert abs(max(fine) - max(ratios)) < 0.05 * max(ratios)
-
-
-def test_angular_budget_failure_carries_estimate():
-    with pytest.raises(QuadratureError) as info:
-        angular_integral(AngularIntegralSpec(K=1e10, beta=1.0, tol=1e-15,
-                                             budget=6))
-    assert 0 < info.value.best < np.pi / 2
-
-
-def test_angular_spec_validation():
-    with pytest.raises(ValueError):
-        AngularIntegralSpec(K=-1.0, beta=2.0)
-    with pytest.raises(ValueError):
-        AngularIntegralSpec(K=1.0, beta=0.5)
 
 
 def test_kernel_axis_closed_forms():
@@ -170,7 +103,8 @@ def test_kernel_batch_forms_each_field_on_first_read():
     # a field is formed from the moments when read, once, by the closed
     # forms of the module docstring; unread fields are never formed
     r, rho, zeta = 3.0, np.array([0.5, 2.9, 7.0]), np.array([-1.0, 0.05, 2.0])
-    j0, j1, j2 = ring_moments(r, rho, zeta)
+    moments = RingMoments(r, rho, zeta)
+    j0, j1, j2 = moments.j0, moments.j1, moments.j2
     kb = kernel_batch(r, rho, zeta)
     fields = ("g1", "g2", "g3", "g_swirl", "g1_over_zeta")
     assert not set(fields) & set(vars(kb))
@@ -190,12 +124,12 @@ def test_kernel_batch_g1_over_zeta_limit():
 
 
 def test_swirl_kernel_is_swapped_gamma2():
+    # M(r, rho, zeta) = -G2(rho, r, zeta): the adaptive oracle at the
+    # swapped radii against the batch's swirl kernel
     for (r, rho, zeta) in ((2.0, 1.0, 0.4), (5.0, 6.0, -1.0)):
-        m, err = swirl_source_kernel(r, rho, zeta)
         kt = kernel_triple(rho, r, zeta)
-        assert abs(m + kt.gamma2) < 1e-10 + err
         kb = kernel_batch(r, np.array([rho]), np.array([zeta]))
-        assert abs(kb.g_swirl[0] - m) < 1e-9 + err
+        assert abs(kb.g_swirl[0] + kt.gamma2) < 1e-9 + kt.err2
 
 
 def quad_moments(r, rho, zeta):
@@ -233,7 +167,8 @@ def test_ring_moments_match_quad(m, on_plane):
         rho, zeta = r * m / ((2.0 - m) + 2.0 * np.sqrt(1.0 - m)), 0.0
     else:
         rho, zeta = r, 2.0 * r * np.sqrt((1.0 - m) / m)
-    got = ring_moments(r, rho, zeta)
+    moments = RingMoments(r, rho, zeta)
+    got = (moments.j0, moments.j1, moments.j2)
     ref = quad_moments(r, rho, zeta)
     for k in range(3):
         assert abs(got[k] / ref[k] - 1.0) < 1e-10, (k, got[k], ref[k])

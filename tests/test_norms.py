@@ -37,15 +37,13 @@ def oscillation_moment(p):
     return val
 
 
-def shell_weak_norm_oracle(mu, q, R):
-    """1-D reduction of the weak norm of (1+r)^-mu on the shell C_R - C_{R/2}:
-    the superlevel measure is piecewise-quadratic in c = lambda^{-1/mu} - 1."""
+def cylinder_weak_norm_oracle(mu, q, R):
+    """1-D reduction of the weak norm of (1+r)^-mu on the cylinder C_R:
+    {(1+r)^-mu > lambda} is the cylinder of radius c = lambda^{-1/mu} - 1
+    and height 2R, so its measure in C_R is 2R pi min(R, c)^2."""
     def measure(lam):
-        c = lam ** (-1.0 / mu) - 1.0
-        c = min(max(c, 0.0), R)
-        if c <= R / 2:
-            return math.pi * c * c * R
-        return 2 * math.pi * R * c * c - math.pi * R ** 3 / 4.0
+        c = min(max(lam ** (-1.0 / mu) - 1.0, 0.0), R)
+        return 2 * R * math.pi * c * c
     lams = np.geomspace((1 + R) ** -mu, 1.0, 40001)
     return max(lam * measure(lam) ** (1.0 / q) for lam in lams)
 
@@ -53,27 +51,15 @@ def shell_weak_norm_oracle(mu, q, R):
 # ---------- domains ----------
 
 def test_domain_volume_and_validation():
-    assert CylinderDomain(1.0).volume() == pytest.approx(2 * math.pi)
-    assert CylinderDomain(2.0, "shell").volume() == pytest.approx(
-        2 * math.pi * 8 * (1 - 0.125))
-    with pytest.raises(ValueError):
-        CylinderDomain(-1.0)
-    with pytest.raises(ValueError):
-        CylinderDomain(1.0, "cube")
-
-
-def test_ball_cylinder_nesting():
-    rng = np.random.default_rng(2)
-    R = 3.0
-    ball = CylinderDomain(R, "ball")
-    cyl = CylinderDomain(R, "cylinder")
-    big_ball = CylinderDomain(math.sqrt(2) * R, "ball")
-    r = rng.uniform(0, 1.5 * R, 4000)
-    z = rng.uniform(-1.5 * R, 1.5 * R, 4000)
-    in_ball = ball.contains(r, z)
-    in_cyl = cyl.contains(r, z)
-    assert np.all(~in_ball | in_cyl)           # B_R inside C_R
-    assert np.all(~in_cyl | big_ball.contains(r, z))   # C_R inside B_{sqrt2 R}
+    # |C_R| = pi R^2 * 2R, as the L^1 norm of 1 and the weak norm's measure
+    dom = CylinderDomain(2.0)
+    assert lq_norm_cylinder(constant_profile(1.0), 1.0, dom) == pytest.approx(
+        16 * math.pi, rel=1e-10)
+    est = weak_lorentz_norm(constant_profile(1.0), 1.0, dom, n_cells=40)
+    assert est.measures[0] == pytest.approx(16 * math.pi, rel=1e-12)
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            CylinderDomain(bad)
 
 
 # ---------- L^q norms ----------
@@ -123,7 +109,8 @@ def test_lq_norm_divergent_integrand_flagged():
 def test_weak_norm_constant_profile():
     dom = CylinderDomain(2.0)
     est = weak_lorentz_norm(constant_profile(3.0), 2.5, dom)
-    assert est.value == pytest.approx(3.0 * dom.volume() ** (1 / 2.5), rel=5e-3)
+    assert est.value == pytest.approx(3.0 * (16 * math.pi) ** (1 / 2.5),
+                                      rel=5e-3)
 
 
 def test_weak_norm_chebyshev_never_violated():
@@ -147,12 +134,12 @@ def test_weak_norm_grid_lq_consistent_with_quadrature():
     assert est.lq_same_grid == pytest.approx(accurate, rel=2e-3)
 
 
-def test_weak_norm_shell_matches_1d_oracle():
+def test_weak_norm_cylinder_matches_1d_oracle():
     mu, q = 1.0, 2.5
     for R in (4.0, 8.0, 16.0):
         est = weak_lorentz_norm(power_law_profile(mu), q,
-                                CylinderDomain(R, "shell"), n_cells=600)
-        oracle = shell_weak_norm_oracle(mu, q, R)
+                                CylinderDomain(R), n_cells=600)
+        oracle = cylinder_weak_norm_oracle(mu, q, R)
         assert est.value == pytest.approx(oracle, rel=2e-2)
 
 
@@ -190,7 +177,7 @@ def test_oscillation_scale_invariance():
 
 
 def test_oscillation_alias_and_validation():
-    assert bmo_oscillation_ln(4.0, 1.5) == pytest.approx(
-        bmo_oscillation_ln(4.0, 2.0 / 3.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        bmo_oscillation_ln(4.0, 5)
+    # only 3, 2/3 and 12 name a display; 3/2 is no alias of 2/3
+    for p in (1.5, 5):
+        with pytest.raises(ValueError):
+            bmo_oscillation_ln(4.0, p)

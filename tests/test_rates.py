@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from meridian.rates import (InfeasibleExponentError, balancing_gamma,
-                            bruteforce_feasible_set, construct_feasible_pair,
-                            evaluate_pair, fit_decay, optimize_split,
-                            predicted_decay, region_term_exponents)
+from meridian.rates import (InfeasibleExponentError, bruteforce_feasible_set,
+                            construct_feasible_pair, evaluate_pair, fit_decay,
+                            optimize_split, predicted_decay,
+                            region_term_exponents)
 
 
 def test_construction_mu_one_matches_hand_arithmetic():
@@ -93,8 +93,10 @@ def test_predicted_decay_continuity_at_two():
 
 
 def test_balancing_identity_machine_precision():
+    # gamma = 1/(2(beta - 1)) equalizes the inner-core and inner-band
+    # exponents: -3/2 + gamma = -1 + gamma(2 - beta)
     for beta in (2.1, 3.0, 5.0, 10.0):
-        g = balancing_gamma(beta)
+        g = 0.5 / (beta - 1.0)
         lhs = -1.5 + g
         rhs = -1.0 + g * (2.0 - beta)
         assert abs(lhs - rhs) < 1e-15
@@ -142,7 +144,7 @@ def test_optimize_split_recovers_balance():
     for beta, expect in ((3.0, 0.25), (5.0, 0.125)):
         opt = optimize_split(beta)
         assert abs(opt.gamma - expect) <= 0.005  # one grid cell
-        target = -1.5 + balancing_gamma(beta)
+        target = -1.5 + 0.5 / (beta - 1.0)
         assert abs(opt.exponent - target) < 0.02
     opt = optimize_split(1.5)
     assert opt.gamma == 0.0
@@ -153,7 +155,7 @@ def test_optimize_split_recovers_balance():
 def test_optimize_split_never_beats_balance():
     for beta in (2.5, 3.0, 4.0, 8.0):
         opt = optimize_split(beta)
-        assert opt.exponent >= -1.5 + balancing_gamma(beta) - 1e-9
+        assert opt.exponent >= -1.5 + 0.5 / (beta - 1.0) - 1e-9
 
 
 def test_fit_decay_exact_power_law():

@@ -660,7 +660,8 @@ def test_against_scipy_dblquad_nonzero():
     # a positive w_theta bump has a nonzero far field, so the oracle and the
     # reconstruction agree on a value, not on two zeros
     bump = SmoothBump(3.0, 0.0, 1.0)
-    w = VorticityField(w_r=zero_profile(), w_theta=Profile(fn=bump.value),
+    w = VorticityField(w_r=zero_profile(),
+                       w_theta=Profile(fn=bump.profile().fn),
                        w_z=zero_profile(), support=bump.support,
                        resolution=0.2)
     ref, err = dblquad_uz(w.w_theta, DBLQUAD_PROBE)
@@ -681,6 +682,22 @@ def test_truncation_tail_bound_majorizes_window_growth():
     assert a.tail_bound > 0
     # the wider window certifies a smaller tail
     assert b.tail_bound < a.tail_bound
+
+
+@pytest.mark.parametrize("bump, names", [(stream_bump_field, ("u_r", "u_z")),
+                                         (swirl_bump_field, ("u_theta",))])
+def test_a_support_wider_than_the_window_is_integrated_whole(bump, names):
+    # the bump's support reaches rho = 18, past the default window 8 * r
+    # of these probes: the window widens to cover it, so the result needs
+    # no tail and lies within its certificate; (2.2, 0) is inside the
+    # support, the others outside
+    field, w = bump(r0=10.0, radius=8.0)
+    for r, z in ((1.2, -9.6), (2.2, 0.0), (2.0, 1.0)):
+        found = reconstruct(w, MeridianPoint(r, z), names)
+        for name in names:
+            exact = float(getattr(field, name)(np.asarray(r), np.asarray(z)))
+            assert found[name].tail_bound == 0.0
+            assert abs(found[name].value - exact) <= found[name].total_error
 
 
 def test_far_field_sign_consistency():
