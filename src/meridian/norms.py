@@ -109,10 +109,8 @@ class WeakLorentzEstimate:
     """
     q: float
     value: float
-    lambda_grid: np.ndarray
     measures: np.ndarray
     lq_same_grid: float
-    argmax_lambda: float
 
 
 def weak_lorentz_norm(f, q, dom, n_cells=400):
@@ -120,7 +118,7 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
 
     Cells are midpoint samples of a (r, z) grid on the cylinder, weighted
     by 2 pi r * cell area.  A zero |f| gives a zero estimate with empty
-    level grids; an under-resolved level grid raises ValueError.
+    measures; an under-resolved level grid raises ValueError.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -137,7 +135,7 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
 
     vmax = float(vals.max())
     if vmax <= 0.0:
-        return WeakLorentzEstimate(q, 0.0, np.array([]), np.array([]), 0.0, 0.0)
+        return WeakLorentzEstimate(q, 0.0, np.array([]), 0.0)
     vmin_pos = float(vals[vals > 0].min()) if np.any(vals > 0) else vmax
     lo = max(vmin_pos, vmax * 1e-12)
     lambdas = np.geomspace(lo * 0.999, vmax * 0.999, WEAK_LEVELS)
@@ -152,10 +150,8 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
         raise ValueError("distribution function not monotone: level sets "
                          "under-resolved")
     ln = lambdas * measures ** (1.0 / q)
-    k = int(np.argmax(ln))
     lq_grid = float(np.dot(wgts, vals ** q) ** (1.0 / q))
-    return WeakLorentzEstimate(q, float(ln[k]), lambdas, measures, lq_grid,
-                               float(lambdas[k]))
+    return WeakLorentzEstimate(q, float(ln.max()), measures, lq_grid)
 
 
 def disk_mean_ln(R):

@@ -226,7 +226,6 @@ class FitResult:
     log_corrected: bool
     slope_log_model: float
     log_coeff: float
-    residual_log_model: float
     n_used: int
     dropped: int = 0
 
@@ -287,6 +286,6 @@ def fit_decay(samples):
     return FitResult(
         slope=float(m), intercept=float(b0), residual=res_plain,
         log_corrected=bool(pick_log), slope_log_model=float(ml),
-        log_coeff=float(cl), residual_log_model=res_log,
+        log_coeff=float(cl),
         n_used=len(used), dropped=dropped,
     )

@@ -31,9 +31,9 @@ majorants, never by extrapolation.
 
 A component whose estimated error misses tol on those meshes refines where
 the error is (the globally adaptive region scheme of Berntsen, Espelid and
-Genz, ACM TOMS 17, 1991): its rectangle panels split 2 x 2, worst first,
-each generation's new panels evaluated in one kernel call per rule, and
-its core deepens its rules.
+Genz, ACM TOMS 17, 1991): its panels, rectangle and core alike, split
+2 x 2 in their own coordinates, worst first, each generation's new panels
+evaluated in one kernel call per rule and kind.
 """
 
 from dataclasses import dataclass, replace
@@ -51,17 +51,16 @@ from .rates import optimize_split, predicted_decay
 REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
                 "right_band", "far_tail")
 
-# Fixed quadrature rules.  Rectangles refine by splitting panels, the polar
-# core by deepening its rules.
+# Fixed quadrature rules; refinement splits panels and keeps their rules.
 N_NODES = 6                 # GL nodes per rectangle panel, each direction
 N_ERR = 4                   # embedded error rule
 SPLIT_TARGET = 0.1          # later generations split until the rest hold this share of tol
-PANEL_BUDGET = 8192         # most rectangle panels one component may hold
+PANEL_BUDGET = 8192         # most panels, rectangle and core, one component may hold
 CORE_RADIUS = 0.5           # core half-width, in axial envelope scales
-NEAR_DIAG_REFINEMENT = 22   # geometric levels in the core's u (+2 per deepening)
-N_SIDE = 16                 # GL nodes in v per core side (doubled per deepening)
-N_S_NODES = 6               # GL nodes per core u panel (+1 per deepening)
-MAX_CORE_DEEPEN = 2
+NEAR_DIAG_REFINEMENT = 22   # geometric levels in the core's u
+N_SIDE = 16                 # GL nodes in v per core panel (half in the error rule)
+N_S_NODES = 6               # GL nodes in u per core panel (one fewer in the error rule)
+RECT = -1                   # kind of a rectangle panel; a core panel's is its side, 0-3
 RESOLUTION_CAP = 512        # most uniform panels a profile resolution adds
 TRACE_REL_TOL = 0.02        # decay_trace: first tolerance, relative to value
 
@@ -75,9 +74,8 @@ class QuadratureSpec:
     at evaluation time and may only be enlarged; the window also widens to
     cover a compact vorticity's support.  tol is the target
     absolute error per component.  The node counts are the fixed module
-    rules above: when the estimated error exceeds tol, the rectangle panels
-    split, up to PANEL_BUDGET panels per component, and the polar core
-    deepens its rules, up to MAX_CORE_DEEPEN; the result is flagged if the
+    rules above: when the estimated error exceeds tol, the panels split,
+    up to PANEL_BUDGET panels per component; the result is flagged if the
     target is still unmet.
     """
     gamma: float = 0.0
@@ -127,13 +125,13 @@ def _region_edges(r, gamma, delta):
     return (r ** gamma / 8.0, r / 4.0, r - w, r + w, 4.0 * r), w
 
 
-def _resolution_edges(edges, resolution, deepen):
-    """`edges` merged with uniform edges at resolution / 2^deepen across their
-    span, unless that takes fewer than 2 or more than RESOLUTION_CAP panels."""
+def _resolution_edges(edges, resolution):
+    """`edges` merged with uniform edges at `resolution` across their span,
+    unless that takes fewer than 2 or more than RESOLUTION_CAP panels."""
     if resolution is None or resolution <= 0:
         return edges
     a, b = edges[0], edges[-1]
-    n = int(np.ceil((b - a) / (resolution * 0.5 ** deepen)))
+    n = int(np.ceil((b - a) / resolution))
     if n < 2 or n > RESOLUTION_CAP:
         return edges
     return np.unique(np.concatenate([edges, np.linspace(a, b, n + 1)]))
@@ -173,31 +171,34 @@ def _integrands(terms, r, z, rho, kk):
     return integrands
 
 
-def _tensor_nodes(x_edges, y_edges, n_x, n_y):
-    """The tensor rule with n_x, n_y GL nodes per panel of the meshes
-    `x_edges`, `y_edges`: x nodes as a column, y nodes as a row, and the
-    weights of their outer product flat in C order (y varies fastest).
-    Leading axes of the meshes stack separate meshes, and lead the nodes."""
-    xn, xw = panel_nodes(x_edges, n_x)
-    yn, yw = panel_nodes(y_edges, n_y)
-    return (xn[..., :, None], yn[..., None, :],
-            (xw[..., :, None] * yw[..., None, :]).ravel())
+def _integrate_rules(terms, r, z, x_edges, y_edges, rules, place):
+    """Per-panel integrals of kernel * weight * rho over tensor meshes, under
+    a value rule and an error rule.
 
-
-def _integrate_rules(terms, r, z, rules):
-    """Integrals of kernel * weight * rho under a value rule and an error
-    rule, each a node set (rho, k, weight): rho and k broadcast to the
-    nodes (see `_integrands`), the weights are flat with any Jacobian
-    folded in; `rules` yields them in that order, so a lazy iterable
-    builds each only when it is used.  Returns (sums, samples): sums[i, t]
-    is rule i's integral of term t, and samples[i] is rule i's
-    (integrands, weights), from which a caller can break the sums down."""
-    samples = []
-    for rho, kk, w in rules:
-        samples.append((_integrands(terms, r, z, rho, kk), w))
-    sums = np.array([[np.einsum("i,i->", vals, w) for vals in integrands]
-                     for integrands, w in samples])
-    return sums, samples
+    `x_edges`, `y_edges` are the panel meshes of one tensor mesh or, with a
+    leading axis, of several; `rules` gives each rule's GL nodes per panel,
+    (n_x, n_y), the value rule first.  `place(x, y, weights)` maps a rule's
+    x nodes as a column, y nodes as a row (leading axes: the meshes) and
+    the weights of their outer product, flat in C order, to (rho, k,
+    weights), rho and k broadcasting as `_integrands` takes them and any
+    Jacobian folded into the weights.  Returns an array (rule, term,
+    panel), each mesh's panels in C order (y fastest).  Each panel's block
+    of nodes is summed on its own, so its integral does not depend on the
+    panels evaluated with it.
+    """
+    px, py = np.shape(x_edges)[-1] - 1, np.shape(y_edges)[-1] - 1
+    out = []
+    for n_x, n_y in rules:
+        (xn, xw), (yn, yw) = panel_nodes(x_edges, n_x), panel_nodes(y_edges, n_y)
+        rho, kk, w = place(xn[..., :, None], yn[..., None, :],
+                           (xw[..., :, None] * yw[..., None, :]).ravel())
+        sums = []
+        for vals in _integrands(terms, r, z, rho, kk):
+            vals *= w
+            sums.append(vals.reshape(-1, px, n_x, py * n_y).sum(axis=2)
+                        .reshape(-1, n_y).sum(axis=1))
+        out.append(sums)
+    return np.array(out)
 
 
 def _integrate_rect(terms, r, z, x_edges, y_edges):
@@ -208,59 +209,56 @@ def _integrate_rect(terms, r, z, x_edges, y_edges):
     meshes of one panel each, edges of shape (P, 2).  The value rule
     (N_NODES GL nodes per panel and direction) and the error rule (N_ERR)
     are one kernel evaluation each over every panel, shared by all
-    `terms`.  Returns (sums, panels): sums are `_integrate_rules`', and
-    panels(own) forms the same per panel for the terms that the slice
-    `own` selects, an array (rule, term, panel) with each mesh's panels in
-    C order (k fastest).
+    `terms`.  Returns `_integrate_rules`' array (rule, term, panel).
     """
-    rules = (N_NODES, N_ERR)
-    sums, samples = _integrate_rules(
-        terms, r, z, (_tensor_nodes(x_edges, y_edges, n, n) for n in rules))
-
-    def panels(own):
-        # each panel's n x n block of nodes is summed on its own, so its
-        # integral does not depend on the panels evaluated with it
-        px, py = np.shape(x_edges)[-1] - 1, np.shape(y_edges)[-1] - 1
-        return np.array([[(vals * w).reshape(-1, px, n, py, n).swapaxes(2, 3)
-                          .reshape(-1, n * n).sum(axis=1)
-                          for vals in integrands[own]]
-                         for (integrands, w), n in zip(samples, rules)])
-
-    return sums, panels
+    return _integrate_rules(terms, r, z, x_edges, y_edges,
+                            ((N_NODES, N_NODES), (N_ERR, N_ERR)),
+                            lambda *nodes: nodes)
 
 
-def _integrate_polar_core(terms, r, z, s0, deepen=0, resolution=None):
-    """Integrals over the square |rho - r| <= s0, |k - z| <= s0.
+# each core side's outward normal n and its tangent t, n turned a quarter
+# counter-clockwise, as rows (n_rho, n_k, t_rho, t_k)
+_SIDE_FRAMES = np.array([(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, -1.0, 0.0),
+                         (-1.0, 0.0, 0.0, -1.0), (0.0, -1.0, 1.0, 0.0)])
+
+
+def _integrate_polar_core(terms, r, z, s0, sides, u_edges, v_edges):
+    """Integrals over panels of the square |rho - r| <= s0, |k - z| <= s0.
 
     Duffy's split: the side with outward normal n and tangent t is the
     triangle (r, z) + s0 u (n + v t), (u, v) in [0, 1] x [-1, 1], with
     Jacobian s0^2 u.  The Jacobian cancels the 1/s kernel singularity at
-    u = 0, so the integrand is bounded up to the apex and each triangle
-    takes a tensor GL rule: in u on panels graded geometrically over
-    NEAR_DIAG_REFINEMENT levels down to a first panel [0, 2^-levels] (plus
-    uniform panels at the profile's `resolution`), in v on one panel.  All
-    four sides go to one kernel call per rule.  `terms` is as for
-    `_integrate_rect`; returns (values, error estimates) per term.
+    u = 0, so the integrand is bounded up to the apex and each panel in
+    (u, v) takes a tensor GL rule: N_S_NODES x N_SIDE nodes for the value,
+    one u node fewer and half the v nodes for the error.  The panels are
+    meshes of one panel each: `sides` (P,) names each one's side, and
+    `u_edges`, `v_edges` (P, 2) are its edges.  All of them go to one
+    kernel call per rule.  Returns `_integrate_rules`' array (rule, term,
+    panel).
     """
-    levels = NEAR_DIAG_REFINEMENT + 2 * deepen
-    u_res = resolution / s0 if resolution is not None else None
+    n_r, n_k, t_r, t_k = (f[:, None, None] for f in _SIDE_FRAMES[sides].T)
+
+    def place(un, vn, w):
+        # offsets along the side's normal and along its tangent
+        a, b = s0 * un, s0 * un * vn
+        return (r + (a * n_r + b * t_r), z + (a * n_k + b * t_k),
+                w * s0 * np.broadcast_to(a, b.shape).ravel())
+
+    return _integrate_rules(terms, r, z, u_edges, v_edges,
+                            ((N_S_NODES, N_SIDE), (N_S_NODES - 1, N_SIDE // 2)),
+                            place)
+
+
+def _core_panels(s0, resolution):
+    """The polar core's first panels, (sides, boxes (u_a, u_b, v_a, v_b)):
+    on each side, u panels graded geometrically over NEAR_DIAG_REFINEMENT
+    levels down to a first panel [0, 2^-levels], plus uniform panels at the
+    profile's `resolution`, each across v in [-1, 1]."""
     u_edges = _resolution_edges(
-        np.concatenate([[0.0], 2.0 ** -np.arange(levels, -1.0, -1.0)]),
-        u_res, deepen)
-    n_u, n_v = N_S_NODES + deepen, N_SIDE * 2 ** deepen
-
-    def rule(n_u_rule, n_v_rule):
-        un, vn, w = _tensor_nodes(u_edges, (-1.0, 1.0), n_u_rule, n_v_rule)
-        # offsets along the side's normal and along its tangent, flat
-        a, b = (x.ravel() for x in np.broadcast_arrays(s0 * un, s0 * un * vn))
-        # sides n = (1, 0), (0, 1), (-1, 0), (0, -1), each with t = n
-        # turned a quarter counter-clockwise
-        return (r + np.concatenate([a, -b, -a, b]),
-                z + np.concatenate([b, a, -b, -a]), np.tile(w * s0 * a, 4))
-
-    (hi, lo), _ = _integrate_rules(terms, r, z,
-                                   map(rule, (n_u, n_u - 1), (n_v, n_v // 2)))
-    return hi, np.abs(hi - lo)
+        np.concatenate([[0.0], 2.0 ** -np.arange(NEAR_DIAG_REFINEMENT, -1.0, -1.0)]),
+        resolution / s0 if resolution is not None else None)
+    boxes = _mesh_boxes(u_edges, np.array([-1.0, 1.0]))
+    return np.repeat(np.arange(4), len(boxes)), np.tile(boxes, (4, 1))
 
 
 def _window(w_field, spec, r):
@@ -342,8 +340,8 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
 
 
 def _mesh_boxes(x_edges, y_edges):
-    """The panels of a tensor mesh as rows (rho_a, rho_b, k_a, k_b), in C
-    order (k fastest)."""
+    """The panels of a tensor mesh as rows (x_a, x_b, y_a, y_b), in C order
+    (y fastest)."""
     px, py = len(x_edges) - 1, len(y_edges) - 1
     return np.column_stack([np.repeat(x_edges[:-1], py),
                             np.repeat(x_edges[1:], py),
@@ -352,8 +350,8 @@ def _mesh_boxes(x_edges, y_edges):
 
 
 def _quarters(boxes):
-    """The 2 x 2 split of each panel row (rho_a, rho_b, k_a, k_b), four
-    rows per panel."""
+    """The 2 x 2 split of each panel row (x_a, x_b, y_a, y_b), four rows per
+    panel."""
     xa, xb, ya, yb = boxes.T
     xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
     return np.stack([np.stack(q, axis=-1) for q in (
@@ -362,49 +360,41 @@ def _quarters(boxes):
 
 
 class _Leaves:
-    """One component's refinement state after generation 0: its rectangle
-    panels, each with its region, box (rho_a, rho_b, k_a, k_b) and per-term
-    value and error, and its polar core's deepening with per-term value
-    and error."""
+    """One component's panels: rectangle panels and the polar core's Duffy
+    panels, each with its kind (RECT, or the core side 0-3), its region, its
+    box in its own coordinates, (rho_a, rho_b, k_a, k_b) or (u_a, u_b, v_a,
+    v_b), and its per-term value and error |hi - lo|.  The boxes of the
+    first panels may be None until they split."""
 
-    def __init__(self, region, boxes, values, errors, core):
-        self.region, self.boxes = region, boxes
+    def __init__(self, kind, region, boxes, values, errors):
+        self.kind, self.region, self.boxes = kind, region, boxes
         self.values, self.errors = values, errors
-        self.core_deepen, self.core_values, self.core_errors = core
         self.generation = 0
 
     def term_errors(self):
-        return self.errors.sum(axis=1) + self.core_errors
+        return self.errors.sum(axis=1)
 
     def integrals(self):
-        per_region = {name: self.values[:, self.region == i].sum(axis=1)
-                      for i, name in enumerate(REGION_NAMES)}
-        per_region["diagonal"] = per_region["diagonal"] + self.core_values
-        return per_region, self.term_errors()
+        return ({name: self.values[:, self.region == i].sum(axis=1)
+                 for i, name in enumerate(REGION_NAMES)}, self.term_errors())
 
     def plan(self, tol):
-        """(panels to split, whether the core deepens) in the next generation.
+        """The panels to split in the next generation.
 
-        The first splits every panel with a nonzero value or error: the
-        value and error rules can err alike at a steep edge of the
-        vorticity, and only a finer sample shows it.  Later ones split the
-        worst panels until the rest hold less than SPLIT_TARGET * tol, and
-        none once the error meets tol.  A live core deepens in each
-        generation up to MAX_CORE_DEEPEN, even when the error meets tol:
-        its two rules share one u mesh, and their difference can undershoot
-        until the deepest rules.
+        None once the error meets tol.  The first generation splits every
+        panel with a nonzero value or error: the value and error rules can
+        err alike at a steep edge of the vorticity, and only a finer sample
+        shows it.  Later ones split the worst panels until the rest hold
+        less than SPLIT_TARGET * tol.
         """
+        if sum(self.term_errors()) <= tol:
+            return np.zeros(0, dtype=int)
         err = self.errors.sum(axis=0)
         if self.generation == 0:
-            split = np.flatnonzero((err > 0) | np.any(self.values != 0, axis=0))
-        elif sum(self.term_errors()) <= tol:
-            split = np.zeros(0, dtype=int)
-        else:
-            order = np.argsort(-err, kind="stable")
-            rest = np.append(np.cumsum(err[order][::-1])[::-1], 0.0)
-            split = order[:int(np.argmax(rest < SPLIT_TARGET * tol))]
-        live = np.any(self.core_values != 0) or np.any(self.core_errors > 0)
-        return split, bool(live) and self.core_deepen < MAX_CORE_DEEPEN
+            return np.flatnonzero((err > 0) | np.any(self.values != 0, axis=0))
+        order = np.argsort(-err, kind="stable")
+        rest = np.append(np.cumsum(err[order][::-1])[::-1], 0.0)
+        return order[:int(np.argmax(rest < SPLIT_TARGET * tol))]
 
     def split(self, split, values, errors):
         """Replace the panels `split` by their quarters, whose values and
@@ -415,14 +405,16 @@ class _Leaves:
         diff = np.abs(self.values[:, split]
                       - values.reshape(len(values), -1, 4).sum(axis=2))
         errors = np.maximum(errors, np.repeat(diff / 4, 4, axis=1))
-        keep = np.ones(len(self.region), dtype=bool)
+        keep = np.ones(len(self.kind), dtype=bool)
         keep[split] = False
-        self.region = np.concatenate([self.region[keep],
-                                      np.repeat(self.region[split], 4)])
+        self.kind, self.region = (
+            np.concatenate([x[keep], np.repeat(x[split], 4)])
+            for x in (self.kind, self.region))
         self.boxes = np.concatenate([self.boxes[keep],
                                      _quarters(self.boxes[split])])
         self.values = np.concatenate([self.values[:, keep], values], axis=1)
         self.errors = np.concatenate([self.errors[:, keep], errors], axis=1)
+        self.generation += 1
 
 
 def _component_integral(components, w_field, p, spec):
@@ -430,18 +422,17 @@ def _component_integral(components, w_field, p, spec):
 
     `components` maps each name to its terms, (kernel selector, vorticity
     profile) pairs.  Generation 0 puts the fixed rules on each rectangle's
-    graded mesh and on the polar core, every term sharing each node set
-    and kernel evaluation; a component whose summed error meets spec.tol
-    there is done.  Every other one refines its own leaves, the panels of
-    those meshes with their own values and |hi - lo| (see `_Leaves.plan`),
-    until its error meets tol, it has nothing left to refine, or a split
-    would take it past PANEL_BUDGET panels.  The new panels of a
-    generation are evaluated together, once per distinct panel, and the
-    cores once per depth, so each component's integrals are those it gets
-    alone.  Returns name -> (per-region values, per-term error estimates);
-    each region value is an array with one entry per term.  Raises
-    ValueError when a region value or error is non-finite (a vorticity
-    sample that is not a finite number).
+    graded mesh and on the polar core's panels, every term sharing each
+    node set and kernel evaluation, and gives every component its own
+    leaves: those panels with their own values and |hi - lo|.  A component
+    whose summed error meets spec.tol is done; every other one splits its
+    leaves (see `_Leaves.plan`) until its error meets tol or a split would
+    take it past PANEL_BUDGET panels.  The new panels of a generation are
+    evaluated together, once per distinct panel, so each component's
+    integrals are those it gets alone.  Returns name -> (per-region values,
+    per-term error estimates); each region value is an array with one entry
+    per term.  Raises ValueError when a panel's value or error is
+    non-finite (a vorticity sample that is not a finite number).
     """
     r, z = p.r, p.z
     rho_max, z_max = _window(w_field, spec, r)
@@ -478,13 +469,12 @@ def _component_integral(components, w_field, p, spec):
         if rb > ra and kb > ka:
             scale = max(k_scale, 1e-12)
             rects.append((REGION_NAMES.index(name),
-                          _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale), res, 0),
-                          _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale), res, 0)))
-
-    def fail(region):
-        raise ValueError(
-            "non-finite %s integral at probe (r=%g, z=%g): the "
-            "vorticity must be finite on the window" % (region, r, z))
+                          _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale), res),
+                          _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale), res)))
+    # a core outside the support box has no panels
+    core_kind, core_boxes = _core_panels(s0, res)
+    if r + s0 <= rho_lo or r - s0 >= rho_hi or z + s0 <= k_lo or z - s0 >= k_hi:
+        core_kind, core_boxes = core_kind[:0], core_boxes[:0]
 
     def joint(names):
         """The terms of `names` in order, and each name's slice of them."""
@@ -494,90 +484,78 @@ def _component_integral(components, w_field, p, spec):
             terms += components[name]
         return terms, owns
 
-    # generation 0
+    def integrate(terms, kind, boxes):
+        """(hi, lo) on the panels `boxes` of kinds `kind`: one kernel call per
+        rule for the rectangle panels and one for the core's."""
+        out = np.empty((2, len(terms), len(kind)))
+        rect = kind == RECT
+        if rect.any():
+            out[:, :, rect] = _integrate_rect(terms, r, z, boxes[rect, :2],
+                                              boxes[rect, 2:])
+        if not rect.all():
+            core = ~rect
+            out[:, :, core] = _integrate_polar_core(
+                terms, r, z, s0, kind[core], boxes[core, :2], boxes[core, 2:])
+        return out
+
+    def checked(hi, lo, region):
+        """(hi, |hi - lo|) of new panels, which must be finite."""
+        errors = np.abs(hi - lo)
+        finite = np.all(np.isfinite(hi) & np.isfinite(errors), axis=0)
+        if not finite.all():
+            raise ValueError(
+                "non-finite %s integral at probe (r=%g, z=%g): the vorticity "
+                "must be finite on the window"
+                % (REGION_NAMES[region[np.argmin(finite)]], r, z))
+        return hi, errors
+
+    # generation 0: each rectangle's mesh as one rho column x k row, which
+    # a separable weight evaluates per column and per row, and the core
     terms, owns = joint(list(components))
-    per_region = {name: np.zeros(len(terms)) for name in REGION_NAMES}
-    per_err = {name: np.zeros(len(terms)) for name in REGION_NAMES}
-    breakdowns = []
-    for region, x_edges, y_edges in rects:
-        (hi, lo), panels = _integrate_rect(terms, r, z, x_edges, y_edges)
-        per_region[REGION_NAMES[region]] += hi
-        per_err[REGION_NAMES[region]] += np.abs(hi - lo)
-        breakdowns.append(panels)
-    # a core outside the support box integrates zeros
-    core = ((np.zeros(len(terms)), np.zeros(len(terms)))
-            if r + s0 <= rho_lo or r - s0 >= rho_hi or z + s0 <= k_lo
-            or z - s0 >= k_hi else
-            _integrate_polar_core(terms, r, z, s0, 0, resolution=res))
-    per_region["diagonal"] += core[0]
-    per_err["diagonal"] += core[1]
-    for name in REGION_NAMES:
-        if not np.all(np.isfinite(per_region[name]) & np.isfinite(per_err[name])):
-            fail(name)
-    errors = sum(per_err.values())
+    sizes = [(len(x) - 1) * (len(y) - 1) for _, x, y in rects]
+    kind = np.concatenate([np.full(sum(sizes), RECT), core_kind])
+    region = np.repeat([i for i, _, _ in rects] + [REGION_NAMES.index("diagonal")],
+                       sizes + [len(core_kind)])
+    values, errors = checked(*np.concatenate(
+        [_integrate_rect(terms, r, z, x, y) for _, x, y in rects]
+        + [integrate(terms, core_kind, core_boxes)], axis=2), region)
+    pending = {name: _Leaves(kind, region, None, values[own], errors[own])
+               for name, own in owns.items()}
 
-    done, pending = {}, {}
-    for name, own in owns.items():
-        if sum(errors[own]) <= spec.tol:
-            done[name] = ({region: values[own]
-                           for region, values in per_region.items()},
-                          errors[own])
-            continue
-        hi, lo = np.concatenate([panels(own) for panels in breakdowns], axis=2)
-        pending[name] = _Leaves(
-            np.concatenate([np.full((len(x) - 1) * (len(y) - 1), i)
-                            for i, x, y in rects]),
-            np.concatenate([_mesh_boxes(x, y) for _, x, y in rects]),
-            hi, np.abs(hi - lo), (0, core[0][own], core[1][own]))
-
-    while pending:
-        splits, deepens = {}, {}
+    done = {}
+    while True:
+        splits = {}
         for name, leaves in list(pending.items()):
-            split, deepen = leaves.plan(spec.tol)
-            if (not (split.size or deepen)
-                    or len(leaves.region) + 3 * split.size > PANEL_BUDGET):
+            split = leaves.plan(spec.tol)
+            if (not split.size
+                    or len(leaves.kind) + 3 * split.size > PANEL_BUDGET):
                 done[name] = leaves.integrals()
                 del pending[name]
-                continue
-            leaves.generation += 1
-            if split.size:
+            else:
                 splits[name] = split
-            if deepen:
-                deepens.setdefault(leaves.core_deepen + 1, []).append(name)
-
-        if splits:
-            # each distinct panel is split and evaluated once; a component
-            # reads its quarters at `cols`
-            parents, cols = {}, {}
-            for name, split in splits.items():
-                index = [parents.setdefault(box.tobytes(), (len(parents), box))[0]
-                         for box in pending[name].boxes[split]]
-                cols[name] = (4 * np.array(index)[:, None] + np.arange(4)).ravel()
-            quarters = _quarters(np.array([box for _, box in parents.values()]))
-            terms, owns = joint(list(splits))
-            _, panels = _integrate_rect(terms, r, z, quarters[:, :2],
-                                        quarters[:, 2:])
-            hi, lo = panels(slice(None))
-            for name, own in owns.items():
-                leaves, split = pending[name], splits[name]
-                values = hi[own][:, cols[name]]
-                errors = np.abs(values - lo[own][:, cols[name]])
-                finite = np.all(np.isfinite(values) & np.isfinite(errors), axis=0)
-                if not finite.all():
-                    fail(REGION_NAMES[leaves.region[split][np.argmin(finite) // 4]])
-                leaves.split(split, values, errors)
-
-        for deepen, names in deepens.items():
-            terms, owns = joint(names)
-            values, errors = _integrate_polar_core(terms, r, z, s0, deepen,
-                                                   resolution=res)
-            if not np.all(np.isfinite(values) & np.isfinite(errors)):
-                fail("diagonal")
-            for name, own in owns.items():
-                leaves = pending[name]
-                leaves.core_deepen = deepen
-                leaves.core_values, leaves.core_errors = values[own], errors[own]
-    return done
+        if not splits:
+            return done
+        # each distinct panel is split and evaluated once; a component reads
+        # its quarters at `cols`
+        parents, cols = {}, {}
+        for name, split in splits.items():
+            leaves = pending[name]
+            if leaves.boxes is None:        # generation 0's, built on first use
+                leaves.boxes = np.concatenate(
+                    [_mesh_boxes(x, y) for _, x, y in rects] + [core_boxes])
+            rows = np.column_stack([leaves.kind[split], leaves.region[split],
+                                    leaves.boxes[split]])
+            index = [parents.setdefault(row.tobytes(), (len(parents), row))[0]
+                     for row in rows]
+            cols[name] = (4 * np.array(index)[:, None] + np.arange(4)).ravel()
+        rows = np.array([row for _, row in parents.values()])
+        kind, region = (np.repeat(rows[:, i].astype(int), 4) for i in (0, 1))
+        terms, owns = joint(list(splits))
+        values, errors = checked(*integrate(terms, kind, _quarters(rows[:, 2:])),
+                                 region)
+        for name, own in owns.items():
+            pending[name].split(splits[name], values[own][:, cols[name]],
+                                errors[own][:, cols[name]])
 
 
 # component -> its terms (label, kernel, vorticity attribute, sign): `kernel`

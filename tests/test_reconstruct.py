@@ -12,10 +12,11 @@ from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
 from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, SmoothBump, zero_profile
 from meridian.quadrature import panel_nodes
-from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_S_NODES, N_SIDE,
-                                  QuadratureSpec, _integrands,
+from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_ERR, N_NODES,
+                                  N_S_NODES, N_SIDE, QuadratureSpec,
+                                  _core_panels, _integrands,
                                   _integrate_polar_core, _integrate_rect,
-                                  _mesh_boxes,
+                                  _Leaves, _mesh_boxes, _quarters,
                                   _resolution_edges, decay_trace, reconstruct,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
@@ -51,7 +52,7 @@ def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
         c, s_ang = np.cos(theta), np.sin(theta)
         s_max = s0 / max(abs(c), abs(s_ang))
         edges = s_max * 2.0 ** (-np.arange(levels + 1.0)[::-1])
-        edges = _resolution_edges(edges, resolution, 0)
+        edges = _resolution_edges(edges, resolution)
         sn, sw = panel_nodes(edges, n_s)
         rho, kk = r + sn * c, z + sn * s_ang
         vals = kernel_sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho * sn
@@ -59,17 +60,26 @@ def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
     return total
 
 
+def integrate_core(terms, r, z, s0, sides, boxes):
+    """`_integrate_polar_core` on the panels `boxes` (u_a, u_b, v_a, v_b)."""
+    return _integrate_polar_core(terms, r, z, s0, sides, boxes[:, :2],
+                                 boxes[:, 2:])
+
+
 def test_polar_core_matches_fine_polar_reference():
     # the trapezoid rule converges like h^2 across the square's diagonals,
-    # so 4096 angles put the reference well inside the core's certificate
+    # so 4096 angles put the reference well inside the core's certificate,
+    # on the first panels and on their quarters
     _, w = stream_bump_field(r0=3.0, radius=1.0)
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
     term = (lambda kv: kv.g1, w.w_theta)
     ref = per_ray_polar_core(*term, r, z, s0, 4096, 10, 30, res)
-    for deepen in (0, 1):
-        (value,), (err,) = _integrate_polar_core([term], r, z, s0, deepen,
-                                                 resolution=res)
-        assert abs(value - ref) <= err
+    sides, boxes = _core_panels(s0, res)
+    for split in (False, True):
+        if split:
+            sides, boxes = np.repeat(sides, 4), _quarters(boxes)
+        (hi,), (lo,) = integrate_core([term], r, z, s0, sides, boxes)
+        assert abs(hi.sum() - ref) <= np.abs(hi - lo).sum()
 
 
 @pytest.mark.parametrize("r, z, s0", [(3.5, 0.4, 0.5), (10.0, 1.0, 0.5),
@@ -78,10 +88,10 @@ def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
     # kernel 1 and weight 1 leave rho, whose integral over the square is
     # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
     term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
-    (value,), (err,) = _integrate_polar_core([term], r, z, s0)
-    assert value == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
+    (hi,), (lo,) = integrate_core([term], r, z, s0, *_core_panels(s0, None))
+    assert hi.sum() == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
     # both rules reach the apex u = 0, so neither omits a strip there
-    assert err <= 1e-12
+    assert np.abs(hi - lo).sum() <= 1e-12
 
 
 def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
@@ -90,8 +100,10 @@ def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
     # plus the first panel [0, 2^-levels] at the apex
     calls = recording_kernel_batch(monkeypatch)
     term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
-    _integrate_polar_core([term], 3.5, 0.4, 0.5)
+    sides, boxes = _core_panels(0.5, None)
+    integrate_core([term], 3.5, 0.4, 0.5, sides, boxes)
     n_panels = NEAR_DIAG_REFINEMENT + 1
+    assert np.array_equal(sides, np.repeat(np.arange(4), n_panels))
     per_side = [n_panels * N_S_NODES * N_SIDE,
                 n_panels * (N_S_NODES - 1) * (N_SIDE // 2)]
     assert [rho.size for rho, _ in calls] == [4 * n for n in per_side]
@@ -111,21 +123,33 @@ def test_core_certificate_holds_at_the_bump_edge(r0):
     assert abs(res.value - float(field.u_z(r, z))) <= res.total_error
 
 
-@pytest.mark.parametrize("bump, probe", [
-    pytest.param(
-        dict(r0=3.95296, z0=-0.951704), (2.03, 1.334),
-        marks=pytest.mark.xfail(
-            strict=True, reason="generation 0's rectangle estimate, n = 6 "
-            "vs n = 4 summed over each rectangle, undershoots where both "
-            "even rules err alike at the bump's support edge, and meets tol "
-            "there, so nothing refines")),
-    (dict(r0=2.963131158523197, z0=-0.5693170724567977, radius=0.8),
+# each id is the case's error against its certificate when it was found,
+# with tol_met True; the first and the last three met tol in generation 0
+# while its estimate was |hi - lo| of each whole mesh, not of each panel
+@pytest.mark.parametrize("bump, name, centre, probe", [
+    (swirl_bump_field, "u_theta", dict(r0=3.95296, z0=-0.951704),
+     (2.03, 1.334)),
+    (swirl_bump_field, "u_theta",
+     dict(r0=2.963131158523197, z0=-0.5693170724567977, radius=0.8),
      (4.417, 1.017)),
-], ids=["error-6.5e-7-vs-3.2e-7", "error-1.2e-6-vs-7.7e-7"])
-def test_utheta_certificate_at_a_swirl_bump(bump, probe):
-    field, w = swirl_bump_field(**bump)
-    res = reconstruct_utheta(w, MeridianPoint(*probe))
-    assert abs(res.value - float(field.u_theta(*probe))) <= res.total_error
+    (stream_bump_field, "u_z",
+     dict(r0=3.160802906204518, z0=0.7286579120819869),
+     (4.4266835328071945, -1.3264406287302624)),
+    (swirl_bump_field, "u_theta",
+     dict(r0=3.267293832587711, z0=-0.4798051045255536),
+     (4.233147624013029, 0.8612908246644029)),
+    (swirl_bump_field, "u_theta",
+     dict(r0=3.0607737394915406, z0=0.8417705064644236, radius=0.8),
+     (3.9776929688691927, -0.16788142506924553)),
+], ids=["u_theta-6.5e-7-vs-3.2e-7", "u_theta-1.2e-6-vs-7.7e-7",
+        "u_z-3.7e-6-vs-7.9e-7", "u_theta-2.3e-6-vs-4.3e-7",
+        "u_theta-2.1e-6-vs-4.3e-7"])
+def test_certificate_at_a_bump(bump, name, centre, probe):
+    field, w = bump(**centre)
+    res = reconstruct(w, MeridianPoint(*probe), (name,))[name]
+    exact = float(getattr(field, name)(np.asarray(probe[0]),
+                                       np.asarray(probe[1])))
+    assert res.tol_met and abs(res.value - exact) <= res.total_error
 
 
 def recording_kernel_batch(monkeypatch):
@@ -142,12 +166,15 @@ def recording_kernel_batch(monkeypatch):
 
 
 def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
-    # u_theta's two terms come from one kernel call per node set
+    # u_theta's two terms come from one kernel call per node set: here two
+    # per rectangle mesh and two for the core in generation 0, two for
+    # rectangle and two for core quarters in the first split, and two for
+    # rectangle quarters in the second
     calls = recording_kernel_batch(monkeypatch)
     _, w = swirl_bump_field()
     reconstruct_utheta(w, MeridianPoint(2.6, 0.2))
     node_sets = [(rho.tobytes(), zeta.tobytes()) for rho, zeta in calls]
-    assert len(node_sets) == 20
+    assert len(node_sets) == 18
     assert len(set(node_sets)) == len(node_sets)
 
 
@@ -193,15 +220,15 @@ def test_joint_reconstruction_equals_single_calls(monkeypatch):
 def test_joint_reconstruction_equals_single_calls_when_both_refine(
         monkeypatch):
     # both refine for three generations, not all on the same panels: jointly
-    # each generation's new panels are one node set per rule, each distinct
-    # panel evaluated once, so the joint call makes the calls of either
-    # alone on more points than either and fewer than both
+    # each generation's new panels are one node set per rule and kind, each
+    # distinct panel evaluated once, so the joint call makes the calls of
+    # either alone on more points than either and fewer than both
     joint, single, costs, cost = joint_and_single_costs(
         monkeypatch, (2.5, 1.0), 1e-6)
     assert {name: c[:2] for name, c in costs.items()} == {
-        "u_r": (20, 20), "u_z": (20, 20)}
+        "u_r": (22, 22), "u_z": (22, 22)}
     assert joint == single
-    assert cost[:2] == (20, 20)
+    assert cost[:2] == (22, 22)
     points = sorted(c[2] for c in costs.values())
     assert points[1] < cost[2] < sum(points)
 
@@ -247,6 +274,34 @@ def test_certificates_on_roundtrip_traffic():
     assert len(failed) <= 10
 
 
+def test_certificates_on_random_bumps():
+    # the random-field half of the certificate harness, seeded: bump centres
+    # in [2.2, 4] x [-1, 1] at radius 1 and 0.8, stream and swirl bumps
+    # alternating, six probes each in [1.5, 5.5] x [-1.5, 1.5]; 108
+    # reconstructions
+    rng = np.random.default_rng(20261019)
+    kinds = ((stream_bump_field, ("u_r", "u_z")),
+             (swirl_bump_field, ("u_theta",)))
+    count, misses = 0, []
+    for radius in (1.0, 0.8):
+        for i in range(6):
+            factory, names = kinds[i % 2]
+            centre = dict(r0=rng.uniform(2.2, 4.0), z0=rng.uniform(-1.0, 1.0),
+                          radius=radius)
+            field, w = factory(**centre)
+            for r, z in zip(rng.uniform(1.5, 5.5, 6).tolist(),
+                            rng.uniform(-1.5, 1.5, 6).tolist()):
+                for name, res in reconstruct(w, MeridianPoint(r, z),
+                                             names).items():
+                    count += 1
+                    exact = float(getattr(field, name)(np.asarray(r),
+                                                       np.asarray(z)))
+                    if not (res.tol_met
+                            and abs(res.value - exact) <= res.total_error):
+                        misses.append((centre, name, r, z))
+    assert count == 108 and misses == []
+
+
 def test_a_u_r_kernel_batch_never_forms_j2(monkeypatch):
     # J2 feeds G3 alone, which no reconstruction term reads
     import meridian.reconstruct as rec
@@ -265,22 +320,33 @@ def test_a_u_r_kernel_batch_never_forms_j2(monkeypatch):
 
 def test_a_panel_integral_does_not_depend_on_its_batch():
     # a panel of a generation-0 mesh, evaluated alone or among others as a
-    # refinement panel, gives the bits of its mesh's per-panel breakdown;
-    # the breakdown sums to the mesh integrals
+    # refinement panel, or for fewer terms, gives the bits it gets in its
+    # mesh, whose panels sum to the mesh integrals; so does a core panel
     _, w = stream_bump_field()
     terms = [(lambda kv: kv.g1, w.w_theta), (lambda kv: kv.g2, w.w_theta)]
     x_edges, y_edges = np.linspace(2.2, 3.8, 5), np.linspace(-0.7, 0.9, 4)
-    sums, panels = _integrate_rect(terms, 3.9, 0.4, x_edges, y_edges)
-    breakdown = panels(slice(None))
-    assert breakdown.shape == (2, 2, 12)
-    assert np.allclose(breakdown.sum(axis=2), sums, rtol=1e-13, atol=0.0)
+    mesh = _integrate_rect(terms, 3.9, 0.4, x_edges, y_edges)
+    assert mesh.shape == (2, 2, 12)
+    for rule, n in enumerate((N_NODES, N_ERR)):
+        (rho, rw), (kk, kw) = panel_nodes(x_edges, n), panel_nodes(y_edges, n)
+        sums = [vals @ np.outer(rw, kw).ravel()
+                for vals in _integrands(terms, 3.9, 0.4, rho[:, None], kk)]
+        assert np.allclose(mesh[rule].sum(axis=1), sums, rtol=1e-13, atol=0.0)
     boxes = _mesh_boxes(x_edges, y_edges)
     for pick in ([5], [5, 0, 11], list(range(12))):
-        _, alone = _integrate_rect(terms, 3.9, 0.4, boxes[pick, :2],
-                                   boxes[pick, 2:])
-        assert np.array_equal(alone(slice(None)), breakdown[:, :, pick])
-    _, second = _integrate_rect(terms[1:], 3.9, 0.4, boxes[:, :2], boxes[:, 2:])
-    assert np.array_equal(second(slice(None)), breakdown[:, 1:])
+        alone = _integrate_rect(terms, 3.9, 0.4, boxes[pick, :2], boxes[pick, 2:])
+        assert np.array_equal(alone, mesh[:, :, pick])
+    second = _integrate_rect(terms[1:], 3.9, 0.4, boxes[:, :2], boxes[:, 2:])
+    assert np.array_equal(second, mesh[:, 1:])
+
+    sides, boxes = _core_panels(0.2, w.resolution)
+    core = integrate_core(terms, 3.3, 0.2, 0.2, sides, boxes)
+    assert core.shape == (2, 2, len(sides)) and np.all(core[0] != 0.0)
+    for pick in ([5], [70, 5, 30], list(range(len(sides)))[::-1]):
+        alone = integrate_core(terms, 3.3, 0.2, 0.2, sides[pick], boxes[pick])
+        assert np.array_equal(alone, core[:, :, pick])
+    second = integrate_core(terms[1:], 3.3, 0.2, 0.2, sides, boxes)
+    assert np.array_equal(second, core[:, 1:])
 
 
 def test_a_component_past_the_panel_budget_misses_tol(monkeypatch):
@@ -361,14 +427,20 @@ def test_compact_envelope_certificate_at_narrow_and_wide_sizes(h, r, z):
 CORE_JUMP_REFERENCE = 6.1664696e-5
 
 
-@pytest.mark.xfail(strict=True, reason="the polar core does not see a jump "
-                   "of the vorticity inside its square, and its error "
-                   "estimate then undercounts")
 def test_polar_core_estimate_covers_a_jump_inside_the_core():
+    # the core's panels, refined as a component refines its panels until
+    # their error meets tol, bracket the reference across the jump
     w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=0.5))
-    (value,), (err,) = _integrate_polar_core(
-        [(lambda kv: kv.g1, w.w_theta)], 5.0, 0.3, 0.25, deepen=2)
-    assert abs(value - CORE_JUMP_REFERENCE) <= err
+    terms, r, z, s0, tol = [(lambda kv: kv.g1, w.w_theta)], 5.0, 0.3, 0.25, 1e-6
+    sides, boxes = _core_panels(s0, None)
+    hi, lo = integrate_core(terms, r, z, s0, sides, boxes)
+    leaves = _Leaves(sides, np.zeros_like(sides), boxes, hi, np.abs(hi - lo))
+    while (split := leaves.plan(tol)).size:
+        hi, lo = integrate_core(terms, r, z, s0, np.repeat(leaves.kind[split], 4),
+                                _quarters(leaves.boxes[split]))
+        leaves.split(split, hi, np.abs(hi - lo))
+    assert leaves.generation > 1 and leaves.errors.sum() <= tol
+    assert abs(leaves.values.sum() - CORE_JUMP_REFERENCE) <= leaves.errors.sum()
 
 
 def integrand_nodes(n=4000, seed=3):
