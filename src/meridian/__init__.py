@@ -15,7 +15,6 @@ from .norms import (CylinderDomain, DivergentNormError, WeakLorentzEstimate,
                     lq_norm_cylinder, weak_lorentz_norm)
 from .operators import AxisTooCloseError, curl_axisym, divergence_axisym
 from .profiles import Profile, SmoothBump, power_law_profile, zero_profile
-from .quadrature import QuadratureError
 from .rates import (DecayPrediction, FeasibleExponents, FitResult,
                     InfeasibleExponentError, bruteforce_feasible_set,
                     construct_feasible_pair, evaluate_pair, fit_decay,

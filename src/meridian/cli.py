@@ -30,7 +30,6 @@ from . import envelopes
 from .fields import AxialEnvelope, MeridianPoint, power_law_vorticity, \
     stream_bump_field, swirl_bump_field
 from .norms import bmo_oscillation_ln, disk_mean_ln
-from .quadrature import QuadratureError
 from .rates import (FIT_MIN_SAMPLES, bruteforce_feasible_set,
                     construct_feasible_pair, feasibility_predicates,
                     fit_decay, predicted_decay, InfeasibleExponentError)
@@ -515,7 +514,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ArithmeticError, QuadratureError) as exc:
+    except ArithmeticError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
     return 2

@@ -31,26 +31,27 @@ agree with 40-digit references to about 4e-13 relative at worst (just
 above the switch).
 
 `kernel_triple` keeps adaptive angular quadrature as the independent
-oracle.  Its integrand develops a boundary layer of width K^{-1/2} at t = 0,
-where
+oracle: QUADPACK's globally adaptive Gauss-Kronrod `quad` (Piessens et
+al., 1983) on J0, J1, J2 directly.  Its integrand develops a boundary
+layer of width K^{-1/2} at t = 0, where
 
     K = 4 r rho / ((r - rho)^2 + zeta^2)
 
-is the near-diagonal modulus; geometrically graded panels resolve it and
-`adaptive_integrate` refines to a requested absolute tolerance.
+is the near-diagonal modulus; `layer_panels`' geometrically graded edges
+seed the subdivision there.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
 
-from .quadrature import adaptive_integrate
-
-# K above which kernel quadrature switches to the u = sin(t) substitution;
-# the layer is then exactly algebraic and geometric panels in u are optimal.
-SUBSTITUTION_K = 1e6
+# relative tolerance of the oracle's quadrature beside its absolute `tol`:
+# a double cannot hold an absolute error below its value's last digit
+ORACLE_EPSREL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,9 @@ class KernelTriple:
     err3: float
 
 
-def layer_panels(K, span=np.pi / 2, deepen=0):
-    """Panel edges on [0, span] graded into the K sin^2 boundary layer."""
+def layer_panels(K, deepen=0):
+    """Panel edges on [0, pi/2] graded into the K sin^2 boundary layer."""
+    span = np.pi / 2
     scale = min(span, 1.0 / np.sqrt(max(K, 1.0))) * 0.5 ** deepen
     edges = [span]
     e = span
@@ -84,20 +86,34 @@ def k_modulus(r, rho, zeta):
 
 
 def kernel_triple(r, rho, zeta, tol=1e-12):
-    """G1, G2, G3 at a single point, each to absolute tolerance `tol`.
+    """G1, G2, G3 at a single point, each J_k to absolute tolerance `tol`
+    or ORACLE_EPSREL relative, whichever is looser.
 
-    The diagonal point (rho = r, zeta = 0) is a non-integrable singularity
-    of the kernels themselves and is rejected.
+    The errors are QUADPACK's estimates carried through the kernel
+    combinations.  Raises ArithmeticError when `quad` reports that it did
+    not converge.  The diagonal point (rho = r, zeta = 0) is a
+    non-integrable singularity of the kernels themselves and is rejected.
     """
     d2 = (r - rho) ** 2 + zeta ** 2
     if d2 <= 0.0:
         raise ValueError("kernel singular at the diagonal point rho=r, zeta=0")
     if r < 0 or rho < 0:
         raise ValueError("radii must be nonnegative")
-    K = 4.0 * r * rho / d2
+    four_r_rho = 4.0 * r * rho
+    points = layer_panels(four_r_rho / d2)[1:-1]
 
-    four = _reduced_moments_scalar(r, rho, zeta, K, tol)
-    (j0, e0), (j1, e1), (j2, e2) = four
+    def moment(m):
+        def f(t):
+            den = (d2 + four_r_rho * math.sin(t) ** 2) ** 1.5
+            return math.cos(2.0 * t) ** m / den
+        out = quad(f, 0.0, math.pi / 2, points=points, epsabs=tol,
+                   epsrel=ORACLE_EPSREL, full_output=1)
+        if len(out) == 4:       # quad's failure form carries its message
+            raise ArithmeticError("kernel oracle at (r=%g, rho=%g, zeta=%g): %s"
+                                  % (r, rho, zeta, out[3]))
+        return out[:2]
+
+    (j0, e0), (j1, e1), (j2, e2) = moment(0), moment(1), moment(2)
     g1 = (zeta / np.pi) * j1
     g2 = -(rho * j0 - r * j1) / np.pi
     g3 = -(rho * j1 - r * j2) / np.pi
@@ -107,33 +123,6 @@ def kernel_triple(r, rho, zeta, tol=1e-12):
         err2=(rho * e0 + r * e1) / np.pi,
         err3=(rho * e1 + r * e2) / np.pi,
     )
-
-
-def _reduced_moments_scalar(r, rho, zeta, K, tol):
-    """Adaptive J_m = int_0^{pi/2} cos(2t)^m / D(2t)^{3/2} dt for m = 0, 1, 2.
-
-    For K > SUBSTITUTION_K the substitution u = sin(t) is applied first so
-    the boundary layer becomes an algebraic feature at u = 0.
-    """
-    D0 = (r - rho) ** 2 + zeta ** 2
-    results = []
-    if K <= SUBSTITUTION_K:
-        seed = layer_panels(K)
-        for m in (0, 1, 2):
-            def f(t, m=m):
-                den = (D0 + 4.0 * r * rho * np.sin(t) ** 2) ** 1.5
-                return np.cos(2 * t) ** m / den
-            results.append(adaptive_integrate(f, 0.0, np.pi / 2, tol, seed_edges=seed))
-    else:
-        # t = arcsin(u): dt = du / sqrt(1 - u^2), cos 2t = 1 - 2 u^2
-        seed = layer_panels(K, span=1.0)
-        for m in (0, 1, 2):
-            def f(u, m=m):
-                u2 = u * u
-                den = (D0 + 4.0 * r * rho * u2) ** 1.5
-                return (1.0 - 2.0 * u2) ** m / (den * np.sqrt(1.0 - u2))
-            results.append(adaptive_integrate(f, 0.0, 1.0 - 1e-12, tol, seed_edges=seed))
-    return results
 
 
 def _series_coefficients(n_terms):

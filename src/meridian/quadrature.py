@@ -1,21 +1,15 @@
-"""Shared 1-D quadrature machinery: Gauss-Legendre panels and adaptive bisection.
+"""Shared 1-D quadrature machinery: Gauss-Legendre panels on graded meshes.
 
-Everything downstream (angular kernels, half-plane reconstruction, norm
-integrals) is built from composite Gauss-Legendre rules on explicit panel
-meshes.  Panel meshes are ordinary 1-D float arrays of edges; helpers below
-build geometric and feature-graded meshes.  The adaptive routine is
-a worst-panel-first bisection with a hard subdivision budget so worst-case
-cost stays bounded in grid scans.
+Half-plane reconstruction and the norm integrals are built from composite
+Gauss-Legendre rules on explicit panel meshes.  Panel meshes are ordinary
+1-D float arrays of edges; helpers below build geometric and
+feature-graded meshes.  The one adaptive 1-D integrator in the package is
+SciPy's QUADPACK `quad`, which the kernel oracle and the tail bounds call
+directly.
 """
-
-import heapq
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-DEFAULT_PANEL_BUDGET = 2 ** 14
-ADAPTIVE_N_HI = 15          # adaptive_integrate: GL nodes per panel
-ADAPTIVE_N_LO = 7           # and per panel of its embedded error rule
 
 _GL_CACHE = {}
 
@@ -93,66 +87,4 @@ def graded_mesh(a, b, features, scale):
     out[0] = a
     out[-1] = b
     return out
-
-
-class QuadratureError(RuntimeError):
-    """Tolerance unreachable within the subdivision budget.
-
-    Carries the best available estimate and its error bound so callers can
-    decide whether to degrade gracefully.
-    """
-
-    def __init__(self, message, best, error):
-        super().__init__(message)
-        self.best = best
-        self.error = error
-
-
-def adaptive_integrate(f, a, b, tol, budget=DEFAULT_PANEL_BUDGET,
-                       seed_edges=None):
-    """Worst-first adaptive bisection of int_a^b f on [a, b].
-
-    `f` must accept a numpy array of abscissae.  Per-panel error is the
-    difference between the ADAPTIVE_N_HI- and ADAPTIVE_N_LO-point GL
-    results.  Returns (value, error_estimate).  Raises QuadratureError when
-    `tol` is not met within `budget` panels.
-    """
-    xh, wh = gauss_legendre(ADAPTIVE_N_HI)
-    xl, wl = gauss_legendre(ADAPTIVE_N_LO)
-
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        vh = half * np.dot(wh, f(mid + half * xh))
-        vl = half * np.dot(wl, f(mid + half * xl))
-        return vh, abs(vh - vl)
-
-    if seed_edges is None:
-        seed_edges = [a, b]
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for i in range(len(seed_edges) - 1):
-        v, e = panel(seed_edges[i], seed_edges[i + 1])
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, seed_edges[i], seed_edges[i + 1], v))
-    n_panels = len(seed_edges) - 1
-
-    while total_err > tol and n_panels < budget:
-        neg_e, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = panel(lo, mid)
-        v2, e2 = panel(mid, hi)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_e)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        n_panels += 1
-
-    if total_err > tol:
-        raise QuadratureError(
-            "tolerance %.3g not reached within %d panels (error %.3g)"
-            % (tol, budget, total_err), total, total_err)
-    return total, total_err
 

@@ -95,10 +95,9 @@ def bruteforce_feasible_set(mu, delta_grid, q_grid):
         raise ValueError("delta grid must lie inside (0, 1)")
     if np.any(q_grid <= 2) or np.any(q_grid >= 3):
         raise ValueError("q grid must lie inside (2, 3)")
-    D = delta_grid[:, None]
-    Q = q_grid[None, :]
-    lower = np.maximum(6.0 * (3.0 - D) / (6.0 - D), 2.0 / mu)
-    return (Q > lower) & (Q < 3.0) & (2.0 - D / 2.0 - (6.0 - 2.0 * D) / Q < 0.0)
+    lower_ok, upper_ok, negativity_ok = feasibility_predicates(
+        delta_grid[:, None], q_grid[None, :], mu)
+    return lower_ok & upper_ok & negativity_ok
 
 
 @dataclass(frozen=True)

@@ -249,14 +249,11 @@ def _integrate_polar_core(terms, r, z, s0, sides, u_edges, v_edges):
                             place)
 
 
-def _core_panels(s0, resolution):
+def _core_panels():
     """The polar core's first panels, (sides, boxes (u_a, u_b, v_a, v_b)):
     on each side, u panels graded geometrically over NEAR_DIAG_REFINEMENT
-    levels down to a first panel [0, 2^-levels], plus uniform panels at the
-    profile's `resolution`, each across v in [-1, 1]."""
-    u_edges = _resolution_edges(
-        np.concatenate([[0.0], 2.0 ** -np.arange(NEAR_DIAG_REFINEMENT, -1.0, -1.0)]),
-        resolution / s0 if resolution is not None else None)
+    levels down to a first panel [0, 2^-levels], each across v in [-1, 1]."""
+    u_edges = np.concatenate([[0.0], 2.0 ** -np.arange(NEAR_DIAG_REFINEMENT, -1.0, -1.0)])
     boxes = _mesh_boxes(u_edges, np.array([-1.0, 1.0]))
     return np.repeat(np.arange(4), len(boxes)), np.tile(boxes, (4, 1))
 
@@ -283,39 +280,43 @@ def _support_box(w_field, rho_max, z_max):
     return (0.0, rho_max), (-z_max, z_max)
 
 
-def _radial_majorant(w_field):
-    """rho -> pointwise bound on |w|(rho, .) for tail integrals."""
+def _has_tail(w_field, z, rho_max, z_max):
+    """Whether the vorticity can have mass outside the window (rho_max,
+    z_max): False when its support box lies inside.  A tail must be
+    certifiable, so raises ValueError when the field lacks the decay
+    metadata or the axial envelope, or when the probe's |z| is beyond
+    z_max / 2, where the axial tail bounds do not hold."""
+    if w_field.support is not None:
+        slo, shi, klo, khi = w_field.support
+        if shi <= rho_max and -z_max <= klo and khi <= z_max:
+            return False
     if w_field.decay_beta is None:
         raise ValueError(
             "vorticity carries neither a support box nor decay metadata: "
             "truncation tails cannot be certified (nonintegrable tail risk)")
-    beta = w_field.decay_beta
-    return lambda rho: (1.0 + rho) ** (-beta)
-
-
-def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
-    """Crude-bound majorants for the mass outside the truncation window.
-
-    Radial tail (rho > rho_max): |G1| <= 1/(rho - r)^2 and |G2|, |M| <=
-    (rho + r)/(rho - r)^3 integrated against the radial majorant times the
-    envelope integral.  Axial tail (|k| > z_max, rho <= rho_max): kernel
-    bounds at |z - k| >= z_max - |z| times the envelope tail integral.
-    `kernel_kind` names the term's kernel: "g1" takes the G1 majorants,
-    "g2" and "g_swirl" (M) the G2 ones.  Compactly supported fields inside
-    the window have zero tails.
-    """
-    if w_field.support is not None:
-        slo, shi, klo, khi = w_field.support
-        if shi <= rho_max and -z_max <= klo and khi <= z_max:
-            return 0.0
-    bound = _radial_majorant(w_field)
-    env = w_field.axial_envelope
-    if env is None:
+    if w_field.axial_envelope is None:
         raise ValueError("unbounded vorticity needs an axial envelope for "
                          "tail certification")
     if abs(z) > 0.5 * z_max:
         raise ValueError("probe |z| must stay below z_max / 2 for valid "
                          "axial tail bounds")
+    return True
+
+
+def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
+    """Crude-bound majorants for the mass outside the truncation window of
+    a field that `_has_tail`.
+
+    Radial tail (rho > rho_max): |G1| <= 1/(rho - r)^2 and |G2|, |M| <=
+    (rho + r)/(rho - r)^3 integrated against the radial majorant
+    (1 + rho)^-beta times the envelope integral.  Axial tail (|k| > z_max,
+    rho <= rho_max): kernel bounds at |z - k| >= z_max - |z| times the
+    envelope tail integral.  `kernel_kind` names the term's kernel: "g1"
+    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.
+    """
+    beta = w_field.decay_beta
+    bound = lambda rho: (1.0 + rho) ** (-beta)
+    env = w_field.axial_envelope
     env_total = env.integral()
     env_tail = env.tail_integral(z_max)
 
@@ -472,7 +473,7 @@ def _component_integral(components, w_field, p, spec):
                           _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale), res),
                           _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale), res)))
     # a core outside the support box has no panels
-    core_kind, core_boxes = _core_panels(s0, res)
+    core_kind, core_boxes = _core_panels()
     if r + s0 <= rho_lo or r - s0 >= rho_hi or z + s0 <= k_lo or z - s0 >= k_hi:
         core_kind, core_boxes = core_kind[:0], core_boxes[:0]
 
@@ -580,17 +581,19 @@ def reconstruct(w_field: VorticityField, p: MeridianPoint, components,
     if not p.r > 1.0:
         raise ValueError("reconstruction requires probe radius r > 1 "
                          "(kernel bounds hold on r > 1); got r=%g" % p.r)
+    rho_max, z_max = _window(w_field, spec, p.r)
+    # a tail that cannot be certified fails before any kernel is evaluated
+    has_tail = _has_tail(w_field, p.z, rho_max, z_max)
     integrals = _component_integral(
         {c: [(attrgetter(kernel), getattr(w_field, weight))
              for _, kernel, weight, _ in COMPONENTS[c]] for c in components},
         w_field, p, spec)
-    rho_max, z_max = _window(w_field, spec, p.r)
     results = {}
     for component in components:
         terms = COMPONENTS[component]
         regions, errors = integrals[component]
-        tail = sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
-                   for _, kernel, _, _ in terms)
+        tail = (sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
+                    for _, kernel, _, _ in terms) if has_tail else 0.0)
         signs = [sign for _, _, _, sign in terms]
         per_region = {name: float(sum(s * v for s, v in zip(signs, values)))
                       for name, values in regions.items()}

@@ -8,7 +8,7 @@ import pytest
 
 from meridian import cli
 from meridian.cli import ConfigError, DEFAULTS, load_config, main
-from meridian.quadrature import QuadratureError
+from meridian.norms import DivergentNormError
 
 
 FAST_SCAN = """
@@ -127,12 +127,12 @@ def test_bmo_exit_zero_and_table(tmp_path):
     assert len(rows) == 7
 
 
-def test_quadrature_error_exits_2(tmp_path, monkeypatch, capsys):
+def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
     def fail(*args):
-        raise QuadratureError("budget exhausted", best=0.0, error=1.0)
+        raise DivergentNormError("integral does not settle")
     monkeypatch.setattr(cli, "cmd_bmo", fail)
     assert main(["bmo", "--out", str(tmp_path)]) == 2
-    assert "numerical failure: budget exhausted" in capsys.readouterr().err
+    assert "numerical failure: integral does not settle" in capsys.readouterr().err
 
 
 def test_kernel_scan_outputs_and_determinism(tmp_path):

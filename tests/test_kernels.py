@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from meridian.kernels import (SERIES_M, SUBSTITUTION_K, RingMoments,
-                              k_modulus, kernel_batch, kernel_triple)
+from meridian import kernels
+from meridian.kernels import (SERIES_M, RingMoments, k_modulus, kernel_batch,
+                              kernel_triple)
 
 
 def quad_kernel_reference(r, rho, zeta, which):
@@ -75,15 +76,67 @@ def test_kernel_error_estimates_within_tolerance():
 
 
 def test_kernel_substitution_branch_near_diagonal():
-    # K beyond the substitution threshold: compare both paths
+    # K beyond 1e6: the angular boundary layer is narrower than 1e-3
     r, rho = 100.0, 100.001
     zeta = 5e-4
     K = k_modulus(r, rho, zeta)
-    assert K > SUBSTITUTION_K
+    assert K > 1e6
     kt = kernel_triple(r, rho, zeta, tol=1e-12)
     kb = kernel_batch(r, np.array([rho]), np.array([zeta]))
     assert abs(kt.gamma2 - kb.g2[0]) < 1e-8 * abs(kt.gamma2)
     assert abs(kt.gamma1 - kb.g1[0]) < 1e-8 * abs(kt.gamma1)
+
+
+def _oracle_gaps(r, rho, zeta):
+    """The oracle's G1, G2, G3 at one point, their distances to the batch
+    values and their error estimates, and the largest batch kernel.
+
+    Near the diagonal G2 and G3 are small differences of large moments, so
+    rounding-level agreement is relative to the largest kernel, not to each
+    value."""
+    kt = kernel_triple(r, rho, zeta)
+    kb = kernel_batch(r, np.array([rho]), np.array([zeta]))
+    got = np.array([kt.gamma1, kt.gamma2, kt.gamma3])
+    want = np.array([kb.g1[0], kb.g2[0], kb.g3[0]])
+    return got, np.abs(got - want), np.array([kt.err1, kt.err2, kt.err3]), \
+        np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r, rho, zeta", [(1.1, 1.1, 1.1e-3),
+                                          (1.1, 1.0989, 0.0),
+                                          (1000.0, 1000.0, 0.5)])
+def test_kernel_triple_agrees_with_batch_near_the_diagonal(r, rho, zeta):
+    # K = 4e6 at the first two points, 1.6e7 at the third
+    got, gap, _, scale = _oracle_gaps(r, rho, zeta)
+    assert np.all(np.isfinite(got))
+    assert np.all(gap <= 1e-11 * scale), gap / scale
+
+
+def test_kernel_triple_estimates_cover_its_distance_to_batch():
+    # log-uniform draws over the scales the benchmark and the tests reach,
+    # plus rows close to the diagonal, where the angular layer is thinnest
+    rng = np.random.default_rng(20181)
+    n_wide, n_near = 600, 90
+    r = np.exp(rng.uniform(np.log(1.01), np.log(2000.0), n_wide + n_near))
+    rho = r[:n_wide] * 10.0 ** rng.uniform(-3.0, 3.0, n_wide)
+    zeta = (r[:n_wide] * 10.0 ** rng.uniform(-6.0, np.log10(30.0), n_wide)
+            * rng.choice((-1.0, 1.0), n_wide))
+    dist = r[n_wide:] * 10.0 ** rng.uniform(-6.0, -2.0, n_near)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n_near)
+    rho = np.concatenate([rho, r[n_wide:] + dist * np.cos(angle)])
+    zeta = np.concatenate([zeta, dist * np.sin(angle)])
+    for point in zip(r, rho, zeta):
+        got, gap, err, scale = _oracle_gaps(*point)
+        assert np.all(np.isfinite(got)), point
+        assert np.all(gap <= err + 1e-12 * scale), (point, gap, err, scale)
+
+
+def test_kernel_triple_raises_when_quad_does_not_converge(monkeypatch):
+    # quad's 4-tuple is its failure form, the last entry its message
+    monkeypatch.setattr(kernels, "quad", lambda *args, **kwargs:
+                        (0.5, 1.0, {}, "The algorithm does not converge."))
+    with pytest.raises(ArithmeticError, match="does not converge"):
+        kernel_triple(2.0, 1.0, 0.5)
 
 
 def test_kernel_batch_matches_triple():

@@ -1,29 +1,6 @@
 import numpy as np
-import pytest
 
-from meridian.quadrature import (QuadratureError, adaptive_integrate,
-                                 geometric_mesh, graded_mesh, panel_nodes)
-
-
-def test_adaptive_polynomial_exact():
-    val, err = adaptive_integrate(lambda x: 3 * x ** 2, 0.0, 2.0, 1e-12)
-    assert abs(val - 8.0) < 1e-12
-
-
-def test_adaptive_peaked_integrand():
-    # int_0^1 a/(a^2 + x^2) dx = arctan(1/a), sharp peak at 0 for small a
-    a = 1e-4
-    val, err = adaptive_integrate(lambda x: a / (a * a + x * x), 0.0, 1.0, 1e-10)
-    assert abs(val - np.arctan(1.0 / a)) < 1e-9
-    assert err <= 1e-10
-
-
-def test_adaptive_budget_exhaustion_carries_best():
-    with pytest.raises(QuadratureError) as info:
-        adaptive_integrate(lambda x: np.abs(x - np.sqrt(2) / 2) ** -0.5,
-                           0.0, 1.0, 1e-14, budget=8)
-    assert info.value.best > 0
-    assert info.value.error > 1e-14
+from meridian.quadrature import geometric_mesh, graded_mesh, panel_nodes
 
 
 def test_panel_nodes_weights_sum_to_span():

@@ -74,7 +74,7 @@ def test_polar_core_matches_fine_polar_reference():
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
     term = (lambda kv: kv.g1, w.w_theta)
     ref = per_ray_polar_core(*term, r, z, s0, 4096, 10, 30, res)
-    sides, boxes = _core_panels(s0, res)
+    sides, boxes = _core_panels()
     for split in (False, True):
         if split:
             sides, boxes = np.repeat(sides, 4), _quarters(boxes)
@@ -88,7 +88,7 @@ def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
     # kernel 1 and weight 1 leave rho, whose integral over the square is
     # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
     term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
-    (hi,), (lo,) = integrate_core([term], r, z, s0, *_core_panels(s0, None))
+    (hi,), (lo,) = integrate_core([term], r, z, s0, *_core_panels())
     assert hi.sum() == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
     # both rules reach the apex u = 0, so neither omits a strip there
     assert np.abs(hi - lo).sum() <= 1e-12
@@ -100,7 +100,7 @@ def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
     # plus the first panel [0, 2^-levels] at the apex
     calls = recording_kernel_batch(monkeypatch)
     term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
-    sides, boxes = _core_panels(0.5, None)
+    sides, boxes = _core_panels()
     integrate_core([term], 3.5, 0.4, 0.5, sides, boxes)
     n_panels = NEAR_DIAG_REFINEMENT + 1
     assert np.array_equal(sides, np.repeat(np.arange(4), n_panels))
@@ -339,7 +339,7 @@ def test_a_panel_integral_does_not_depend_on_its_batch():
     second = _integrate_rect(terms[1:], 3.9, 0.4, boxes[:, :2], boxes[:, 2:])
     assert np.array_equal(second, mesh[:, 1:])
 
-    sides, boxes = _core_panels(0.2, w.resolution)
+    sides, boxes = _core_panels()
     core = integrate_core(terms, 3.3, 0.2, 0.2, sides, boxes)
     assert core.shape == (2, 2, len(sides)) and np.all(core[0] != 0.0)
     for pick in ([5], [70, 5, 30], list(range(len(sides)))[::-1]):
@@ -432,7 +432,7 @@ def test_polar_core_estimate_covers_a_jump_inside_the_core():
     # their error meets tol, bracket the reference across the jump
     w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=0.5))
     terms, r, z, s0, tol = [(lambda kv: kv.g1, w.w_theta)], 5.0, 0.3, 0.25, 1e-6
-    sides, boxes = _core_panels(s0, None)
+    sides, boxes = _core_panels()
     hi, lo = integrate_core(terms, r, z, s0, sides, boxes)
     leaves = _Leaves(sides, np.zeros_like(sides), boxes, hi, np.abs(hi - lo))
     while (split := leaves.plan(tol)).size:
@@ -606,6 +606,20 @@ def test_preconditions():
         reconstruct_ur(w, MeridianPoint(2.0, 0.0),
                        QuadratureSpec(rho_max=10.0))
 
+
+
+@pytest.mark.parametrize("change, z, message", [
+    ({"decay_beta": None}, 0.2, "neither a support box nor decay metadata"),
+    ({"axial_envelope": None}, 0.2, "needs an axial envelope"),
+    ({}, 13.0, "below z_max / 2")])
+def test_uncertifiable_tail_fails_before_any_kernel_call(monkeypatch, change,
+                                                         z, message):
+    # the window of r = 3 has z_max = 24, so z = 13 is past z_max / 2
+    calls = recording_kernel_batch(monkeypatch)
+    w = replace(power_law_vorticity(3.0, AxialEnvelope("gauss")), **change)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_ur(w, MeridianPoint(3.0, z))
+    assert calls == []
 
 def test_linearity():
     _, w1 = stream_bump_field(r0=3.0, radius=0.8)
