@@ -106,8 +106,10 @@ def kernel_triple(r, rho, zeta, tol=1e-12):
         def f(t):
             den = (d2 + four_r_rho * math.sin(t) ** 2) ** 1.5
             return math.cos(2.0 * t) ** m / den
+        # quad's default limit of 50 subintervals, beyond the break points
         out = quad(f, 0.0, math.pi / 2, points=points, epsabs=tol,
-                   epsrel=ORACLE_EPSREL, full_output=1)
+                   epsrel=ORACLE_EPSREL, limit=len(points) + 50,
+                   full_output=1)
         if len(out) == 4:       # quad's failure form carries its message
             raise ArithmeticError("kernel oracle at (r=%g, rho=%g, zeta=%g): %s"
                                   % (r, rho, zeta, out[3]))

@@ -70,13 +70,12 @@ class QuadratureSpec:
     """Knobs of the reconstruction quadrature.
 
     gamma, delta are the radial splitting exponents (region boundaries
-    r^gamma/8 and r +- r^delta/2).  rho_max / z_max default to 8*max(1, r)
-    at evaluation time and may only be enlarged; the window also widens to
-    cover a compact vorticity's support.  tol is the target
-    absolute error per component.  The node counts are the fixed module
-    rules above: when the estimated error exceeds tol, the panels split,
-    up to PANEL_BUDGET panels per component; the result is flagged if the
-    target is still unmet.
+    r^gamma/8 and r +- r^delta/2).  rho_max / z_max are finite, default to
+    8*max(1, r) at evaluation time and may only be enlarged (`_window`).
+    tol is the target absolute error per component.  The node counts are
+    the fixed module rules above: when the estimated error exceeds tol, the
+    panels split, up to PANEL_BUDGET panels per component; the result is
+    flagged if the target is still unmet.
     """
     gamma: float = 0.0
     delta: float = 1.0
@@ -89,17 +88,8 @@ class QuadratureSpec:
             raise ValueError("splitting exponents must lie in [0, 1]")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-
-    def resolved(self, r):
-        """Concrete truncation radii for a probe at radius r."""
-        floor = 8.0 * max(1.0, r)
-        rho_max = self.rho_max if self.rho_max is not None else floor
-        z_max = self.z_max if self.z_max is not None else floor
-        if rho_max < floor or z_max < floor:
-            raise ValueError("truncation radii must be >= 8*max(1, r) "
-                             "(need %g, got rho_max=%g z_max=%g)"
-                             % (floor, rho_max, z_max))
-        return rho_max, z_max
+        if not all(x is None or np.isfinite(x) for x in (self.rho_max, self.z_max)):
+            raise ValueError("truncation radii must be finite or None")
 
 
 @dataclass
@@ -113,7 +103,6 @@ class ReconstructionResult:
     component: str
     r: float
     z: float
-    term_values: Optional[dict] = None
 
     @property
     def total_error(self):
@@ -259,37 +248,45 @@ def _core_panels():
 
 
 def _window(w_field, spec, r):
-    """The truncation window (rho_max, z_max) of a probe at radius r:
-    `spec.resolved(r)`, widened to each bounded side of the vorticity's
-    support box, so a compactly supported field is integrated whole and
-    has no tail.  An unbounded side keeps the window, and the decay
-    metadata certify its tail."""
-    rho_max, z_max = spec.resolved(r)
-    if w_field.support is not None:
-        # an unbounded side counts as 0, which widens nothing
-        _, rho_hi, k_lo, k_hi = np.nan_to_num(w_field.support, posinf=0.0,
-                                              neginf=0.0)
-        rho_max, z_max = max(rho_max, rho_hi), max(z_max, -k_lo, k_hi)
-    return rho_max, z_max
+    """What a probe at radius r integrates over, (box, radii).  The radii
+    (rho_max, z_max) default to 8*max(1, r), may only be enlarged, and
+    widen to each bounded side of the vorticity's support box, so a compact
+    field is integrated whole.  The box ((rho_lo, rho_hi), (k_lo, k_hi)) is
+    the support box with each unbounded side cut at the radii.  `radii` is
+    None when every side is bounded; otherwise `_tail_bounds` bounds the
+    mass beyond them."""
+    floor = 8.0 * max(1.0, r)
+    rho_max = spec.rho_max if spec.rho_max is not None else floor
+    z_max = spec.z_max if spec.z_max is not None else floor
+    if rho_max < floor or z_max < floor:
+        raise ValueError("truncation radii must be >= 8*max(1, r) "
+                         "(need %g, got rho_max=%g z_max=%g)"
+                         % (floor, rho_max, z_max))
+    rho_lo, rho_hi, k_lo, k_hi = (w_field.support if w_field.support is not None
+                                  else (0.0, np.inf, -np.inf, np.inf))
+    bounded = np.isfinite([rho_hi, k_lo, k_hi])
+    rho_max = max(rho_max, rho_hi if bounded[0] else 0.0)
+    z_max = max(z_max, -k_lo if bounded[1] else 0.0, k_hi if bounded[2] else 0.0)
+    box = ((max(0.0, rho_lo), min(rho_hi, rho_max)),
+           (max(-z_max, k_lo), min(k_hi, z_max)))
+    return box, None if bounded.all() else (rho_max, z_max)
 
 
-def _support_box(w_field, rho_max, z_max):
-    if w_field.support is not None:
-        slo, shi, klo, khi = w_field.support
-        return (max(0.0, slo), min(shi, rho_max)), (max(-z_max, klo), min(khi, z_max))
-    return (0.0, rho_max), (-z_max, z_max)
+def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
+    """Crude-bound majorants for the mass outside the truncation radii
+    (rho_max, z_max) of `_window`.
 
+    A tail must be certifiable, so raises ValueError when the field lacks
+    the decay metadata or the axial envelope, or when the probe's |z| is
+    beyond z_max / 2, where the axial tail bounds do not hold.
 
-def _has_tail(w_field, z, rho_max, z_max):
-    """Whether the vorticity can have mass outside the window (rho_max,
-    z_max): False when its support box lies inside.  A tail must be
-    certifiable, so raises ValueError when the field lacks the decay
-    metadata or the axial envelope, or when the probe's |z| is beyond
-    z_max / 2, where the axial tail bounds do not hold."""
-    if w_field.support is not None:
-        slo, shi, klo, khi = w_field.support
-        if shi <= rho_max and -z_max <= klo and khi <= z_max:
-            return False
+    Radial tail (rho > rho_max): |G1| <= 1/(rho - r)^2 and |G2|, |M| <=
+    (rho + r)/(rho - r)^3 integrated against the radial majorant
+    (1 + rho)^-beta times the envelope integral.  Axial tail (|k| > z_max,
+    rho <= rho_max): kernel bounds at |z - k| >= z_max - |z| times the
+    envelope tail integral.  `kernel_kind` names the term's kernel: "g1"
+    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.
+    """
     if w_field.decay_beta is None:
         raise ValueError(
             "vorticity carries neither a support box nor decay metadata: "
@@ -300,20 +297,6 @@ def _has_tail(w_field, z, rho_max, z_max):
     if abs(z) > 0.5 * z_max:
         raise ValueError("probe |z| must stay below z_max / 2 for valid "
                          "axial tail bounds")
-    return True
-
-
-def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
-    """Crude-bound majorants for the mass outside the truncation window of
-    a field that `_has_tail`.
-
-    Radial tail (rho > rho_max): |G1| <= 1/(rho - r)^2 and |G2|, |M| <=
-    (rho + r)/(rho - r)^3 integrated against the radial majorant
-    (1 + rho)^-beta times the envelope integral.  Axial tail (|k| > z_max,
-    rho <= rho_max): kernel bounds at |z - k| >= z_max - |z| times the
-    envelope tail integral.  `kernel_kind` names the term's kernel: "g1"
-    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.
-    """
     beta = w_field.decay_beta
     bound = lambda rho: (1.0 + rho) ** (-beta)
     env = w_field.axial_envelope
@@ -418,8 +401,9 @@ class _Leaves:
         self.generation += 1
 
 
-def _component_integral(components, w_field, p, spec):
-    """Region-decomposed integrals of kernel * weight * rho over the window.
+def _component_integral(components, w_field, p, spec, box):
+    """Region-decomposed integrals of kernel * weight * rho over `_window`'s
+    box ((rho_lo, rho_hi), (k_lo, k_hi)).
 
     `components` maps each name to its terms, (kernel selector, vorticity
     profile) pairs.  Generation 0 puts the fixed rules on each rectangle's
@@ -436,9 +420,8 @@ def _component_integral(components, w_field, p, spec):
     non-finite (a vorticity sample that is not a finite number).
     """
     r, z = p.r, p.z
-    rho_max, z_max = _window(w_field, spec, r)
     (b1, b2, b3, b4, b5), w_half = _region_edges(r, spec.gamma, spec.delta)
-    (rho_lo, rho_hi), (k_lo, k_hi) = _support_box(w_field, rho_max, z_max)
+    (rho_lo, rho_hi), (k_lo, k_hi) = box
 
     env_scale = w_field.axial_envelope.scale if w_field.axial_envelope is not None else 1.0
     res = w_field.resolution
@@ -460,7 +443,7 @@ def _component_integral(components, w_field, p, spec):
              ("diagonal", (r - s0, r + s0), (k_lo, min(z - s0, k_hi)), 0.5 * s0),
              ("diagonal", (r - s0, r + s0), (max(z + s0, k_lo), k_hi), 0.5 * s0),
              ("right_band", (b4, b5), full, band),
-             ("far_tail", (b5, rho_max), full, far))
+             ("far_tail", (b5, rho_hi), full, far))
     # (region index, rho mesh, k mesh): meshes graded toward rho = r and
     # toward k = z and k = 0 with the axial feature scale, plus uniform
     # panels at a short profile resolution
@@ -559,14 +542,12 @@ def _component_integral(components, w_field, p, spec):
                                 errors[own][:, cols[name]])
 
 
-# component -> its terms (label, kernel, vorticity attribute, sign): `kernel`
-# names the KernelValues field and the tail majorant; the labels name the
-# term values reported when there are several
+# component -> its terms (kernel, vorticity attribute, sign): `kernel` names
+# the KernelValues field and the tail majorant
 COMPONENTS = {
-    "u_r": (("u_r", "g1", "w_theta", 1.0),),
-    "u_z": (("u_z", "g2", "w_theta", -1.0),),
-    "u_theta": (("axial_source", "g_swirl", "w_z", 1.0),
-                ("radial_source", "g1", "w_r", -1.0)),
+    "u_r": (("g1", "w_theta", 1.0),),
+    "u_z": (("g2", "w_theta", -1.0),),
+    "u_theta": (("g_swirl", "w_z", 1.0), ("g1", "w_r", -1.0)),
 }
 
 
@@ -581,32 +562,28 @@ def reconstruct(w_field: VorticityField, p: MeridianPoint, components,
     if not p.r > 1.0:
         raise ValueError("reconstruction requires probe radius r > 1 "
                          "(kernel bounds hold on r > 1); got r=%g" % p.r)
-    rho_max, z_max = _window(w_field, spec, p.r)
-    # a tail that cannot be certified fails before any kernel is evaluated
-    has_tail = _has_tail(w_field, p.z, rho_max, z_max)
+    box, radii = _window(w_field, spec, p.r)
+    # each tail is bounded, and one that cannot be certified fails, before
+    # any kernel is evaluated
+    tails = {c: sum(_tail_bounds(w_field, kernel, p.r, p.z, *radii)
+                    for kernel, _, _ in COMPONENTS[c]) if radii else 0.0
+             for c in components}
     integrals = _component_integral(
         {c: [(attrgetter(kernel), getattr(w_field, weight))
-             for _, kernel, weight, _ in COMPONENTS[c]] for c in components},
-        w_field, p, spec)
+             for kernel, weight, _ in COMPONENTS[c]] for c in components},
+        w_field, p, spec, box)
     results = {}
     for component in components:
         terms = COMPONENTS[component]
         regions, errors = integrals[component]
-        tail = (sum(_tail_bounds(w_field, kernel, p.r, p.z, rho_max, z_max)
-                    for _, kernel, _, _ in terms) if has_tail else 0.0)
-        signs = [sign for _, _, _, sign in terms]
-        per_region = {name: float(sum(s * v for s, v in zip(signs, values)))
+        per_region = {name: float(sum(sign * v for (_, _, sign), v
+                                      in zip(terms, values)))
                       for name, values in regions.items()}
         quad_err = float(sum(errors))
-        term_values = None
-        if len(terms) > 1:
-            totals = sum(regions.values())
-            term_values = {label: float(sign * total)
-                           for (label, _, _, sign), total in zip(terms, totals)}
         results[component] = ReconstructionResult(
             value=sum(per_region.values()), per_region=per_region,
-            tail_bound=tail, quad_err=quad_err, tol_met=quad_err <= spec.tol,
-            component=component, r=p.r, z=p.z, term_values=term_values)
+            tail_bound=tails[component], quad_err=quad_err,
+            tol_met=quad_err <= spec.tol, component=component, r=p.r, z=p.z)
     return results
 
 

@@ -112,6 +112,16 @@ def test_kernel_triple_agrees_with_batch_near_the_diagonal(r, rho, zeta):
     assert np.all(gap <= 1e-11 * scale), gap / scale
 
 
+@pytest.mark.parametrize("eps", [1e-14, 1e-15, 2e-16])
+def test_kernel_triple_converges_where_the_layer_needs_many_break_points(eps):
+    # K = 4e28 and beyond: the boundary layer's break points alone reach
+    # quad's default subdivision limit of 50
+    got = kernel_triple(1.0, 1.0 + eps, 0.0)
+    batch = kernel_batch(1.0, np.array([1.0 + eps]), np.array([0.0]))
+    assert got.gamma1 == 0.0
+    assert got.gamma2 == pytest.approx(float(batch.g2[0]), rel=1e-12)
+
+
 def test_kernel_triple_estimates_cover_its_distance_to_batch():
     # log-uniform draws over the scales the benchmark and the tests reach,
     # plus rows close to the diagonal, where the angular layer is thinnest
