@@ -369,7 +369,9 @@ PROBE_R_MIN = 1.2
 
 
 def cmd_roundtrip(cfg, out_dir, workers, seed):
-    """curl -> reconstruct identity; exit 0 iff rel L2 below threshold."""
+    """curl -> reconstruct identity; exit 0 iff rel L2 below threshold and
+    every reconstruction meets tol and holds its certificate,
+    |reconstructed - exact| <= total_error."""
     kinds = (tuple(ROUNDTRIP_FIELDS) if cfg["roundtrip.kind"] == "both"
              else (cfg["roundtrip.kind"],))
     if not set(kinds) <= set(ROUNDTRIP_FIELDS):
@@ -411,7 +413,8 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             r, z = pz
             found = reconstruct(w, MeridianPoint(r, z), tuple(truth))
             return {name: (found[name].value,
-                           float(u(np.asarray(r), np.asarray(z))))
+                           float(u(np.asarray(r), np.asarray(z))),
+                           found[name].total_error, found[name].tol_met)
                     for name, u in truth.items()}
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -433,17 +436,29 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             ok = ok and rel < cfg["roundtrip.threshold"]
         for (r, z), res in zip(probes, results):
             for name in res:
-                rows.append((kind, name, r, z, res[name][0], res[name][1]))
+                rows.append((kind, name, r, z) + res[name])
 
     _write_csv(_out(out_dir, "roundtrip_probes.csv"),
                ["kind", "component", "r", "z", "reconstructed", "exact"],
                # 17 digits give the values back exactly, so the report's
                # norms can be recomputed from the file
                ([kind, name, _fmt(r), _fmt(z), "%.17g" % rec, "%.17g" % exact]
-                for kind, name, r, z, rec, exact in rows))
+                for kind, name, r, z, rec, exact, _, _ in rows))
+    # the certificate check: each result's error against the exact field
+    violations, worst, missed = [], 0.0, 0
+    for kind, name, r, z, rec, exact, bound, met in rows:
+        err = abs(rec - exact)
+        worst = max(worst, err / bound if bound > 0
+                    else math.inf if err > 0 else 0.0)
+        if err > bound:
+            violations.append({"kind": kind, "component": name, "r": r,
+                               "z": z, "error": err, "total_error": bound})
+        missed += not met
+    payload.update(cert_violations=violations, cert_worst_ratio=worst,
+                   tol_met=len(rows) - missed, tol_missed=missed)
     payload["pass"] = bool(ok)
     _write_json(_out(out_dir, "roundtrip_report.json"), payload)
-    return 0 if ok else 1
+    return 0 if ok and not violations and not missed else 1
 
 
 def cmd_bmo(cfg, out_dir):

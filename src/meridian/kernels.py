@@ -25,6 +25,8 @@ complete elliptic integrals of parameter m (Lamb, Hydrodynamics, sec. 161):
 
 `kernel_batch` evaluates these with K = ellipkm1(y), E = ellipe(m), forming
 y from the squared distance to the diagonal so it does not cancel there.
+The two come from `scipy.special`, imported at the first evaluation, so
+that importing the package loads no SciPy module.
 P1 and P2 cancel as m -> 0, so below m = SERIES_M the moments come from
 their power series in m instead.  Both branches are O(1) per point and
 agree with 40-digit references to about 4e-13 relative at worst (just
@@ -32,8 +34,9 @@ above the switch).
 
 `kernel_triple` keeps adaptive angular quadrature as the independent
 oracle: QUADPACK's globally adaptive Gauss-Kronrod `quad` (Piessens et
-al., 1983) on J0, J1, J2 directly.  Its integrand develops a boundary
-layer of width K^{-1/2} at t = 0, where
+al., 1983; from `scipy.integrate`, imported when the oracle is called) on
+J0, J1, J2 directly.  Its integrand develops a boundary layer of width
+K^{-1/2} at t = 0, where
 
     K = 4 r rho / ((r - rho)^2 + zeta^2)
 
@@ -46,8 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipe, ellipkm1
 
 # relative tolerance of the oracle's quadrature beside its absolute `tol`:
 # a double cannot hold an absolute error below its value's last digit
@@ -94,6 +95,7 @@ def kernel_triple(r, rho, zeta, tol=1e-12):
     not converge.  The diagonal point (rho = r, zeta = 0) is a
     non-integrable singularity of the kernels themselves and is rejected.
     """
+    from scipy.integrate import quad
     d2 = (r - rho) ** 2 + zeta ** 2
     if d2 <= 0.0:
         raise ValueError("kernel singular at the diagonal point rho=r, zeta=0")
@@ -170,6 +172,7 @@ class RingMoments:
     """
 
     def __init__(self, r, rho, zeta):
+        from scipy.special import ellipe, ellipkm1
         rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
                                         np.asarray(zeta, dtype=float))
         self.r, self.rho, self.zeta = r, rho, zeta

@@ -4,8 +4,8 @@ Half-plane reconstruction and the norm integrals are built from composite
 Gauss-Legendre rules on explicit panel meshes.  Panel meshes are ordinary
 1-D float arrays of edges; helpers below build geometric and
 feature-graded meshes.  The one adaptive 1-D integrator in the package is
-SciPy's QUADPACK `quad`, which the kernel oracle and the tail bounds call
-directly.
+SciPy's QUADPACK `quad`, which the kernel oracle and the tail bounds
+import and call directly when they run.
 """
 
 import numpy as np

@@ -41,7 +41,6 @@ from operator import attrgetter
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 
 from .fields import MeridianPoint, VorticityField
 from .kernels import kernel_batch
@@ -285,8 +284,11 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     (1 + rho)^-beta times the envelope integral.  Axial tail (|k| > z_max,
     rho <= rho_max): kernel bounds at |z - k| >= z_max - |z| times the
     envelope tail integral.  `kernel_kind` names the term's kernel: "g1"
-    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.
+    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.  The
+    radial tail takes `scipy.integrate.quad`, imported here: a field whose
+    support box is bounded on every side has no tail and never loads it.
     """
+    from scipy.integrate import quad
     if w_field.decay_beta is None:
         raise ValueError(
             "vorticity carries neither a support box nor decay metadata: "
@@ -312,7 +314,7 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
         ax_kernel = lambda rho: (rho + r) / zeta_min ** 3
     # map [rho_max, inf) to (0, 1] via rho = rho_max / u; the transformed
     # integrand is bounded for beta > 1 so fixed-interval quadrature is safe
-    rad, _ = _scipy_quad(
+    rad, _ = quad(
         lambda u: rad_kernel(rho_max / u) * bound(rho_max / u)
         * (rho_max / u) * rho_max / u ** 2,
         0.0, 1.0, limit=200)

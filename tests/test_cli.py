@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
 from meridian import cli
 from meridian.cli import ConfigError, DEFAULTS, load_config, main
 from meridian.norms import DivergentNormError
+from meridian.reconstruct import reconstruct
 
 
 FAST_SCAN = """
@@ -355,6 +357,40 @@ def test_roundtrip_interior_probes_use_relative_norm(tmp_path):
     payload = json.loads((out / "roundtrip_report.json").read_text())
     assert payload["pure_swirl"]["u_theta_normalization"] == "relative"
     assert payload["pure_swirl"]["u_theta"] < 1e-3
+
+
+@pytest.mark.parametrize("fault", ["violation", "tol_missed"])
+def test_roundtrip_exits_1_on_a_broken_certificate(tmp_path, monkeypatch,
+                                                   fault):
+    # one result moved by twice its certified error, or marked as missing
+    # tol: the relative-L2 gate still passes, the certificate check does not
+    first_r, first_z = 1.5, -1.2     # the grid's first probe
+
+    def faulty(w, p, components):
+        found = reconstruct(w, p, components)
+        if p.r == first_r and p.z == first_z:
+            res = found["u_theta"]
+            found["u_theta"] = (
+                replace(res, value=res.value + 2.0 * res.total_error)
+                if fault == "violation" else replace(res, tol_met=False))
+        return found
+
+    path = write_cfg(tmp_path, "roundtrip.kind = pure_swirl\n"
+                               "roundtrip.n_r = 3\nroundtrip.n_z = 3\n")
+    monkeypatch.setattr(cli, "reconstruct", faulty)
+    out = tmp_path / "rt"
+    assert main(["roundtrip", "--config", path, "--out", str(out)]) == 1
+    payload = json.loads((out / "roundtrip_report.json").read_text())
+    assert payload["pass"]
+    violations = payload["cert_violations"]
+    if fault == "violation":
+        assert [(v["r"], v["z"]) for v in violations] == [(first_r, first_z)]
+        assert violations[0]["error"] > violations[0]["total_error"]
+        assert payload["cert_worst_ratio"] > 1.0
+        assert (payload["tol_met"], payload["tol_missed"]) == (9, 0)
+    else:
+        assert violations == [] and payload["cert_worst_ratio"] <= 1.0
+        assert (payload["tol_met"], payload["tol_missed"]) == (8, 1)
 
 
 def test_roundtrip_bump_wider_than_the_window(tmp_path):

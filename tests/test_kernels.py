@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from meridian import kernels
 from meridian.kernels import (SERIES_M, RingMoments, k_modulus, kernel_batch,
                               kernel_triple)
 
@@ -143,7 +142,8 @@ def test_kernel_triple_estimates_cover_its_distance_to_batch():
 
 def test_kernel_triple_raises_when_quad_does_not_converge(monkeypatch):
     # quad's 4-tuple is its failure form, the last entry its message
-    monkeypatch.setattr(kernels, "quad", lambda *args, **kwargs:
+    # kernel_triple imports quad when called, so it reads the patched one
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs:
                         (0.5, 1.0, {}, "The algorithm does not converge."))
     with pytest.raises(ArithmeticError, match="does not converge"):
         kernel_triple(2.0, 1.0, 0.5)
