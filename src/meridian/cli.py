@@ -228,7 +228,7 @@ def cmd_kernel_scan(cfg, out_dir):
 
 
 def cmd_decay(cfg, out_dir):
-    """Trace + fit; exit 0 iff fitted slope <= predicted + tolerance."""
+    """Trace + fit; exit 0 iff slopes <= predicted + tolerance, no flags."""
     beta = cfg["decay.beta"]
     if not beta > 1.0:
         raise ConfigError("decay.beta must exceed 1")

@@ -71,8 +71,7 @@ class AxialEnvelope:
     def tail_integral(self, k0):
         """integral of eta over |k| > k0."""
         if self.kind == "gauss":
-            from scipy.special import erfc
-            return self.scale * math.sqrt(math.pi) * float(erfc(k0 / self.scale))
+            return self.scale * math.sqrt(math.pi) * math.erfc(k0 / self.scale)
         return max(0.0, 2.0 * (self.scale - k0)) if k0 < self.scale else 0.0
 
 

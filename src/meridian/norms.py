@@ -33,10 +33,15 @@ class CylinderDomain:
             raise ValueError("domain scale must be positive")
 
 
+def _axis_mesh(R):
+    """Panels on [0, R] graded geometrically into 0 from width R * 1e-24."""
+    return geometric_mesh(0.0, R, scale=R * 1e-24)
+
+
 def _r_mesh(R, n_coarse=24):
     """Radial panels on [0, R]: geometric refinement toward 0 (integrable
     endpoint behavior like r ln(r)^p) plus a uniform body."""
-    fine = geometric_mesh(0.0, R, scale=R * 1e-24, grow=4.0)
+    fine = _axis_mesh(R)
     body = np.linspace(0.0, R, n_coarse + 1)
     return np.unique(np.concatenate([fine, body]))
 
@@ -160,8 +165,7 @@ def disk_mean_ln(R):
     Computed by quadrature (2/R^2) int_0^R rho ln rho d rho so the closed
     form is a falsifiable check, not an input.
     """
-    edges = geometric_mesh(0.0, R, scale=R * 1e-24, grow=4.0)
-    x, w = panel_nodes(edges, LN_NODES)
+    x, w = panel_nodes(_axis_mesh(R), LN_NODES)
     return float(2.0 / R ** 2 * np.dot(w, x * np.log(x)))
 
 
@@ -196,7 +200,7 @@ def bmo_oscillation_ln(R, p):
     # the mesh grades geometrically into the kink from both sides
     kink = R * math.exp(-0.5)
     edges = np.unique(np.concatenate([
-        geometric_mesh(0.0, R, scale=R * 1e-24, grow=4.0),
+        _axis_mesh(R),
         graded_mesh(0.0, R, [kink], scale=kink * 1e-13),
     ]))
     x, w = panel_nodes(edges, LN_NODES)

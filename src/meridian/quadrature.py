@@ -4,8 +4,8 @@ Half-plane reconstruction and the norm integrals are built from composite
 Gauss-Legendre rules on explicit panel meshes.  Panel meshes are ordinary
 1-D float arrays of edges; helpers below build geometric and
 feature-graded meshes.  The one adaptive 1-D integrator in the package is
-SciPy's QUADPACK `quad`, which the kernel oracle and the tail bounds
-import and call directly when they run.
+SciPy's QUADPACK `quad`, which the kernel oracle `kernel_triple` imports
+and calls directly when it runs; the truncation tails are closed forms.
 """
 
 import numpy as np
@@ -37,10 +37,10 @@ def panel_nodes(edges, n):
     return nodes, weights
 
 
-def geometric_mesh(a, b, scale, grow=2.0):
+def geometric_mesh(a, b, scale):
     """Edges on [a, b] graded geometrically away from `a`.
 
-    First panel has width `scale`; widths grow by `grow` until `b` is
+    First panel has width `scale`; widths grow fourfold until `b` is
     reached.  Falls back to a single panel when scale >= b - a.
     """
     span = b - a
@@ -49,11 +49,10 @@ def geometric_mesh(a, b, scale, grow=2.0):
     if scale >= span:
         return np.array([a, b])
     edges = [0.0]
-    w = scale
-    pos = scale
+    w = pos = scale
     while pos < span:
         edges.append(pos)
-        w *= grow
+        w *= 4.0
         pos += w
     edges.append(span)
     return a + np.asarray(edges)

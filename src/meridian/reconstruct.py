@@ -27,7 +27,7 @@ each mapped to (u, v) in [0, 1] x [-1, 1] with Jacobian s0^2 u, which
 cancels the 1/s kernel singularity.  Every piece, triangles and
 rectangles, then takes a tensor Gauss-Legendre rule on a graded mesh;
 truncation beyond (rho_max, z_max) is certified by crude-bound tail
-majorants, never by extrapolation.
+majorants in closed form, never by extrapolation or quadrature.
 
 A component whose estimated error misses tol on those meshes refines where
 the error is (the globally adaptive region scheme of Berntsen, Espelid and
@@ -36,6 +36,7 @@ Genz, ACM TOMS 17, 1991): its panels, rectangle and core alike, split
 evaluated in one kernel call per rule and kind.
 """
 
+import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Optional
@@ -44,7 +45,7 @@ import numpy as np
 
 from .fields import MeridianPoint, VorticityField
 from .kernels import kernel_batch
-from .quadrature import geometric_mesh, graded_mesh, panel_nodes
+from .quadrature import graded_mesh, panel_nodes
 from .rates import optimize_split, predicted_decay
 
 REGION_NAMES = ("inner_core", "inner_band", "left_band", "diagonal",
@@ -271,24 +272,42 @@ def _window(w_field, spec, r):
     return box, None if bounded.all() else (rho_max, z_max)
 
 
+def _tail_majorants(kernel_kind, beta, r, rho_max, zeta_min):
+    """`_tail_bounds`' factors (radial, axial) of the envelope integrals."""
+    U = 1.0 + rho_max
+    c, log_u = U / (rho_max - r), math.log(U)
+
+    def power(s):       # int_1^U u^s du, which is ln U at s = -1
+        t = s + 1.0
+        return math.expm1(t * log_u) / t if t else log_u
+
+    if kernel_kind == "g1":
+        return (c ** 2 * U ** -beta / beta,
+                (power(1.0 - beta) - power(-beta)) / zeta_min ** 2)
+    return (c ** 3 * (rho_max + r) / U * U ** -beta / beta,
+            (power(2.0 - beta) + (r - 2.0) * power(1.0 - beta)
+             - (r - 1.0) * power(-beta)) / zeta_min ** 3)
+
+
 def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
-    """Crude-bound majorants for the mass outside the truncation radii
-    (rho_max, z_max) of `_window`.
+    """Closed-form crude-bound majorants for the mass outside the
+    truncation radii (rho_max, z_max) of `_window`.  A tail must be
+    certifiable, so raises ValueError when the field lacks the decay
+    metadata or the axial envelope, or when the probe's |z| is beyond
+    z_max / 2, where the axial tail bounds do not hold.
 
-    A tail must be certifiable, so raises ValueError when the field lacks
-    the decay metadata or the axial envelope, or when the probe's |z| is
-    beyond z_max / 2, where the axial tail bounds do not hold.
-
-    Radial tail (rho > rho_max): |G1| <= 1/(rho - r)^2 and |G2|, |M| <=
-    (rho + r)/(rho - r)^3 integrated against the radial majorant
-    (1 + rho)^-beta times the envelope integral.  Axial tail (|k| > z_max,
-    rho <= rho_max): kernel bounds at |z - k| >= z_max - |z| times the
-    envelope tail integral.  `kernel_kind` names the term's kernel: "g1"
-    takes the G1 majorants, "g2" and "g_swirl" (M) the G2 ones.  The
-    radial tail takes `scipy.integrate.quad`, imported here: a field whose
-    support box is bounded on every side has no tail and never loads it.
+    `kernel_kind` "g1" takes the G1 bounds, "g2" and "g_swirl" (M) the G2
+    ones.  Write R = rho_max and U = 1 + R.  Radial tail (rho > R): |G1|
+    <= 1/(rho - r)^2 and |G2|, |M| <= (rho + r)/(rho - r)^3 against (1 +
+    rho)^-beta, times the envelope integral.  On rho >= R > r > 1, (1 +
+    rho)/(rho - r) <= c = U/(R - r) and (rho + r)/(1 + rho) <= (R + r)/U,
+    so the rho integrals are at most c^2 U^-beta / beta (G1) and c^3 (R +
+    r)/U U^-beta / beta (G2).  Axial tail (|k| > z_max, rho <= R): the
+    bounds 1/zeta^2 and (rho + r)/zeta^3 at |z - k| >= zeta = z_max - |z|,
+    times the envelope tail integral; with u = 1 + rho their rho integrals
+    are exactly I(1 - beta) - I(-beta) and I(2 - beta) + (r - 2) I(1 -
+    beta) - (r - 1) I(-beta), where I(s) = int_1^U u^s du.
     """
-    from scipy.integrate import quad
     if w_field.decay_beta is None:
         raise ValueError(
             "vorticity carries neither a support box nor decay metadata: "
@@ -299,30 +318,9 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     if abs(z) > 0.5 * z_max:
         raise ValueError("probe |z| must stay below z_max / 2 for valid "
                          "axial tail bounds")
-    beta = w_field.decay_beta
-    bound = lambda rho: (1.0 + rho) ** (-beta)
-    env = w_field.axial_envelope
-    env_total = env.integral()
-    env_tail = env.tail_integral(z_max)
-
-    zeta_min = z_max - abs(z)
-    if kernel_kind == "g1":
-        rad_kernel = lambda rho: 1.0 / (rho - r) ** 2
-        ax_kernel = lambda rho: 1.0 / zeta_min ** 2
-    else:
-        rad_kernel = lambda rho: (rho + r) / (rho - r) ** 3
-        ax_kernel = lambda rho: (rho + r) / zeta_min ** 3
-    # map [rho_max, inf) to (0, 1] via rho = rho_max / u; the transformed
-    # integrand is bounded for beta > 1 so fixed-interval quadrature is safe
-    rad, _ = quad(
-        lambda u: rad_kernel(rho_max / u) * bound(rho_max / u)
-        * (rho_max / u) * rho_max / u ** 2,
-        0.0, 1.0, limit=200)
-    radial_tail = env_total * rad
-
-    x, wts = panel_nodes(geometric_mesh(0.0, rho_max, scale=1.0), 12)
-    axial_tail = env_tail * float(np.dot(wts, ax_kernel(x) * bound(x) * x))
-    return radial_tail + axial_tail
+    env, beta = w_field.axial_envelope, w_field.decay_beta
+    radial, axial = _tail_majorants(kernel_kind, beta, r, rho_max, z_max - abs(z))
+    return env.integral() * radial + env.tail_integral(z_max) * axial
 
 
 def _mesh_boxes(x_edges, y_edges):

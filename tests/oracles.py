@@ -16,7 +16,8 @@ def crude_bounds(r, rho, zeta):
     is excluded.  They are the oracle for the kernel majorants of
     `reconstruct._tail_bounds`, which weaken them: |zeta| <= d, and d
     bounded below by |rho - r| on the radial tail and by the least |zeta|
-    on the axial one.
+    on the axial one.  The radial tail's closed forms weaken them once
+    more: (1 + rho)/(rho - r) <= c = (1 + R)/(R - r) on rho >= R > r.
     """
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)

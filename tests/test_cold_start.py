@@ -1,8 +1,9 @@
 """Which SciPy modules a command loads, each run in a fresh interpreter.
 
 Importing the package loads NumPy and no SciPy module: `scipy.special`
-loads on the first kernel evaluation, and `scipy.integrate` on the first
-oracle or tail quadrature.  pytest has imported `scipy.integrate` by the
+loads on the first kernel evaluation, and `scipy.integrate` only when the
+kernel oracle `kernel_triple` runs, which no command reaches; truncation
+tails are closed forms.  pytest has imported `scipy.integrate` by the
 time a test runs (its `filterwarnings` entry names a SciPy warning), so
 each check starts its own interpreter.
 """
@@ -58,6 +59,7 @@ def test_rate_and_norm_commands_run_without_scipy(tmp_path, command):
                     "scan.refine = false\n"),
     ("roundtrip", "roundtrip.kind = pure_swirl\nroundtrip.n_r = 1\n"
                   "roundtrip.n_z = 1\n"),
+    ("decay", "decay.n_points = 5\n"),
 ])
 def test_kernel_commands_load_special_functions_only(tmp_path, command,
                                                      config):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from meridian.cli import DEFAULTS, PROBE_R_MIN, ROUNDTRIP_FIELDS
 from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
@@ -17,9 +17,11 @@ from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_ERR, N_NODES,
                                   _core_panels, _integrands,
                                   _integrate_polar_core, _integrate_rect,
                                   _Leaves, _mesh_boxes, _quarters,
-                                  _resolution_edges, decay_trace, reconstruct,
+                                  _resolution_edges, _tail_majorants,
+                                  decay_trace, reconstruct,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
+from oracles import crude_bounds
 
 
 def fine_grid_reference(w_field, p, component, n_pan=80, n_nodes=10):
@@ -776,6 +778,48 @@ def test_truncation_tail_bound_majorizes_window_growth():
     assert a.tail_bound > 0
     # the wider window certifies a smaller tail
     assert b.tail_bound < a.tail_bound
+
+
+TAIL_BETAS = (1.5, 2.0, 2.5, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("beta", TAIL_BETAS)
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+@pytest.mark.parametrize("r", [1.5, 10.0, 1280.0])
+@pytest.mark.parametrize("factor", [8.0, 16.0, 64.0])
+def test_radial_tail_majorant_dominates_the_crude_bound_integral(beta, kind,
+                                                                 r, factor):
+    # the crude bounds at zeta = 0, where d = rho - r: (rho + r)/d^3 for
+    # G2, and for G1 |zeta|/d^3 <= 1/d^2 = ((rho + r)/d^3) d/(rho + r)
+    def kernel(rho):
+        b23, _ = crude_bounds(r, rho, 0.0)
+        return b23 if kind == "g2" else b23 * (rho - r) / (rho + r)
+
+    R = factor * max(1.0, r)
+    f = lambda rho: rho * (1.0 + rho) ** -beta * kernel(rho)
+    # rho = R/u maps [R, inf) to (0, 1]
+    oracle, _ = quad(lambda u: f(R / u) * R / u ** 2, 0.0, 1.0, epsabs=0.0,
+                     epsrel=1e-10, limit=200)
+    radial, _ = _tail_majorants(kind, beta, r, R, 1.0)
+    assert oracle <= radial <= 1.4 * oracle
+
+
+@pytest.mark.parametrize("beta", [*TAIL_BETAS, 2.0 - 1e-9, 2.0 + 1e-9,
+                                  3.0 - 1e-9, 3.0 + 1e-9])
+@pytest.mark.parametrize("kind", ["g1", "g2"])
+@pytest.mark.parametrize("r", [1.5, 10.0, 1280.0])
+def test_axial_tail_moment_is_exact(beta, kind, r):
+    # at zeta_min = 1 the axial factor is the rho integral over [0, R] of
+    # rho (1 + rho)^-beta, times rho + r for G2; beta = 2 and 3 take the
+    # ln U branch of int_1^U u^s du
+    weight = (lambda rho: 1.0) if kind == "g1" else (lambda rho: rho + r)
+    for factor in (8.0, 16.0, 64.0):
+        R = factor * max(1.0, r)
+        oracle, _ = quad(lambda rho: rho * (1.0 + rho) ** -beta * weight(rho),
+                         0.0, R, points=[x for x in 10.0 ** np.arange(6) if x < R],
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+        _, axial = _tail_majorants(kind, beta, r, R, 1.0)
+        assert axial == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bump, names", [(stream_bump_field, ("u_r", "u_z")),
