@@ -228,7 +228,8 @@ def cmd_kernel_scan(cfg, out_dir):
 
 
 def cmd_decay(cfg, out_dir):
-    """Trace + fit; exit 0 iff slopes <= predicted + tolerance, no flags."""
+    """Trace + fit; exit 0 iff slopes <= predicted + tolerance and no
+    sample of any trace, the z sweep's included, is flagged."""
     beta = cfg["decay.beta"]
     if not beta > 1.0:
         raise ConfigError("decay.beta must exceed 1")
@@ -272,6 +273,9 @@ def cmd_decay(cfg, out_dir):
     slope = fit.selected_slope
     max_slope = pred.exponent + cfg["decay.slope_tolerance"]
     sweep_fits = {label: f.selected_slope for label, f in fits.items()}
+    flagged = {label: sum(1 for s in trace if s.flagged)
+               for label, trace in traces.items()}
+    n_flagged = flagged.pop("trace")
     passed = all(v <= max_slope for v in [slope, *sweep_fits.values()])
     payload = {
         "beta": beta,
@@ -291,12 +295,13 @@ def cmd_decay(cfg, out_dir):
             "slope": env_fit.selected_slope,
             "log_model_selected": env_fit.log_corrected,
         },
-        "flagged_samples": sum(1 for s in samples if s.flagged),
+        "flagged_samples": n_flagged,
         "slope_within_tolerance": bool(passed),
         "z_sweep_slopes": sweep_fits,
+        "z_sweep_flagged": flagged,
     }
     _write_json(_out(out_dir, "decay_fit_beta%g.json" % beta), payload)
-    return 0 if passed and not any(s.flagged for s in samples) else 1
+    return 0 if passed and not any([n_flagged, *flagged.values()]) else 1
 
 
 def cmd_feasibility(cfg, out_dir):

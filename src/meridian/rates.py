@@ -18,7 +18,6 @@ admissible interval (0, min{1, (6 mu - 4)/(2 mu - 1)}) and
 which satisfies all three predicates whenever mu > 2/3.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -174,39 +173,30 @@ def region_term_exponents(beta, alpha, gamma, delta):
 
 @dataclass(frozen=True)
 class SplitOptimum:
-    alpha: float
     gamma: float
-    delta: float
     exponent: float
     has_log: bool
 
 
 SPLIT_EPS = 1e-3
-SPLIT_GAMMAS = np.linspace(0.0, 1.0, 201)
-SPLIT_DELTAS = np.array([1.0, 1.0 - SPLIT_EPS, 0.9, 0.75, 0.5, 0.25])
 
 
-@functools.lru_cache(maxsize=None)
 def optimize_split(beta):
-    """Grid-minimize the worst region exponent over the splitting knobs.
+    """The split that minimizes the worst region exponent, in closed form.
 
-    alpha and delta approach 1 in the analysis but alpha = 1 is outside the
-    admissible range, so alpha is pinned at 1 - SPLIT_EPS; gamma is scanned
-    over SPLIT_GAMMAS and delta over SPLIT_DELTAS (which includes 1).  Ties
-    are broken toward smaller gamma then larger delta, which reproduces the
-    boundary choice gamma = 0, delta = 1 for 1 < beta < 2.  The optimum is
-    cached per beta, so repeated traces at one beta search once.
+    The bands' exponent falls and the diagonal's rises with delta, and at
+    delta = 1 both equal the far tail's 1 - beta, so delta = 1 and only
+    gamma is returned.  alpha approaches 1 in the analysis but alpha = 1 is
+    outside the admissible range, so it is pinned at 1 - SPLIT_EPS.  For
+    beta > 2, gamma = 1/(2(beta - 1)) balances the inner core's -3/2 +
+    gamma against the inner band's -1 + gamma(2 - beta); for beta <= 2 no
+    gamma lowers the worst exponent, and gamma = 0.  The exponent and its
+    log flag are `region_term_exponents`' at that split.
     """
-    alpha = 1.0 - SPLIT_EPS
-
-    best = None
-    for g in SPLIT_GAMMAS:
-        for d in SPLIT_DELTAS:
-            _, _, (worst, has_log) = region_term_exponents(beta, alpha, g, d)
-            key = (worst, has_log, g, -d)
-            if best is None or key < best[0]:
-                best = (key, SplitOptimum(alpha, g, d, worst, has_log))
-    return best[1]
+    gamma = 0.5 / (beta - 1.0) if beta > 2.0 else 0.0
+    _, _, (worst, has_log) = region_term_exponents(beta, 1.0 - SPLIT_EPS,
+                                                   gamma, 1.0)
+    return SplitOptimum(gamma, worst, has_log)
 
 
 @dataclass

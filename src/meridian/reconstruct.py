@@ -16,7 +16,7 @@ identity on compactly supported swirl fields confirms it numerically.)
 
 The radial axis is split at
 
-    rho in { r^gamma/8, r/4, r - r^delta/2, r + r^delta/2, 4r }
+    rho in { r^gamma/8, r/4, r/2, 3r/2, 4r }
 
 into six regions (inner core, inner band, left band, diagonal band, right
 band, far tail).  The diagonal band is further split into a core -- a
@@ -69,26 +69,24 @@ TRACE_REL_TOL = 0.02        # decay_trace: first tolerance, relative to value
 class QuadratureSpec:
     """Knobs of the reconstruction quadrature.
 
-    gamma, delta are the radial splitting exponents (region boundaries
-    r^gamma/8 and r +- r^delta/2).  rho_max / z_max are finite, default to
-    8*max(1, r) at evaluation time and may only be enlarged (`_window`).
-    tol is the target absolute error per component.  The node counts are
-    the fixed module rules above: when the estimated error exceeds tol, the
-    panels split, up to PANEL_BUDGET panels per component; the result is
-    flagged if the target is still unmet.
+    gamma is the radial splitting exponent (inner region boundary
+    r^gamma/8).  rho_max is finite, defaults to 8*max(1, r) at evaluation
+    time and may only be enlarged; the axial radius z_max is `_window`'s
+    alone.  tol is the target absolute error per component.  The node
+    counts are the fixed module rules above: when the estimated error
+    exceeds tol, the panels split, up to PANEL_BUDGET panels per component;
+    the result is flagged if the target is still unmet.
     """
     gamma: float = 0.0
-    delta: float = 1.0
     rho_max: Optional[float] = None
-    z_max: Optional[float] = None
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0 and 0.0 <= self.delta <= 1.0):
-            raise ValueError("splitting exponents must lie in [0, 1]")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("splitting exponent gamma must lie in [0, 1]")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not all(x is None or np.isfinite(x) for x in (self.rho_max, self.z_max)):
+        if not (self.rho_max is None or np.isfinite(self.rho_max)):
             raise ValueError("truncation radii must be finite or None")
 
 
@@ -109,8 +107,8 @@ class ReconstructionResult:
         return self.tail_bound + self.quad_err
 
 
-def _region_edges(r, gamma, delta):
-    w = 0.5 * r ** delta
+def _region_edges(r, gamma):
+    w = 0.5 * r
     return (r ** gamma / 8.0, r / 4.0, r - w, r + w, 4.0 * r), w
 
 
@@ -249,19 +247,17 @@ def _core_panels():
 
 def _window(w_field, spec, r):
     """What a probe at radius r integrates over, (box, radii).  The radii
-    (rho_max, z_max) default to 8*max(1, r), may only be enlarged, and
-    widen to each bounded side of the vorticity's support box, so a compact
-    field is integrated whole.  The box ((rho_lo, rho_hi), (k_lo, k_hi)) is
-    the support box with each unbounded side cut at the radii.  `radii` is
-    None when every side is bounded; otherwise `_tail_bounds` bounds the
-    mass beyond them."""
-    floor = 8.0 * max(1.0, r)
-    rho_max = spec.rho_max if spec.rho_max is not None else floor
-    z_max = spec.z_max if spec.z_max is not None else floor
-    if rho_max < floor or z_max < floor:
+    (rho_max, z_max) are 8*max(1, r), which spec.rho_max may only enlarge,
+    and widen to each bounded side of the vorticity's support box, so a
+    compact field is integrated whole.  The box ((rho_lo, rho_hi), (k_lo,
+    k_hi)) is the support box with each unbounded side cut at the radii.
+    `radii` is None when every side is bounded; otherwise `_tail_bounds`
+    bounds the mass beyond them."""
+    z_max = 8.0 * max(1.0, r)
+    rho_max = spec.rho_max if spec.rho_max is not None else z_max
+    if rho_max < z_max:
         raise ValueError("truncation radii must be >= 8*max(1, r) "
-                         "(need %g, got rho_max=%g z_max=%g)"
-                         % (floor, rho_max, z_max))
+                         "(need %g, got rho_max=%g)" % (z_max, rho_max))
     rho_lo, rho_hi, k_lo, k_hi = (w_field.support if w_field.support is not None
                                   else (0.0, np.inf, -np.inf, np.inf))
     bounded = np.isfinite([rho_hi, k_lo, k_hi])
@@ -420,7 +416,7 @@ def _component_integral(components, w_field, p, spec, box):
     non-finite (a vorticity sample that is not a finite number).
     """
     r, z = p.r, p.z
-    (b1, b2, b3, b4, b5), w_half = _region_edges(r, spec.gamma, spec.delta)
+    (b1, b2, b3, b4, b5), w_half = _region_edges(r, spec.gamma)
     (rho_lo, rho_hi), (k_lo, k_hi) = box
 
     env_scale = w_field.axial_envelope.scale if w_field.axial_envelope is not None else 1.0
@@ -625,8 +621,8 @@ def decay_trace(w_field, component, r_ladder, z=0.0):
     Per-point absolute tolerances follow the predicted decay envelope from
     TRACE_REL_TOL of the first value, so the fractional accuracy stays
     roughly constant as values shrink; a sample is flagged when its
-    certified error exceeds 10% of its value.  gamma, delta come from the
-    optimizer's balance for the profile's beta.  `z` is a fixed probe
+    certified error exceeds 10% of its value.  gamma comes from the
+    closed-form split for the profile's beta.  `z` is a fixed probe
     height or a sequence matching the ladder (the decay envelopes are
     uniform in z, so sweeping z = r/2 or z = r is a uniformity spot-check).
     """
@@ -648,8 +644,7 @@ def decay_trace(w_field, component, r_ladder, z=0.0):
     spec = QuadratureSpec()
     envelope = lambda r: 1.0
     if beta is not None:
-        opt = optimize_split(beta)
-        spec = replace(spec, gamma=opt.gamma, delta=min(opt.delta, 1.0))
+        spec = replace(spec, gamma=optimize_split(beta).gamma)
         envelope = predicted_decay(beta).envelope
         # slow radial decay needs a wider truncation window for the tail
         # majorant to stay well under the shrinking values

@@ -166,10 +166,10 @@ def test_criterion_7_balancing_identity():
         g = 0.5 / (beta - 1.0)      # the balancing gamma 1/(2(beta - 1))
         assert abs((-1.5 + g) - (-1.0 + g * (2.0 - beta))) < 1e-15
         opt = optimize_split(beta)
-        assert abs(opt.gamma - g) <= 0.005 + 1e-12   # one cell of the grid
-        assert abs(opt.exponent - (-1.5 + g)) < 0.02
-    report(7, "balancing identity at machine precision and optimizer "
-              "recovery within one grid cell for beta in {2.1, 3, 5, 10}")
+        assert opt.gamma == g
+        assert opt.exponent == -1.5 + g
+    report(7, "balancing identity at machine precision and the closed-form "
+              "split's gamma exact for beta in {2.1, 3, 5, 10}")
 
 
 def test_criterion_8_bmo_scale_invariance():

@@ -255,23 +255,17 @@ def test_decay_z_sweep_option(tmp_path):
     assert all(v <= -1.25 + 0.1 for v in payload["z_sweep_slopes"].values())
 
 
-def test_decay_searches_the_split_once_per_beta(tmp_path, monkeypatch):
-    # the z sweep's three traces share one cached split search
-    from meridian import rates
-    searched = []
-
-    def counting(*args):
-        searched.append(args)
-        return region_term_exponents(*args)
-
-    region_term_exponents = rates.region_term_exponents
-    monkeypatch.setattr(rates, "region_term_exponents", counting)
-    rates.optimize_split.cache_clear()
-    path = write_cfg(tmp_path, "decay.beta = 3.0\ndecay.n_points = 5\n"
-                               "decay.z_sweep = true\n")
-    assert main(["decay", "--config", path, "--out", str(tmp_path / "d")]) == 0
-    assert len(searched) == rates.SPLIT_GAMMAS.size * rates.SPLIT_DELTAS.size
-    assert rates.optimize_split(3.0) == rates.optimize_split.__wrapped__(3.0)
+def test_decay_z_sweep_flags_reach_report_and_exit_code(tmp_path):
+    # the main trace flags nothing, but the half_r trace's certified error
+    # at r = 64 is about 0.13 of its value
+    path = write_cfg(tmp_path, "decay.component = u_z\ndecay.z_sweep = true\n"
+                               "decay.r_min = 8\n")
+    out = tmp_path / "decayflag"
+    assert main(["decay", "--config", path, "--out", str(out)]) == 1
+    payload = json.loads((out / "decay_fit_beta3.json").read_text())
+    assert payload["flagged_samples"] == 0
+    assert payload["slope_within_tolerance"]
+    assert payload["z_sweep_flagged"] == {"half_r": 1, "full_r": 0}
 
 
 def test_decay_compact_envelope_option(tmp_path):

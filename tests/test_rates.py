@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from meridian.rates import (InfeasibleExponentError, bruteforce_feasible_set,
-                            construct_feasible_pair, evaluate_pair, fit_decay,
-                            optimize_split, predicted_decay,
-                            region_term_exponents)
+from meridian.rates import (SPLIT_EPS, InfeasibleExponentError,
+                            bruteforce_feasible_set, construct_feasible_pair,
+                            evaluate_pair, fit_decay, optimize_split,
+                            predicted_decay, region_term_exponents)
 
 
 def test_construction_mu_one_matches_hand_arithmetic():
@@ -141,21 +141,38 @@ def test_region_term_validation():
 
 
 def test_optimize_split_recovers_balance():
-    for beta, expect in ((3.0, 0.25), (5.0, 0.125)):
+    for beta in (2.5, 3.0, 5.0):
         opt = optimize_split(beta)
-        assert abs(opt.gamma - expect) <= 0.005  # one grid cell
-        target = -1.5 + 0.5 / (beta - 1.0)
-        assert abs(opt.exponent - target) < 0.02
+        assert opt.gamma == 0.5 / (beta - 1.0)
+        assert opt.exponent == -1.5 + 0.5 / (beta - 1.0)
     opt = optimize_split(1.5)
     assert opt.gamma == 0.0
-    assert opt.delta == 1.0
-    assert abs(opt.exponent - (-0.5)) < 0.02
+    assert opt.exponent == -0.5
 
 
 def test_optimize_split_never_beats_balance():
     for beta in (2.5, 3.0, 4.0, 8.0):
         opt = optimize_split(beta)
         assert opt.exponent >= -1.5 + 0.5 / (beta - 1.0) - 1e-9
+
+
+SPLIT_ORACLE_BETAS = (1.2, 1.5, 1.9, 2.0, 2.0 - 1e-9, 2.0 + 1e-9, 2.2, 2.5,
+                      3.0, 4.0, 5.0, 10.0)
+
+
+@pytest.mark.parametrize("beta", SPLIT_ORACLE_BETAS)
+def test_optimize_split_matches_the_lattice_search(beta):
+    # the oracle: the exhaustive search over the lattice the split was once
+    # chosen on, at the same alpha, finds no smaller worst exponent
+    opt = optimize_split(beta)
+    alpha = 1.0 - SPLIT_EPS
+    lattice = min(region_term_exponents(beta, alpha, g, d)[2][0]
+                  for g in np.linspace(0.0, 1.0, 201)
+                  for d in (1.0, 0.999, 0.9, 0.75, 0.5, 0.25))
+    assert lattice >= opt.exponent - 1e-12
+    pred = predicted_decay(beta)
+    assert abs(opt.exponent - pred.exponent) <= 1e-12
+    assert opt.has_log == pred.has_log
 
 
 def test_fit_decay_exact_power_law():
