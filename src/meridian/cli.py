@@ -18,6 +18,7 @@ byte-identical files.  Exit codes: 0 = all asserted properties held,
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -377,6 +378,10 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     """curl -> reconstruct identity; exit 0 iff rel L2 below threshold and
     every reconstruction meets tol and holds its certificate,
     |reconstructed - exact| <= total_error."""
+    # at a threshold <= 0 no relative error could pass the gate
+    if not cfg["roundtrip.threshold"] > 0:
+        raise ConfigError("roundtrip.threshold must be positive, got %g"
+                          % cfg["roundtrip.threshold"])
     kinds = (tuple(ROUNDTRIP_FIELDS) if cfg["roundtrip.kind"] == "both"
              else (cfg["roundtrip.kind"],))
     if not set(kinds) <= set(ROUNDTRIP_FIELDS):
@@ -407,24 +412,29 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
         probes = [(float(r), float(z)) for r in rs for z in zs]
 
     payload = {"probes": len(probes), "threshold": cfg["roundtrip.threshold"]}
-    rows = []
-    ok = True
+    bumps = []
     for kind in kinds:
         bump_field, names = ROUNDTRIP_FIELDS[kind]
         field, w = bump_field(r0=r0, radius=radius)
-        truth = {name: getattr(field, name) for name in names}
+        bumps.append((kind, w, {name: getattr(field, name) for name in names}))
 
-        def probe_one(pz):
-            r, z = pz
-            found = reconstruct(w, MeridianPoint(r, z), tuple(truth))
-            return {name: (found[name].value,
-                           float(u(np.asarray(r), np.asarray(z))),
-                           found[name].total_error, found[name].tol_met)
-                    for name, u in truth.items()}
+    def probe_one(task):
+        (_, w, truth), (r, z) = task
+        found = reconstruct(w, MeridianPoint(r, z), tuple(truth))
+        return {name: (found[name].value,
+                       float(u(np.asarray(r), np.asarray(z))),
+                       found[name].total_error, found[name].tol_met)
+                for name, u in truth.items()}
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(probe_one, probes))
+    # one pool over every (kind, probe) pair, kinds first, so no kind
+    # waits for the slowest probe of the one before it
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pairs = list(pool.map(probe_one, itertools.product(bumps, probes)))
 
+    rows = []
+    ok = True
+    for i, (kind, _, truth) in enumerate(bumps):
+        results = pairs[i * len(probes):(i + 1) * len(probes)]
         for name in truth:
             err2 = sum((res[name][0] - res[name][1]) ** 2 for res in results)
             ref2 = sum(res[name][1] ** 2 for res in results)
@@ -507,7 +517,8 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=4,
-                        help="roundtrip probe pool size")
+                        help="roundtrip pool size; the pool runs over every "
+                             "(kind, probe) pair")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probe layouts")
     args = parser.parse_args(argv)

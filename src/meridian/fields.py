@@ -135,7 +135,7 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0):
     Returns (field, vorticity).  With psi a SmoothBump,
     w_theta = dz u_r - dr u_z = -(1/r) (psi_rr - psi_r / r + psi_zz),
     so the vorticity is analytic and compactly supported in the same disk.
-    The three derivatives come from one evaluation of the bump's jet.
+    Its three derivatives are formed at the nodes inside the disk only.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
@@ -143,8 +143,19 @@ def stream_bump_field(r0=3.0, z0=0.0, radius=1.0):
     field = stream_function_field(bump.profile(), support=bump.support)
 
     def wt(r, z):
-        _, f_r, _, f_rr, f_zz, _ = bump.jet(r, z)
-        return -(f_rr - f_r / r + f_zz) / r
+        shape, idx, r, z, om, f, fp = bump._support_nodes(r, z)
+        a2 = radius ** 2
+        dr, dz = r - r0, z - z0
+        fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
+        tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
+        f_r = fp * 2.0 * dr / a2
+        f_rr = fpp * tr * tr + fp * 2.0 / a2
+        f_zz = fpp * tz * tz + fp * 2.0 / a2
+        # the jet's zeros gave -(0 - 0 / r + 0) / r = -0.0 outside (r > 0);
+        # keeping the sign keeps every sum over these nodes bit for bit
+        out = np.full(shape, -0.0)
+        out.put(idx, -(f_rr - f_r / r + f_zz) / r)
+        return out
 
     w = VorticityField(
         w_r=zero_profile(),
@@ -160,8 +171,8 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
     """Pure-swirl bump u_theta plus its exact curl (w_r, w_z).
 
     w_r = -dz u_theta,  w_z = (1/r) dr(r u_theta) = dr u_theta + u_theta/r.
-    Both vorticity components share the bump's compact support; w_z takes
-    u_theta and its r-derivative from one evaluation of the bump's jet.
+    Both vorticity components share the bump's compact support, and each
+    is formed at the nodes inside it only.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
@@ -170,12 +181,20 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
                         u_z=zero_profile())
 
     def wz(r, z):
-        f, f_r = bump.jet(r, z)[:2]
-        return f_r + f / r
+        shape, idx, r, _, _, f, fp = bump._support_nodes(r, z)
+        out = np.zeros(shape)
+        out.put(idx, fp * 2.0 * (r - r0) / radius ** 2 + f / r)
+        return out
+
+    def wr(r, z):
+        shape, idx, _, z, _, _, fp = bump._support_nodes(r, z)
+        # -0.0 outside, the jet's zero f_z negated, as for w_theta
+        out = np.full(shape, -0.0)
+        out.put(idx, -(fp * 2.0 * (z - z0) / radius ** 2))
+        return out
 
     w = VorticityField(
-        w_r=Profile(fn=lambda r, z: -bump.jet(r, z)[2],
-                    name="swirl_bump_w_r"),
+        w_r=Profile(fn=wr, name="swirl_bump_w_r"),
         w_theta=zero_profile(),
         w_z=Profile(fn=wz, name="swirl_bump_w_z"),
         support=bump.support,

@@ -66,29 +66,39 @@ class SmoothBump:
     z0: float
     radius: float
 
+    def _support_nodes(self, r, z):
+        """The nodes strictly inside the support, flat in C order over the
+        broadcast shape of r and z: (shape, idx, r, z, om, f, fp), with r
+        and z gathered at the flat indices idx, om = 1 - q^2, the bump f and
+        fp = df/d(q^2) there.  q^2 sums (r - r0)^2 and (z - z0)^2 by
+        broadcasting, so a column of r and a row of z are squared at their
+        own size.  Nothing is cached, so threads may share one bump."""
+        r, z = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
+        t = ((r - self.r0) ** 2 + (z - self.z0) ** 2) / self.radius ** 2
+        idx = np.flatnonzero(t < 1.0 - 1e-14)
+        r, z = (np.broadcast_to(x, t.shape).ravel().take(idx) for x in (r, z))
+        om = 1.0 - t.take(idx)
+        f = np.exp(1.0 - 1.0 / om)
+        return t.shape, idx, r, z, om, f, -f / om ** 2
+
     def jet(self, r, z):
         """(f, f_r, f_z, f_rr, f_zz, f_rz) at (r, z) from one exponential,
         evaluated only at the nodes inside the support; zeros outside."""
-        r, z = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                   np.asarray(z, dtype=float))
+        shape, idx, r, z, om, f, fp = self._support_nodes(r, z)
         a2 = self.radius ** 2
-        t = ((r - self.r0) ** 2 + (z - self.z0) ** 2) / a2
-        inside = np.flatnonzero(t < 1.0 - 1e-14)
-        dr, dz = r.take(inside) - self.r0, z.take(inside) - self.z0
-        om = 1.0 - t.take(inside)
-        f = np.exp(1.0 - 1.0 / om)
-        fp = -f / om ** 2
+        dr, dz = r - self.r0, z - self.z0
         fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
         tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
         # one row at a time, so no derivative outlives its copy into out
-        out = np.zeros((6, t.size))
-        out[0, inside] = f
-        out[1, inside] = fp * 2.0 * dr / a2
-        out[2, inside] = fp * 2.0 * dz / a2
-        out[3, inside] = fpp * tr * tr + fp * 2.0 / a2
-        out[4, inside] = fpp * tz * tz + fp * 2.0 / a2
-        out[5, inside] = fpp * tr * tz
-        return out.reshape((6,) + t.shape)
+        out = np.zeros((6,) + shape)
+        rows = out.reshape(6, -1)
+        rows[0, idx] = f
+        rows[1, idx] = fp * 2.0 * dr / a2
+        rows[2, idx] = fp * 2.0 * dz / a2
+        rows[3, idx] = fpp * tr * tr + fp * 2.0 / a2
+        rows[4, idx] = fpp * tz * tz + fp * 2.0 / a2
+        rows[5, idx] = fpp * tr * tz
+        return out
 
     def profile(self):
         # the jet's order is Profile's: fn, d_r, d_z, d_rr, d_zz, d_rz

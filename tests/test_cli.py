@@ -276,14 +276,23 @@ def test_decay_compact_envelope_option(tmp_path):
     assert main(["decay", "--config", path, "--out", str(out)]) == 0
 
 
-def test_roundtrip_same_bytes_for_any_worker_count(tmp_path):
-    path = write_cfg(tmp_path, "roundtrip.n_r = 2\nroundtrip.n_z = 1\n")
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+@pytest.mark.parametrize("text, seed", [
+    ("", "0"),
+    # the benchmark's layout 3 (two random probes) about a bump at r0 = 3.5
+    ("roundtrip.bump_r0 = 3.5\nroundtrip.probe_layout = random\n", "3"),
+], ids=["grid", "random-seed3"])
+def test_roundtrip_same_bytes_for_any_worker_count(tmp_path, text, seed):
+    # 3 workers outnumber each kind's 2 probes, so the pool over every
+    # (kind, probe) pair mixes kinds and the results must be regrouped
+    path = write_cfg(tmp_path, "roundtrip.n_r = 2\nroundtrip.n_z = 1\n" + text)
+    out1 = tmp_path / "w1"
     code = main(["roundtrip", "--config", path, "--out", str(out1),
-                 "--workers", "1"])
-    assert main(["roundtrip", "--config", path, "--out", str(out2),
-                 "--workers", "2"]) == code
-    assert hash_dir(str(out1)) == hash_dir(str(out2))
+                 "--workers", "1", "--seed", seed])
+    for workers in ("2", "3"):
+        out = tmp_path / ("w" + workers)
+        assert main(["roundtrip", "--config", path, "--out", str(out),
+                     "--workers", workers, "--seed", seed]) == code
+        assert hash_dir(str(out1)) == hash_dir(str(out))
 
 
 @pytest.mark.parametrize("envelope", ["gauss", "compact"])
@@ -436,6 +445,11 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "decay.slope_tolerance: must be finite"),
     ("roundtrip", "roundtrip.threshold = nan",
      "roundtrip.threshold: must be finite"),
+    # no relative error is below a threshold <= 0, so the gate always fails
+    ("roundtrip", "roundtrip.threshold = 0",
+     "roundtrip.threshold must be positive, got 0"),
+    ("roundtrip", "roundtrip.threshold = -0.001",
+     "roundtrip.threshold must be positive, got -0.001"),
     ("feasibility", "feas.mu = nan", "feas.mu: must be finite"),
     ("feasibility", "feas.mu = -1", "every feas.mu_sweep entry must"),
     ("feasibility", "feas.mu_sweep = 1,0", "every feas.mu_sweep entry must"),
@@ -471,10 +485,11 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     ("feasibility", "feas.mu_sweep = 1,abc",
      "config key feas.mu_sweep: cannot parse 'abc' as float"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
-        "mu-nan", "mu-negative", "mu_sweep-zero", "no-kinds", "no-alphas",
-        "n_points-4", "roundtrip-kind-bogus", "envelope-bogus",
-        "alphas-duplicate", "alphas-same-name", "kinds-duplicate",
-        "kind-bogus-no-alphas", "kind-bogus", "r_max-below-r_min",
+        "threshold-zero", "threshold-negative", "mu-nan", "mu-negative",
+        "mu_sweep-zero", "no-kinds", "no-alphas", "n_points-4",
+        "roundtrip-kind-bogus", "envelope-bogus", "alphas-duplicate",
+        "alphas-same-name", "kinds-duplicate", "kind-bogus-no-alphas",
+        "kind-bogus", "r_max-below-r_min",
         "probe-window-grid", "probe-window-random", "mu_sweep-not-float"])
 def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
                                                      text, message):

@@ -202,24 +202,24 @@ def reference_bump(r0, z0, radius, r, z):
             fpp * tr * tz)
 
 
-def _counting_jet(monkeypatch):
-    calls = []
-    jet = SmoothBump.jet
+def _bump_nodes(shape, r0, rng):
+    """Nodes inside and outside the support disk of radius 1 about (r0, 0):
+    flat points, a rho column by a k row as a rectangle passes them, or a
+    3-D (P, n_u, n_v) block as the polar core passes them."""
+    if shape == "flat":
+        return (rng.uniform(r0 - 1.4, r0 + 1.4, 4000),
+                rng.uniform(-1.4, 1.4, 4000))
+    if shape == "grid":
+        return (rng.uniform(r0 - 1.4, r0 + 1.4, (60, 1)),
+                rng.uniform(-1.4, 1.4, (1, 70)))
+    return (rng.uniform(r0 - 1.4, r0 + 1.4, (30, 6, 8)),
+            rng.uniform(-1.4, 1.4, (30, 6, 8)))
 
-    def counting(self, r, z):
-        calls.append(1)
-        return jet(self, r, z)
 
-    monkeypatch.setattr(SmoothBump, "jet", counting)
-    return calls
-
-
+@pytest.mark.parametrize("shape", ["flat", "grid", "core"])
 @pytest.mark.parametrize("r0", [3.0, 3.5, 3.77])
-def test_bump_vorticity_matches_reference_from_one_jet_call(monkeypatch, r0):
-    # points inside and outside the support disk of radius 1 about (r0, 0)
-    rng = np.random.default_rng(7)
-    r = rng.uniform(r0 - 1.4, r0 + 1.4, 4000)
-    z = rng.uniform(-1.4, 1.4, 4000)
+def test_bump_vorticity_matches_reference_on_every_node_shape(r0, shape):
+    r, z = _bump_nodes(shape, r0, np.random.default_rng(7))
     inside = (r - r0) ** 2 + z ** 2 < 1.0
     assert 0 < inside.sum() < inside.size
     f, f_r, f_z, f_rr, f_zz, f_rz = reference_bump(r0, 0.0, 1.0, r, z)
@@ -229,12 +229,8 @@ def test_bump_vorticity_matches_reference_from_one_jet_call(monkeypatch, r0):
         assert np.array_equal(got(r, z), want)
     _, w = stream_bump_field(r0=r0)
     _, ws = swirl_bump_field(r0=r0)
-    calls = _counting_jet(monkeypatch)
-    wt = w.w_theta(r, z)
-    assert len(calls) == 1
-    wz = ws.w_z(r, z)
-    assert len(calls) == 2
-    assert np.array_equal(wt, -(f_rr - f_r / r + f_zz) / r)
-    assert np.array_equal(wz, f_r + f / r)
-    assert np.array_equal(ws.w_r(r, z), -f_z)
-    assert np.all(wt[~inside] == 0.0) and np.any(wt[inside] != 0.0)
+    for got, want in ((w.w_theta(r, z), -(f_rr - f_r / r + f_zz) / r),
+                      (ws.w_z(r, z), f_r + f / r), (ws.w_r(r, z), -f_z)):
+        assert got.shape == inside.shape
+        assert np.array_equal(got, want)
+        assert np.all(got[~inside] == 0.0) and np.any(got[inside] != 0.0)
