@@ -12,14 +12,16 @@ takes 0 <= alpha <= 1 on the near-diagonal band r/4 <= rho <= 4r and
 |kernel| / envelope per regime together with a refinement-stability flag:
 the supremum is an empirical constant, and its stability under grid
 densification is the falsifiable content.  Scans over several alpha values
-share one kernel evaluation pass per field radius.
+share one kernel evaluation pass per field radius, and one stable sort per
+scan groups its points by regime: a report reduces each admissible regime's
+group to its supremum and first argmax, the alpha gate read from its band.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import List, Optional
 
 import numpy as np
@@ -110,6 +112,13 @@ class ScanData:
     regime: np.ndarray               # index into REGIMES per point
     excluded: int
     failures: List[tuple]
+
+    @cached_property
+    def regime_groups(self):
+        """Per REGIMES entry, its points' indices in scan order (one sort)."""
+        order = np.argsort(self.regime, kind="stable")
+        counts = np.bincount(self.regime, minlength=len(REGIMES))
+        return np.split(order, np.cumsum(counts)[:-1])
 
     @cached_property
     def csv_lead(self):
@@ -218,7 +227,7 @@ def evaluate_scan_grid(grid):
     r, rho, zeta = grid.T
     # rows: max(|G2|, |G3|), |G1|, |G1 / zeta|
     kernels = np.empty((3, len(grid)))
-    _, starts = np.unique(r, return_index=True)
+    starts = np.flatnonzero(np.diff(r, prepend=0.0))   # rungs: r steps up
     for a, b in zip(starts, np.append(starts[1:], len(grid))):
         kb = kernel_batch(r[a], rho[a:b], zeta[a:b])
         kernels[:, a:b] = (np.maximum(np.abs(kb.g2), np.abs(kb.g3)),
@@ -229,7 +238,7 @@ def evaluate_scan_grid(grid):
     # the K <= 1 regime rests on the exact inequality d^2 >= max(r, rho)^2/2;
     # it must hold at every scanned point or the regime split is wrong
     if not np.all(k_split_consistency(r, rho, zeta)):
-        raise AssertionError("K <= 1 split arithmetic violated on the grid")
+        raise ArithmeticError("K <= 1 split arithmetic violated on the grid")
     band = np.where(rho < r / 4.0, 0, np.where(rho > 4.0 * r, 2, 1))
     k23, k1, k1z = kernels[:, good]
     return ScanData(r=r, rho=rho, zeta=zeta, K=K, kernel23=k23, kernel1=k1,
@@ -238,33 +247,37 @@ def evaluate_scan_grid(grid):
                     failures=list(map(tuple, grid[~good].tolist())))
 
 
-def _admissible_ratio(env, data):
-    """(admissible mask, |kernel| / envelope on the admissible points)."""
-    ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
-    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
+def _ratio(env, data, idx, envv=None):
+    """|kernel| / envelope at the points `idx` of data, given the envelope
+    `envv` there if it is already computed."""
+    r, rho, zeta = data.r[idx], data.rho[idx], data.zeta[idx]
     if env.kind == "gamma23":
-        return ok, data.kernel23[ok] / envelope_value(env, r, rho, zeta)
+        return data.kernel23[idx] / (
+            envelope_value(env, r, rho, zeta) if envv is None else envv)
     # |G1| / (|zeta| max^-a d^-(3-a)) written via G1/zeta so the zeta = 0
     # line contributes its finite limit
     d2 = (r - rho) ** 2 + zeta ** 2
     m = np.maximum(r, rho)
-    return ok, (data.kernel1_over_zeta[ok] * m ** env.alpha
-                * d2 ** ((3.0 - env.alpha) / 2.0))
+    return (data.kernel1_over_zeta[idx] * m ** env.alpha
+            * d2 ** ((3.0 - env.alpha) / 2.0))
 
 
 def report_from_data(kind, alpha, data):
-    """Reduce shared scan data to a per-regime supremum report for one alpha."""
-    ok, ratio = _admissible_ratio(BoundEnvelope(kind=kind, alpha=alpha), data)
-    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
-    regime = data.regime[ok]
-    sup, arg = {}, {}
-    for i in np.unique(regime):
-        m = regime == i
-        j = int(np.argmax(ratio[m]))
-        sup[REGIMES[i]] = float(ratio[m][j])
-        idx = np.nonzero(m)[0][j]
-        arg[REGIMES[i]] = (float(r[idx]), float(rho[idx]), float(zeta[idx]))
-    return ScanReport(kind=kind, alpha=alpha, n_points=int(ok.sum()),
+    """Reduce shared scan data to a per-regime supremum report for one
+    alpha; ties go to the point that comes first in scan order."""
+    env = BoundEnvelope(kind=kind, alpha=alpha)
+    sup, arg, n_points = {}, {}, 0
+    for label, idx in zip(REGIMES, data.regime_groups):
+        # the gate reads only the band: a regime's first point decides it
+        if idx.size == 0 or not env.admissible(data.r[idx[0]],
+                                               data.rho[idx[0]]):
+            continue
+        ratio = _ratio(env, data, idx)
+        j = int(np.argmax(ratio))
+        sup[label], k = float(ratio[j]), idx[j]
+        arg[label] = tuple(float(x[k]) for x in (data.r, data.rho, data.zeta))
+        n_points += idx.size
+    return ScanReport(kind=kind, alpha=alpha, n_points=n_points,
                       suprema=sup, argmax=arg, excluded=data.excluded,
                       failures=data.failures)
 
@@ -294,17 +307,18 @@ def refine_and_compare(kind, alpha, coarse_data, fine_data,
 
 def write_scan_csv(path, kind, alpha, data):
     """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio;
-    only envelope and ratio are formatted here, the rest is `data`'s text."""
+    only envelope and ratio are formatted here, in one `%` over every row."""
     env = BoundEnvelope(kind=kind, alpha=alpha)
-    ok, ratio = _admissible_ratio(env, data)
+    ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
     envv = envelope_value(env, data.r[ok], data.rho[ok], data.zeta[ok])
     keep = ok.tolist()
+    rows = zip(compress(data.csv_lead, keep),
+               compress(data.csv_kernel[kind], keep), envv.tolist(),
+               _ratio(env, data, ok, envv).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("r,rho,zeta,K,regime,kernel,envelope,ratio\r\n")
-        fh.writelines(map("%s%s%.12g,%.12g\r\n".__mod__, zip(
-            compress(data.csv_lead, keep),
-            compress(data.csv_kernel[kind], keep),
-            envv.tolist(), ratio.tolist())))
+        fh.write("%s%s%.12g,%.12g\r\n" * len(envv)
+                 % tuple(chain.from_iterable(rows)))
 
 
 def write_summary_json(path, reports):

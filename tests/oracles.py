@@ -6,6 +6,7 @@ Not collected by pytest (no `test_` prefix); test modules import it as
 
 import numpy as np
 
+from meridian.envelopes import REGIMES, BoundEnvelope, ScanReport, envelope_value
 from meridian.profiles import Profile
 
 
@@ -47,3 +48,34 @@ def gaussian_swirl_profile():
         d_rz=lambda r, z: g(r, z) * (-2.0 * np.asarray(z, float)) * (1.0 - 2.0 * np.asarray(r, float) ** 2),
         name="gaussian_swirl",
     )
+
+
+def admissible_ratio(env, data):
+    """(admissible mask, |kernel| / envelope on the admissible points) over
+    ScanData `data`, the gate evaluated point by point."""
+    ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
+    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
+    if env.kind == "gamma23":
+        return ok, data.kernel23[ok] / envelope_value(env, r, rho, zeta)
+    d2 = (r - rho) ** 2 + zeta ** 2
+    m = np.maximum(r, rho)
+    return ok, (data.kernel1_over_zeta[ok] * m ** env.alpha
+                * d2 ** ((3.0 - env.alpha) / 2.0))
+
+
+def scan_report(kind, alpha, data):
+    """The per-regime supremum report by one boolean mask per regime over
+    the admissible points; the reference for `report_from_data`."""
+    ok, ratio = admissible_ratio(BoundEnvelope(kind=kind, alpha=alpha), data)
+    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
+    regime = data.regime[ok]
+    sup, arg = {}, {}
+    for i in np.unique(regime):
+        m = regime == i
+        j = int(np.argmax(ratio[m]))
+        sup[REGIMES[i]] = float(ratio[m][j])
+        idx = np.nonzero(m)[0][j]
+        arg[REGIMES[i]] = (float(r[idx]), float(rho[idx]), float(zeta[idx]))
+    return ScanReport(kind=kind, alpha=alpha, n_points=int(ok.sum()),
+                      suprema=sup, argmax=arg, excluded=data.excluded,
+                      failures=data.failures)

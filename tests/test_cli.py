@@ -222,6 +222,21 @@ def test_kernel_scan_counts_coarse_grid_failures(tmp_path, monkeypatch):
     assert summary[0]["stable"]
 
 
+def test_kernel_scan_split_violation_exits_2(tmp_path, monkeypatch, capsys):
+    # a violated K <= 1 split is a numerical failure (exit 2), raised
+    # before any report or CSV is written
+    import numpy as np
+    from meridian import envelopes
+    monkeypatch.setattr(envelopes, "k_split_consistency",
+                        lambda r, rho, zeta: np.zeros(np.shape(r), bool))
+    path = write_cfg(tmp_path, FAST_SCAN + "scan.kinds = gamma23\n"
+                                           "scan.alphas23 = 0\n")
+    out = tmp_path / "scan"
+    assert main(["kernel-scan", "--config", path, "--out", str(out)]) == 2
+    assert "split arithmetic violated" in capsys.readouterr().err
+    assert not (out / "kernel_scan_summary.json").exists()
+
+
 def test_decay_command_small_run(tmp_path):
     path = write_cfg(tmp_path, "decay.beta = 3.0\ndecay.n_points = 5\n")
     out = tmp_path / "decay"

@@ -12,7 +12,7 @@ from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
                                 report_from_data, scan_grid, write_scan_csv)
 from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
-from oracles import crude_bounds
+from oracles import admissible_ratio, crude_bounds, scan_report
 
 
 def test_envelope_value_examples():
@@ -180,13 +180,17 @@ def test_write_scan_csv_matches_csv_writer_reference(tmp_path, kind, alpha):
     assert r.size > 0 and (r.size < data.r.size) == (alpha > 1)
 
 
+def _default_jobs():
+    cfg = load_config()
+    return ([("gamma23", a) for a in cfg["scan.alphas23"]]
+            + [("gamma1", a) for a in cfg["scan.alphas1"]])
+
+
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
 def test_write_scan_csv_shares_no_rows_between_jobs(tmp_path, order):
     # one ScanData serves every default job; each file must equal the one
     # written from a freshly evaluated grid, whichever job came first
-    cfg = load_config()
-    jobs = ([("gamma23", a) for a in cfg["scan.alphas23"]]
-            + [("gamma1", a) for a in cfg["scan.alphas1"]])
+    jobs = _default_jobs()
     assert ("gamma1", 3.0) in jobs and ("gamma1", 1.0) in jobs
     grid = scan_grid(n_r=3, n_ratio=8, n_zeta=6)
     shared = evaluate_scan_grid(grid)
@@ -202,13 +206,15 @@ def test_write_scan_csv_shares_no_rows_between_jobs(tmp_path, order):
     assert rows["gamma1", 3.0] < rows["gamma1", 1.0] == rows["gamma23", 1.0]
 
 
+# rho = r/4 and rho = 4r sit in the mid band; (2, 2, +-4) and (3, 3, 6)
+# have 4 r rho = d^2 exactly, and K = 1 falls on the K <= 1 side
+EDGE_POINTS = np.array([[2.0, 0.5, 1.0], [2.0, 8.0, 1.0], [2.0, 2.0, 4.0],
+                        [2.0, 2.0, -4.0], [3.0, 3.0, 6.0]])
+
+
 def test_scan_regime_matches_band_and_k_side():
-    # rho = r/4 and rho = 4r sit in the mid band; (2, 2, +-4) and (3, 3, 6)
-    # have 4 r rho = d^2 exactly, and K = 1 falls on the K <= 1 side
-    edges = np.array([[2.0, 0.5, 1.0], [2.0, 8.0, 1.0], [2.0, 2.0, 4.0],
-                      [2.0, 2.0, -4.0], [3.0, 3.0, 6.0]])
     data = evaluate_scan_grid(np.vstack([scan_grid(n_r=3, n_ratio=8, n_zeta=6),
-                                         edges]))
+                                         EDGE_POINTS]))
     expect = [REGIMES.index(lab)
               for lab in _regime_labels(data.r, data.rho, data.K)]
     assert np.array_equal(data.regime, expect)
@@ -217,6 +223,50 @@ def test_scan_regime_matches_band_and_k_side():
     assert at_k1.sum() >= 3
     assert np.all(data.regime[at_k1] % 2 == 0)
     assert set(data.regime.tolist()) == set(range(len(REGIMES)))
+
+
+def _tied_argmax(kind, alpha, data):
+    """Whether some regime's supremum is attained at two distinct points."""
+    ok, ratio = admissible_ratio(BoundEnvelope(kind, alpha), data)
+    points = np.column_stack([data.r, data.rho, data.zeta])[ok]
+    regime = data.regime[ok]
+    for i in np.unique(regime):
+        at_sup = (regime == i) & (ratio == ratio[regime == i].max())
+        if len(np.unique(points[at_sup], axis=0)) > 1:
+            return True
+    return False
+
+
+def _scan_grids():
+    small = scan_grid(n_r=3, n_ratio=8, n_zeta=6)
+    refined = scan_grid(n_r=6, n_ratio=16, n_zeta=12)
+    # r <= 1 and on the diagonal: both excluded
+    excluded = np.array([[0.5, 1.0, 1.0], [1.0, 2.0, 0.5], [2.0, 2.0, 0.0],
+                         [5.0, 5.0000001, 0.0]])
+    mixed = np.vstack([small, EDGE_POINTS, excluded])
+    mixed = mixed[np.random.default_rng(29).permutation(len(mixed))]
+    return {"small": small, "refined": refined, "unsorted": mixed,
+            # every point twice, each copy in grid order
+            "duplicated": np.vstack([small, small])}
+
+
+@pytest.mark.parametrize("name", ["small", "refined", "unsorted", "duplicated"])
+def test_report_matches_mask_reference(name):
+    # the regime-grouped reduction against one mask per regime: same
+    # suprema, argmax (the first point in scan order on a tie), counts
+    grid = _scan_grids()[name]
+    data = evaluate_scan_grid(grid)
+    ties = 0
+    for kind, alpha in _default_jobs():
+        rep = report_from_data(kind, alpha, data)
+        assert repr(rep.to_json_dict()) == repr(
+            scan_report(kind, alpha, data).to_json_dict())
+        ties += _tied_argmax(kind, alpha, data)
+    if name == "unsorted":
+        assert data.excluded == 4
+        assert np.any(data.K == 1.0) and np.any(data.rho == 4.0 * data.r)
+    if name == "duplicated":
+        assert ties > 0
 
 
 def _envelope_ratios(r, rho, zeta, alpha23, alpha1):
