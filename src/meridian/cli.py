@@ -10,16 +10,15 @@ Subcommands
 
 Configuration is a flat `key = value` file ('#' comments); every key has a
 typed default below and unknown keys are rejected before any computation.
-Outputs are CSV for grids and traces, JSON (sorted keys) for summaries; no
-timestamps or machine-dependent content, so identical config + seed gives
-byte-identical files.  Exit codes: 0 = all asserted properties held,
-1 = a property was violated, 2 = validation or numerical failure.
+`meridian.reports` writes every report: CSV for grids and traces (floats
+%.12g, roundtrip's values %.17g), JSON for summaries; no timestamps or
+machine-dependent content, so identical config + seed gives byte-identical
+files.  Exit codes: 0 = all asserted properties held, 1 = a property was
+violated, 2 = validation, I/O or numerical failure.
 """
 
 import argparse
-import csv
 import itertools
-import json
 import math
 import os
 import sys
@@ -35,6 +34,7 @@ from .rates import (FIT_MIN_SAMPLES, bruteforce_feasible_set,
                     construct_feasible_pair, feasibility_predicates,
                     fit_decay, predicted_decay, InfeasibleExponentError)
 from .reconstruct import COMPONENTS, REGION_NAMES, decay_trace, reconstruct
+from .reports import write_csv, write_json
 
 # key -> (default, type, doc); types: int, float, str, bool, list of floats
 DEFAULTS = {
@@ -144,23 +144,6 @@ def _out(out_dir, name):
     return os.path.join(out_dir, name)
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _fmt(x):
-    return "%.12g" % x
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
 # scan.kinds entry -> the config key of its alpha values
 SCAN_ALPHAS = {"gamma23": "scan.alphas23", "gamma1": "scan.alphas1"}
 
@@ -252,11 +235,12 @@ def cmd_decay(cfg, out_dir):
               for label, z in heights.items()}
     samples = traces["trace"]
 
-    _write_csv(_out(out_dir, "decay_trace_beta%g.csv" % beta),
-               ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES),
-               ([_fmt(s.r), _fmt(s.value), _fmt(s.quad_err), _fmt(s.tail_bound)]
-                + [_fmt(s.per_region[n]) for n in REGION_NAMES]
-                for s in samples))
+    header = ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES)
+    write_csv(_out(out_dir, "decay_trace_beta%g.csv" % beta), header,
+              ",".join(["%.12g"] * len(header)),
+              ((s.r, s.value, s.quad_err, s.tail_bound)
+               + tuple(s.per_region[n] for n in REGION_NAMES)
+               for s in samples))
 
     fits = {label: fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
                               for s in trace])
@@ -301,7 +285,7 @@ def cmd_decay(cfg, out_dir):
         "z_sweep_slopes": sweep_fits,
         "z_sweep_flagged": flagged,
     }
-    _write_json(_out(out_dir, "decay_fit_beta%g.json" % beta), payload)
+    write_json(_out(out_dir, "decay_fit_beta%g.json" % beta), payload)
     return 0 if passed and not any([n_flagged, *flagged.values()]) else 1
 
 
@@ -325,12 +309,15 @@ def cmd_feasibility(cfg, out_dir):
 
     lower_ok, upper_ok, neg_ok = feasibility_predicates(deltas[:, None],
                                                         qs[None, :], mu)
-    _write_csv(_out(out_dir, "feasibility_region.csv"),
-               ["mu", "delta", "q", "lower_ok", "upper_ok", "negativity_ok",
-                "feasible"],
-               ([_fmt(mu), _fmt(d), _fmt(q), int(lower_ok[i, j]),
-                 int(upper_ok[i, j]), int(neg_ok[i, j]), int(mask[i, j])]
-                for i, d in enumerate(deltas) for j, q in enumerate(qs)))
+    # rows stream one delta at a time, so no 7-column table is built
+    write_csv(_out(out_dir, "feasibility_region.csv"),
+              ["mu", "delta", "q", "lower_ok", "upper_ok", "negativity_ok",
+               "feasible"], "%.12g,%.12g,%.12g,%d,%d,%d,%d",
+              itertools.chain.from_iterable(
+                  zip(itertools.repeat(mu), itertools.repeat(d), qs.tolist(),
+                      *(m[i].tolist() for m in (lower_ok, upper_ok, neg_ok,
+                                                mask)))
+                  for i, d in enumerate(deltas.tolist())))
 
     payload = {"mu": mu, "region_nonempty": bool(mask.any()),
                "region_cells": int(mask.sum())}
@@ -357,13 +344,12 @@ def cmd_feasibility(cfg, out_dir):
     if sweep:
         cells = [int(bruteforce_feasible_set(m, deltas, qs).sum())
                  for m in sweep]
-        _write_csv(_out(out_dir, "feasibility_sweep.csv"),
-                   ["mu", "region_cells", "region_fraction"],
-                   ([_fmt(m), c, _fmt(c / mask.size)]
-                    for m, c in zip(sweep, cells)))
+        write_csv(_out(out_dir, "feasibility_sweep.csv"),
+                  ["mu", "region_cells", "region_fraction"], "%.12g,%d,%.12g",
+                  ((m, c, c / mask.size) for m, c in zip(sweep, cells)))
 
     payload["agreement"] = bool(agree)
-    _write_json(_out(out_dir, "feasibility.json"), payload)
+    write_json(_out(out_dir, "feasibility.json"), payload)
     return 0 if agree else 1
 
 
@@ -453,12 +439,11 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             for name in res:
                 rows.append((kind, name, r, z) + res[name])
 
-    _write_csv(_out(out_dir, "roundtrip_probes.csv"),
-               ["kind", "component", "r", "z", "reconstructed", "exact"],
-               # 17 digits give the values back exactly, so the report's
-               # norms can be recomputed from the file
-               ([kind, name, _fmt(r), _fmt(z), "%.17g" % rec, "%.17g" % exact]
-                for kind, name, r, z, rec, exact, _, _ in rows))
+    write_csv(_out(out_dir, "roundtrip_probes.csv"),
+              ["kind", "component", "r", "z", "reconstructed", "exact"],
+              # 17 digits give the values back exactly, so the report's
+              # norms can be recomputed from the file
+              "%s,%s,%.12g,%.12g,%.17g,%.17g", (row[:6] for row in rows))
     # the certificate check: each result's error against the exact field
     violations, worst, missed = [], 0.0, 0
     for kind, name, r, z, rec, exact, bound, met in rows:
@@ -472,7 +457,7 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     payload.update(cert_violations=violations, cert_worst_ratio=worst,
                    tol_met=len(rows) - missed, tol_missed=missed)
     payload["pass"] = bool(ok)
-    _write_json(_out(out_dir, "roundtrip_report.json"), payload)
+    write_json(_out(out_dir, "roundtrip_report.json"), payload)
     return 0 if ok and not violations and not missed else 1
 
 
@@ -493,14 +478,13 @@ def cmd_bmo(cfg, out_dir):
             cols[p].append(vals[p])
         rows.append((R, mean, expected, vals[3.0], vals[2.0 / 3.0], vals[12.0]))
 
-    _write_csv(_out(out_dir, "bmo_table.csv"),
-               ["R", "mean_ln", "ln_R_minus_half", "osc_p3", "osc_p2_3",
-                "osc_p12"],
-               ([_fmt(v) for v in row] for row in rows))
+    write_csv(_out(out_dir, "bmo_table.csv"),
+              ["R", "mean_ln", "ln_R_minus_half", "osc_p3", "osc_p2_3",
+               "osc_p12"], ",".join(["%.12g"] * 6), rows)
 
     ratios = {str(p): max(vs) / min(vs) for p, vs in cols.items()}
     ok = mean_ok and all(v < cfg["bmo.ratio_threshold"] for v in ratios.values())
-    _write_json(_out(out_dir, "bmo_summary.json"),
+    write_json(_out(out_dir, "bmo_summary.json"),
                 {"max_min_ratios": ratios, "mean_matches_closed_form": mean_ok,
                  "pass": bool(ok)})
     return 0 if ok else 1
@@ -542,7 +526,7 @@ def main(argv=None):
             return cmd_roundtrip(cfg, args.out, args.workers, args.seed)
         if args.command == "bmo":
             return cmd_bmo(cfg, args.out)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ArithmeticError as exc:

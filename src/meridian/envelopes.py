@@ -17,16 +17,16 @@ scan groups its points by regime: a report reduces each admissible regime's
 group to its supremum and first argmax, the alpha gate read from its band.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import List, Optional
 
 import numpy as np
 
 from .kernels import k_modulus, kernel_batch
+from .reports import write_csv, write_json
 
 DIAGONAL_MARGIN = 1e-3
 RATIO_RANGE = (1e-2, 1e2)           # rho / r span of the scan grid
@@ -148,18 +148,12 @@ class ScanReport:
     failures: List[tuple] = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "n_points": self.n_points,
-            "suprema": {k: self.suprema[k] for k in sorted(self.suprema)},
-            "argmax": {k: list(self.argmax[k]) for k in sorted(self.argmax)},
-            "stable": self.stable,
-            "drift": (None if self.drift is None
-                      else {k: self.drift[k] for k in sorted(self.drift)}),
-            "excluded": self.excluded,
-            "n_failures": len(self.failures),
-        }
+        """Summary fields; the writer sorts keys, tuples become arrays."""
+        return {"kind": self.kind, "alpha": self.alpha,
+                "n_points": self.n_points, "suprema": self.suprema,
+                "argmax": self.argmax, "stable": self.stable,
+                "drift": self.drift, "excluded": self.excluded,
+                "n_failures": len(self.failures)}
 
 
 def scan_grid(n_r=10, n_ratio=16, n_zeta=12, r_range=(1.1, 1000.0)):
@@ -307,22 +301,17 @@ def refine_and_compare(kind, alpha, coarse_data, fine_data,
 
 def write_scan_csv(path, kind, alpha, data):
     """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio;
-    only envelope and ratio are formatted here, in one `%` over every row."""
+    only envelope and ratio are formatted here, the rest is cached text."""
     env = BoundEnvelope(kind=kind, alpha=alpha)
     ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
     envv = envelope_value(env, data.r[ok], data.rho[ok], data.zeta[ok])
     keep = ok.tolist()
-    rows = zip(compress(data.csv_lead, keep),
-               compress(data.csv_kernel[kind], keep), envv.tolist(),
-               _ratio(env, data, ok, envv).tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("r,rho,zeta,K,regime,kernel,envelope,ratio\r\n")
-        fh.write("%s%s%.12g,%.12g\r\n" * len(envv)
-                 % tuple(chain.from_iterable(rows)))
+    write_csv(path, ("r", "rho", "zeta", "K", "regime", "kernel", "envelope",
+                     "ratio"), "%s%s%.12g,%.12g",
+              zip(compress(data.csv_lead, keep),
+                  compress(data.csv_kernel[kind], keep), envv.tolist(),
+                  _ratio(env, data, ok, envv).tolist()))
 
 
 def write_summary_json(path, reports):
-    with open(path, "w") as fh:
-        json.dump([rep.to_json_dict() for rep in reports], fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(path, [rep.to_json_dict() for rep in reports])

@@ -4,6 +4,8 @@ Not collected by pytest (no `test_` prefix); test modules import it as
 `oracles`, since pytest puts this directory on sys.path.
 """
 
+import csv
+
 import numpy as np
 
 from meridian.envelopes import REGIMES, BoundEnvelope, ScanReport, envelope_value
@@ -79,3 +81,12 @@ def scan_report(kind, alpha, data):
     return ScanReport(kind=kind, alpha=alpha, n_points=int(ok.sum()),
                       suprema=sup, argmax=arg, excluded=data.excluded,
                       failures=data.failures)
+
+
+def write_csv_reference(path, header, rows):
+    """The csv-module writer the commands used before `reports.write_csv`:
+    `rows` hold every field already formatted as text."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)

@@ -5,12 +5,15 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from meridian import cli
 from meridian.cli import ConfigError, DEFAULTS, load_config, main
 from meridian.norms import DivergentNormError
+from meridian.rates import bruteforce_feasible_set, feasibility_predicates
 from meridian.reconstruct import reconstruct
+from oracles import write_csv_reference
 
 
 FAST_SCAN = """
@@ -107,6 +110,27 @@ def test_feasibility_exit_and_files(tmp_path):
     sweep = (out / "feasibility_sweep.csv").read_text().splitlines()
     assert sweep[0] == "mu,region_cells,region_fraction"
     assert len(sweep) == 5
+
+
+def test_feasibility_region_rows_on_a_non_square_grid(tmp_path):
+    # the streamed rows against one row per cell, delta outermost: a
+    # transposed or misaligned flag column fails on a 37 x 51 grid
+    path = write_cfg(tmp_path, "feas.mu = 1.1\nfeas.n_delta = 37\n"
+                               "feas.n_q = 51\n")
+    out = tmp_path / "feas"
+    assert main(["feasibility", "--config", path, "--out", str(out)]) == 0
+    deltas, qs = (np.arange(37) + 0.5) / 37, 2.0 + (np.arange(51) + 0.5) / 51
+    flags = [*feasibility_predicates(deltas[:, None], qs[None, :], 1.1),
+             bruteforce_feasible_set(1.1, deltas, qs)]
+    assert flags[-1].any() and len({f.sum() for f in flags}) == 4
+    ref = tmp_path / "ref.csv"
+    write_csv_reference(str(ref), ["mu", "delta", "q", "lower_ok", "upper_ok",
+                                   "negativity_ok", "feasible"],
+                        (["%.12g" % 1.1, "%.12g" % d, "%.12g" % q]
+                         + [int(f[i, j]) for f in flags]
+                         for i, d in enumerate(deltas)
+                         for j, q in enumerate(qs)))
+    assert (out / "feasibility_region.csv").read_bytes() == ref.read_bytes()
 
 
 def test_feasibility_infeasible_mu_exits_zero(tmp_path):
@@ -431,6 +455,27 @@ def test_workers_below_one_rejected_before_output(tmp_path, capsys, command,
     assert main([command, "--out", str(out), "--workers", workers]) == 2
     assert "error: --workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_config_exits_2_before_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.cfg"
+    assert main(["bmo", "--config", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_output_directory_under_a_regular_file_exits_2(tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    out = regular / "sub"
+    assert main(["bmo", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert regular.read_text() == ""
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
                                 ZETA_SCALE_RANGE, BoundEnvelope,
                                 envelope_value, evaluate_scan_grid,
                                 k_split_consistency, refine_and_compare,
-                                report_from_data, scan_grid, write_scan_csv)
+                                report_from_data, scan_grid, write_scan_csv,
+                                write_summary_json)
 from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
 from oracles import admissible_ratio, crude_bounds, scan_report
@@ -301,3 +303,39 @@ def test_envelope_ratios_scale_invariant(r, q, s, lam, alpha23, alpha1):
     base = _envelope_ratios(*points[0], alpha23, alpha1)
     scaled = _envelope_ratios(*points[1], alpha23, alpha1)
     assert scaled == pytest.approx(base, rel=1e-9)
+
+
+def _sorted_json_dict(rep):
+    """A report's summary dict as it was built before the JSON writer took
+    over sorting: keys sorted, argmax tuples turned into lists."""
+    return {
+        "kind": rep.kind,
+        "alpha": rep.alpha,
+        "n_points": rep.n_points,
+        "suprema": {k: rep.suprema[k] for k in sorted(rep.suprema)},
+        "argmax": {k: list(rep.argmax[k]) for k in sorted(rep.argmax)},
+        "stable": rep.stable,
+        "drift": (None if rep.drift is None
+                  else {k: rep.drift[k] for k in sorted(rep.drift)}),
+        "excluded": rep.excluded,
+        "n_failures": len(rep.failures),
+    }
+
+
+def test_write_summary_json_matches_sorted_reference(tmp_path):
+    grids = _scan_grids()
+    coarse_data = evaluate_scan_grid(grids["small"])
+    fine_data = evaluate_scan_grid(grids["refined"])
+    # every default job's coarse report (no drift) and refined report
+    reports = [rep for kind, alpha in _default_jobs()
+               for rep in refine_and_compare(kind, alpha, coarse_data,
+                                             fine_data)]
+    assert any(rep.drift is None for rep in reports)
+    assert any(rep.drift for rep in reports)
+    out, ref = tmp_path / "summary.json", tmp_path / "ref.json"
+    write_summary_json(str(out), reports)
+    with open(ref, "w") as fh:
+        json.dump([_sorted_json_dict(rep) for rep in reports], fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+    assert out.read_bytes() == ref.read_bytes()
