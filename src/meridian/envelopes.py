@@ -127,11 +127,12 @@ class ScanData:
             self.r.tolist(), self.rho.tolist(), self.zeta.tolist(),
             self.K.tolist(), [REGIMES[i] for i in self.regime.tolist()])))
 
-    @cached_property
-    def csv_kernel(self):
-        """Per kind, each point's kernel CSV field, shared by every alpha."""
-        return {kind: list(map("%.12g,".__mod__, kv.tolist())) for kind, kv
-                in (("gamma23", self.kernel23), ("gamma1", self.kernel1))}
+    # per point, a kind's kernel CSV field: formatted on its first read,
+    # shared by every alpha, and never formatted for a kind left unscanned
+    csv_gamma23 = cached_property(
+        lambda s: list(map("%.12g,".__mod__, s.kernel23.tolist())))
+    csv_gamma1 = cached_property(
+        lambda s: list(map("%.12g,".__mod__, s.kernel1.tolist())))
 
 
 @dataclass
@@ -309,7 +310,7 @@ def write_scan_csv(path, kind, alpha, data):
     write_csv(path, ("r", "rho", "zeta", "K", "regime", "kernel", "envelope",
                      "ratio"), "%s%s%.12g,%.12g",
               zip(compress(data.csv_lead, keep),
-                  compress(data.csv_kernel[kind], keep), envv.tolist(),
+                  compress(getattr(data, "csv_" + kind), keep), envv.tolist(),
                   _ratio(env, data, ok, envv).tolist()))
 
 

@@ -159,16 +159,24 @@ SERIES_M = 0.1
 _SERIES = _series_coefficients(20)
 
 
-class RingMoments:
-    """Reduced moments J0, J1, J2 in closed form (see the module docstring).
+class KernelValues:
+    """Batched kernel values from the reduced moments J0, J1, J2 in closed
+    form (see the module docstring).
 
-    For m >= SERIES_M they come from K = ellipkm1(y) and E = ellipe(m),
-    with y = 1 - m formed from the squared distance to the diagonal so it
-    does not cancel as the source ring nears the field point; below it,
-    from the power series in m.  J0 and J1 are formed at once; J2, which
-    only G3 reads, is formed on first read.  Arrays broadcast, and each
-    moment has their broadcast shape; callers reject the diagonal point
-    itself.
+    For m >= SERIES_M the moments come from K = ellipkm1(y) and E =
+    ellipe(m), with y = 1 - m formed from the squared distance to the
+    diagonal so it does not cancel as the source ring nears the field
+    point; below it, from the power series in m.  J0 and J1 are formed at
+    once; J2 and each kernel field are formed on first read and then
+    cached, so a caller pays only for the kernels it reads (u_r reads g1
+    alone, and only g3 reads J2).  Arrays broadcast, and each moment and
+    field has their broadcast shape; the diagonal point itself raises
+    ValueError.
+    g_swirl is the kernel pairing the axial vorticity in the swirl
+    reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
+    of D it equals -G2(rho, r, zeta) and shares the reduced moments.
+    g1_over_zeta = G1 / zeta stays finite through zeta = 0 (G1 is odd in
+    zeta); envelope-ratio scans use it to evaluate the zeta -> 0 limit.
     """
 
     def __init__(self, r, rho, zeta):
@@ -177,10 +185,13 @@ class RingMoments:
                                         np.asarray(zeta, dtype=float))
         self.r, self.rho, self.zeta = r, rho, zeta
         rho, zeta = rho.ravel(), zeta.ravel()
+        d2 = (r - rho) ** 2 + zeta ** 2
+        if np.any(d2 <= 0):
+            raise ValueError("kernel singular at the diagonal point rho=r, zeta=0")
         a2 = (r + rho) ** 2 + zeta ** 2
         # rounding can carry 4 r rho past a^2 by an ulp at zeta = 0
         m = np.minimum(4.0 * r * rho / a2, 1.0)
-        y = ((r - rho) ** 2 + zeta ** 2) / a2
+        y = d2 / a2
         inv_a3 = 1.0 / (a2 * np.sqrt(a2))
         K = ellipkm1(y)
         E = ellipe(m)
@@ -209,20 +220,6 @@ class RingMoments:
             p2 = (p1 - (K - E) / m) / m
         return self._series(2, (4.0 * p2 - 4.0 * p1 + p0) * inv_a3)
 
-
-class KernelValues(RingMoments):
-    """Batched kernel values from the closed-form moments.
-
-    Each field is formed from the moments on first read and then cached,
-    so a caller pays only for the kernels it reads (u_r reads g1 alone, and
-    no reconstruction kernel reads J2).
-    g_swirl is the kernel pairing the axial vorticity in the swirl
-    reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
-    of D it equals -G2(rho, r, zeta) and shares the reduced moments.
-    g1_over_zeta = G1 / zeta stays finite through zeta = 0 (G1 is odd in
-    zeta); envelope-ratio scans use it to evaluate the zeta -> 0 limit.
-    """
-
     g1 = cached_property(lambda s: (s.zeta / np.pi) * s.j1)
     g2 = cached_property(lambda s: -(s.rho * s.j0 - s.r * s.j1) / np.pi)
     g3 = cached_property(lambda s: -(s.rho * s.j1 - s.r * s.j2) / np.pi)
@@ -234,7 +231,7 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
                  with_errors=True):
     """Vectorized kernels over source-point arrays for one field radius r.
 
-    Closed forms from `RingMoments`, O(1) per point and accurate to about
+    Closed forms from `KernelValues`, O(1) per point and accurate to about
     4e-13 relative in the moments, so no error estimate is returned.  J0
     and J1 are evaluated here; the returned `KernelValues` forms J2 and
     each kernel when it is first read.  This is the workhorse for grid
@@ -243,8 +240,4 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
     `deepen` and `with_errors` are ignored: they remain only because the
     benchmark's trace binds them by name.
     """
-    rho, zeta = np.broadcast_arrays(np.asarray(rho, dtype=float),
-                                    np.asarray(zeta, dtype=float))
-    if np.any((r - rho) ** 2 + zeta ** 2 <= 0):
-        raise ValueError("kernel_batch received a diagonal point")
     return KernelValues(r, rho, zeta)

@@ -29,11 +29,15 @@ rectangles, then takes a tensor Gauss-Legendre rule on a graded mesh;
 truncation beyond (rho_max, z_max) is certified by crude-bound tail
 majorants in closed form, never by extrapolation or quadrature.
 
-A component whose estimated error misses tol on those meshes refines where
+Every panel, rectangle or core triangle piece, is one float row (kind,
+region, a, b, c, d) of a panel table: its kind (a rectangle, or the core
+side it lies on), its region and its box in its own coordinates.  A
+component whose estimated error misses tol on those meshes refines where
 the error is (the globally adaptive region scheme of Berntsen, Espelid and
-Genz, ACM TOMS 17, 1991): its panels, rectangle and core alike, split
-2 x 2 in their own coordinates, worst first, each generation's new panels
-evaluated in one kernel call per rule and kind.
+Genz, ACM TOMS 17, 1991): its panel rows, rectangle and core alike, split
+2 x 2 in their own coordinates, worst first, each quarter keeping its
+parent's kind and region, and each generation's new panels are evaluated
+in one kernel call per rule and kind.
 """
 
 import math
@@ -209,7 +213,7 @@ _SIDE_FRAMES = np.array([(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, -1.0, 0.0),
                          (-1.0, 0.0, 0.0, -1.0), (0.0, -1.0, 1.0, 0.0)])
 
 
-def _integrate_polar_core(terms, r, z, s0, sides, u_edges, v_edges):
+def _integrate_polar_core(terms, r, z, s0, panels):
     """Integrals over panels of the square |rho - r| <= s0, |k - z| <= s0.
 
     Duffy's split: the side with outward normal n and tangent t is the
@@ -217,13 +221,13 @@ def _integrate_polar_core(terms, r, z, s0, sides, u_edges, v_edges):
     Jacobian s0^2 u.  The Jacobian cancels the 1/s kernel singularity at
     u = 0, so the integrand is bounded up to the apex and each panel in
     (u, v) takes a tensor GL rule: N_S_NODES x N_SIDE nodes for the value,
-    one u node fewer and half the v nodes for the error.  The panels are
-    meshes of one panel each: `sides` (P,) names each one's side, and
-    `u_edges`, `v_edges` (P, 2) are its edges.  All of them go to one
-    kernel call per rule.  Returns `_integrate_rules`' array (rule, term,
-    panel).
+    one u node fewer and half the v nodes for the error.  `panels` are core
+    panel rows (side, region, u_a, u_b, v_a, v_b), each a mesh of one
+    panel, and all of them go to one kernel call per rule.  Returns
+    `_integrate_rules`' array (rule, term, panel).
     """
-    n_r, n_k, t_r, t_k = (f[:, None, None] for f in _SIDE_FRAMES[sides].T)
+    n_r, n_k, t_r, t_k = (f[:, None, None] for f
+                          in _SIDE_FRAMES[panels[:, 0].astype(int)].T)
 
     def place(un, vn, w):
         # offsets along the side's normal and along its tangent
@@ -231,18 +235,19 @@ def _integrate_polar_core(terms, r, z, s0, sides, u_edges, v_edges):
         return (r + (a * n_r + b * t_r), z + (a * n_k + b * t_k),
                 w * s0 * np.broadcast_to(a, b.shape).ravel())
 
-    return _integrate_rules(terms, r, z, u_edges, v_edges,
+    return _integrate_rules(terms, r, z, panels[:, 2:4], panels[:, 4:],
                             ((N_S_NODES, N_SIDE), (N_S_NODES - 1, N_SIDE // 2)),
                             place)
 
 
 def _core_panels():
-    """The polar core's first panels, (sides, boxes (u_a, u_b, v_a, v_b)):
-    on each side, u panels graded geometrically over NEAR_DIAG_REFINEMENT
-    levels down to a first panel [0, 2^-levels], each across v in [-1, 1]."""
+    """The polar core's first panel rows: on each side, u panels graded
+    geometrically over NEAR_DIAG_REFINEMENT levels down to a first panel
+    [0, 2^-levels], each across v in [-1, 1]."""
     u_edges = np.concatenate([[0.0], 2.0 ** -np.arange(NEAR_DIAG_REFINEMENT, -1.0, -1.0)])
-    boxes = _mesh_boxes(u_edges, np.array([-1.0, 1.0]))
-    return np.repeat(np.arange(4), len(boxes)), np.tile(boxes, (4, 1))
+    return np.concatenate([_mesh_panels(side, REGION_NAMES.index("diagonal"),
+                                        u_edges, np.array([-1.0, 1.0]))
+                           for side in range(4)])
 
 
 def _window(w_field, spec, r):
@@ -319,43 +324,42 @@ def _tail_bounds(w_field, kernel_kind, r, z, rho_max, z_max):
     return env.integral() * radial + env.tail_integral(z_max) * axial
 
 
-def _mesh_boxes(x_edges, y_edges):
-    """The panels of a tensor mesh as rows (x_a, x_b, y_a, y_b), in C order
-    (y fastest)."""
+def _mesh_panels(kind, region, x_edges, y_edges):
+    """The panels of a tensor mesh as rows (kind, region, x_a, x_b, y_a,
+    y_b), in C order (y fastest)."""
     px, py = len(x_edges) - 1, len(y_edges) - 1
-    return np.column_stack([np.repeat(x_edges[:-1], py),
-                            np.repeat(x_edges[1:], py),
-                            np.tile(y_edges[:-1], px),
-                            np.tile(y_edges[1:], px)])
+    return np.column_stack([np.full(px * py, kind), np.full(px * py, region),
+                            np.repeat(x_edges[:-1], py), np.repeat(x_edges[1:], py),
+                            np.tile(y_edges[:-1], px), np.tile(y_edges[1:], px)])
 
 
-def _quarters(boxes):
-    """The 2 x 2 split of each panel row (x_a, x_b, y_a, y_b), four rows per
-    panel."""
-    xa, xb, ya, yb = boxes.T
+def _quarters(panels):
+    """The 2 x 2 split of each panel row, four rows per panel, each with its
+    parent's kind and region."""
+    kind, region, xa, xb, ya, yb = panels.T
     xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-    return np.stack([np.stack(q, axis=-1) for q in (
+    return np.stack([np.stack((kind, region) + q, axis=-1) for q in (
         (xa, xm, ya, ym), (xa, xm, ym, yb), (xm, xb, ya, ym),
-        (xm, xb, ym, yb))], axis=1).reshape(-1, 4)
+        (xm, xb, ym, yb))], axis=1).reshape(-1, 6)
 
 
 class _Leaves:
-    """One component's panels: rectangle panels and the polar core's Duffy
-    panels, each with its kind (RECT, or the core side 0-3), its region, its
-    box in its own coordinates, (rho_a, rho_b, k_a, k_b) or (u_a, u_b, v_a,
-    v_b), and its per-term value and error |hi - lo|.  The boxes of the
-    first panels may be None until they split."""
+    """One component's panels, rectangle panels and the polar core's Duffy
+    panels, as rows (kind, region, a, b, c, d) of one float table: the kind
+    is RECT or the core side 0-3, the region an index into REGION_NAMES,
+    and (a, b, c, d) the panel's box in its own coordinates, (rho_a, rho_b,
+    k_a, k_b) or (u_a, u_b, v_a, v_b).  Each panel has its per-term value
+    and error |hi - lo|."""
 
-    def __init__(self, kind, region, boxes, values, errors):
-        self.kind, self.region, self.boxes = kind, region, boxes
-        self.values, self.errors = values, errors
+    def __init__(self, panels, values, errors):
+        self.panels, self.values, self.errors = panels, values, errors
         self.generation = 0
 
     def term_errors(self):
         return self.errors.sum(axis=1)
 
     def integrals(self):
-        return ({name: self.values[:, self.region == i].sum(axis=1)
+        return ({name: self.values[:, self.panels[:, 1] == i].sum(axis=1)
                  for i, name in enumerate(REGION_NAMES)}, self.term_errors())
 
     def plan(self, tol):
@@ -385,13 +389,10 @@ class _Leaves:
         diff = np.abs(self.values[:, split]
                       - values.reshape(len(values), -1, 4).sum(axis=2))
         errors = np.maximum(errors, np.repeat(diff / 4, 4, axis=1))
-        keep = np.ones(len(self.kind), dtype=bool)
+        keep = np.ones(len(self.panels), dtype=bool)
         keep[split] = False
-        self.kind, self.region = (
-            np.concatenate([x[keep], np.repeat(x[split], 4)])
-            for x in (self.kind, self.region))
-        self.boxes = np.concatenate([self.boxes[keep],
-                                     _quarters(self.boxes[split])])
+        self.panels = np.concatenate([self.panels[keep],
+                                      _quarters(self.panels[split])])
         self.values = np.concatenate([self.values[:, keep], values], axis=1)
         self.errors = np.concatenate([self.errors[:, keep], errors], axis=1)
         self.generation += 1
@@ -405,11 +406,11 @@ def _component_integral(components, w_field, p, spec, box):
     profile) pairs.  Generation 0 puts the fixed rules on each rectangle's
     graded mesh and on the polar core's panels, every term sharing each
     node set and kernel evaluation, and gives every component its own
-    leaves: those panels with their own values and |hi - lo|.  A component
+    leaves: those panel rows with their own values and |hi - lo|.  A component
     whose summed error meets spec.tol is done; every other one splits its
     leaves (see `_Leaves.plan`) until its error meets tol or a split would
     take it past PANEL_BUDGET panels.  The new panels of a generation are
-    evaluated together, once per distinct panel, so each component's
+    evaluated together, once per distinct row, so each component's
     integrals are those it gets alone.  Returns name -> (per-region values,
     per-term error estimates); each region value is an array with one entry
     per term.  Raises ValueError when a panel's value or error is
@@ -452,9 +453,9 @@ def _component_integral(components, w_field, p, spec, box):
                           _resolution_edges(graded_mesh(ra, rb, [r, 0.0], scale), res),
                           _resolution_edges(graded_mesh(ka, kb, [z, 0.0], scale), res)))
     # a core outside the support box has no panels
-    core_kind, core_boxes = _core_panels()
+    core = _core_panels()
     if r + s0 <= rho_lo or r - s0 >= rho_hi or z + s0 <= k_lo or z - s0 >= k_hi:
-        core_kind, core_boxes = core_kind[:0], core_boxes[:0]
+        core = core[:0]
 
     def joint(names):
         """The terms of `names` in order, and each name's slice of them."""
@@ -464,42 +465,38 @@ def _component_integral(components, w_field, p, spec, box):
             terms += components[name]
         return terms, owns
 
-    def integrate(terms, kind, boxes):
-        """(hi, lo) on the panels `boxes` of kinds `kind`: one kernel call per
-        rule for the rectangle panels and one for the core's."""
-        out = np.empty((2, len(terms), len(kind)))
-        rect = kind == RECT
+    def integrate(terms, panels):
+        """(hi, lo) on the panel rows `panels`: one kernel call per rule for
+        the rectangle panels and one for the core's."""
+        out = np.empty((2, len(terms), len(panels)))
+        rect = panels[:, 0] == RECT
         if rect.any():
-            out[:, :, rect] = _integrate_rect(terms, r, z, boxes[rect, :2],
-                                              boxes[rect, 2:])
+            out[:, :, rect] = _integrate_rect(terms, r, z, panels[rect, 2:4],
+                                              panels[rect, 4:])
         if not rect.all():
-            core = ~rect
-            out[:, :, core] = _integrate_polar_core(
-                terms, r, z, s0, kind[core], boxes[core, :2], boxes[core, 2:])
+            out[:, :, ~rect] = _integrate_polar_core(terms, r, z, s0, panels[~rect])
         return out
 
-    def checked(hi, lo, region):
-        """(hi, |hi - lo|) of new panels, which must be finite."""
+    def checked(hi, lo, panels):
+        """(hi, |hi - lo|) of the new panel rows `panels`, all finite."""
         errors = np.abs(hi - lo)
         finite = np.all(np.isfinite(hi) & np.isfinite(errors), axis=0)
         if not finite.all():
             raise ValueError(
                 "non-finite %s integral at probe (r=%g, z=%g): the vorticity "
                 "must be finite on the window"
-                % (REGION_NAMES[region[np.argmin(finite)]], r, z))
+                % (REGION_NAMES[int(panels[np.argmin(finite), 1])], r, z))
         return hi, errors
 
     # generation 0: each rectangle's mesh as one rho column x k row, which
     # a separable weight evaluates per column and per row, and the core
     terms, owns = joint(list(components))
-    sizes = [(len(x) - 1) * (len(y) - 1) for _, x, y in rects]
-    kind = np.concatenate([np.full(sum(sizes), RECT), core_kind])
-    region = np.repeat([i for i, _, _ in rects] + [REGION_NAMES.index("diagonal")],
-                       sizes + [len(core_kind)])
+    panels = np.concatenate([_mesh_panels(RECT, i, x, y) for i, x, y in rects]
+                            + [core])
     values, errors = checked(*np.concatenate(
         [_integrate_rect(terms, r, z, x, y) for _, x, y in rects]
-        + [integrate(terms, core_kind, core_boxes)], axis=2), region)
-    pending = {name: _Leaves(kind, region, None, values[own], errors[own])
+        + [integrate(terms, core)], axis=2), panels)
+    pending = {name: _Leaves(panels, values[own], errors[own])
                for name, own in owns.items()}
 
     done = {}
@@ -508,7 +505,7 @@ def _component_integral(components, w_field, p, spec, box):
         for name, leaves in list(pending.items()):
             split = leaves.plan(spec.tol)
             if (not split.size
-                    or len(leaves.kind) + 3 * split.size > PANEL_BUDGET):
+                    or len(leaves.panels) + 3 * split.size > PANEL_BUDGET):
                 done[name] = leaves.integrals()
                 del pending[name]
             else:
@@ -519,20 +516,12 @@ def _component_integral(components, w_field, p, spec, box):
         # its quarters at `cols`
         parents, cols = {}, {}
         for name, split in splits.items():
-            leaves = pending[name]
-            if leaves.boxes is None:        # generation 0's, built on first use
-                leaves.boxes = np.concatenate(
-                    [_mesh_boxes(x, y) for _, x, y in rects] + [core_boxes])
-            rows = np.column_stack([leaves.kind[split], leaves.region[split],
-                                    leaves.boxes[split]])
             index = [parents.setdefault(row.tobytes(), (len(parents), row))[0]
-                     for row in rows]
+                     for row in pending[name].panels[split]]
             cols[name] = (4 * np.array(index)[:, None] + np.arange(4)).ravel()
-        rows = np.array([row for _, row in parents.values()])
-        kind, region = (np.repeat(rows[:, i].astype(int), 4) for i in (0, 1))
+        quarters = _quarters(np.array([row for _, row in parents.values()]))
         terms, owns = joint(list(splits))
-        values, errors = checked(*integrate(terms, kind, _quarters(rows[:, 2:])),
-                                 region)
+        values, errors = checked(*integrate(terms, quarters), quarters)
         for name, own in owns.items():
             pending[name].split(splits[name], values[own][:, cols[name]],
                                 errors[own][:, cols[name]])

@@ -208,6 +208,31 @@ def test_kernel_scan_refined_two_kinds_deterministic(tmp_path):
     assert all(rep["drift"] for rep in summary)
 
 
+def test_a_gamma1_only_scan_never_formats_the_gamma23_column(tmp_path,
+                                                             monkeypatch):
+    # with the gamma23 magnitudes removed from every scan grid, so that any
+    # read of them fails, a gamma1-only scan writes the same bytes
+    from meridian import envelopes
+    path = write_cfg(tmp_path, FAST_SCAN + "scan.kinds = gamma1\n"
+                                           "scan.alphas1 = 0,3\n")
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    code = main(["kernel-scan", "--config", path, "--out", str(out1)])
+    evaluate, formatted = envelopes.evaluate_scan_grid, []
+
+    def without_gamma23(grid):
+        data = evaluate(grid)
+        data.kernel23 = None
+        formatted.append(data)
+        return data
+
+    monkeypatch.setattr(envelopes, "evaluate_scan_grid", without_gamma23)
+    assert main(["kernel-scan", "--config", path, "--out", str(out2)]) == code
+    assert hash_dir(str(out1)) == hash_dir(str(out2))
+    # only the coarse grid writes CSV, and only its gamma1 column is formatted
+    assert [("csv_gamma1" in vars(d), "csv_gamma23" in vars(d))
+            for d in formatted] == [(True, False), (False, False)]
+
+
 def test_kernel_scan_refined_smoke(tmp_path):
     # tiny grids are genuinely unstable under refinement: exit 1 is the
     # honest verdict, and the drift must be reported

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from meridian.kernels import (SERIES_M, RingMoments, k_modulus, kernel_batch,
+from meridian.kernels import (SERIES_M, KernelValues, k_modulus, kernel_batch,
                               kernel_triple)
 
 
@@ -67,6 +67,12 @@ def test_kernel_full_period_reduction_consistency():
 def test_kernel_triple_rejects_diagonal():
     with pytest.raises(ValueError):
         kernel_triple(2.0, 2.0, 0.0)
+
+
+def test_kernel_batch_rejects_a_diagonal_point():
+    # a scalar zeta broadcasts against rho; only the second point is on it
+    with pytest.raises(ValueError, match="diagonal point"):
+        kernel_batch(2.0, np.array([1.0, 2.0]), 0.0)
 
 
 def test_kernel_error_estimates_within_tolerance():
@@ -166,7 +172,7 @@ def test_kernel_batch_forms_each_field_on_first_read():
     # a field is formed from the moments when read, once, by the closed
     # forms of the module docstring; unread fields are never formed
     r, rho, zeta = 3.0, np.array([0.5, 2.9, 7.0]), np.array([-1.0, 0.05, 2.0])
-    moments = RingMoments(r, rho, zeta)
+    moments = KernelValues(r, rho, zeta)
     j0, j1, j2 = moments.j0, moments.j1, moments.j2
     kb = kernel_batch(r, rho, zeta)
     fields = ("g1", "g2", "g3", "g_swirl", "g1_over_zeta")
@@ -230,7 +236,7 @@ def test_ring_moments_match_quad(m, on_plane):
         rho, zeta = r * m / ((2.0 - m) + 2.0 * np.sqrt(1.0 - m)), 0.0
     else:
         rho, zeta = r, 2.0 * r * np.sqrt((1.0 - m) / m)
-    moments = RingMoments(r, rho, zeta)
+    moments = KernelValues(r, rho, zeta)
     got = (moments.j0, moments.j1, moments.j2)
     ref = quad_moments(r, rho, zeta)
     for k in range(3):

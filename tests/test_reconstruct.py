@@ -13,10 +13,10 @@ from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, SmoothBump, zero_profile
 from meridian.quadrature import panel_nodes
 from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_ERR, N_NODES,
-                                  N_S_NODES, N_SIDE, QuadratureSpec,
-                                  _core_panels, _integrands,
+                                  N_S_NODES, N_SIDE, RECT, REGION_NAMES,
+                                  QuadratureSpec, _core_panels, _integrands,
                                   _integrate_polar_core, _integrate_rect,
-                                  _Leaves, _mesh_boxes, _quarters,
+                                  _Leaves, _mesh_panels, _quarters,
                                   _resolution_edges, _tail_majorants,
                                   decay_trace, reconstruct,
                                   reconstruct_ur, reconstruct_utheta,
@@ -62,12 +62,6 @@ def per_ray_polar_core(kernel_sel, weight, r, z, s0, n_theta, n_s, levels,
     return total
 
 
-def integrate_core(terms, r, z, s0, sides, boxes):
-    """`_integrate_polar_core` on the panels `boxes` (u_a, u_b, v_a, v_b)."""
-    return _integrate_polar_core(terms, r, z, s0, sides, boxes[:, :2],
-                                 boxes[:, 2:])
-
-
 def test_polar_core_matches_fine_polar_reference():
     # the trapezoid rule converges like h^2 across the square's diagonals,
     # so 4096 angles put the reference well inside the core's certificate,
@@ -76,11 +70,11 @@ def test_polar_core_matches_fine_polar_reference():
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
     term = (lambda kv: kv.g1, w.w_theta)
     ref = per_ray_polar_core(*term, r, z, s0, 4096, 10, 30, res)
-    sides, boxes = _core_panels()
+    panels = _core_panels()
     for split in (False, True):
         if split:
-            sides, boxes = np.repeat(sides, 4), _quarters(boxes)
-        (hi,), (lo,) = integrate_core([term], r, z, s0, sides, boxes)
+            panels = _quarters(panels)
+        (hi,), (lo,) = _integrate_polar_core([term], r, z, s0, panels)
         assert abs(hi.sum() - ref) <= np.abs(hi - lo).sum()
 
 
@@ -90,7 +84,7 @@ def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
     # kernel 1 and weight 1 leave rho, whose integral over the square is
     # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
     term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
-    (hi,), (lo,) = integrate_core([term], r, z, s0, *_core_panels())
+    (hi,), (lo,) = _integrate_polar_core([term], r, z, s0, _core_panels())
     assert hi.sum() == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
     # both rules reach the apex u = 0, so neither omits a strip there
     assert np.abs(hi - lo).sum() <= 1e-12
@@ -102,10 +96,10 @@ def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
     # plus the first panel [0, 2^-levels] at the apex
     calls = recording_kernel_batch(monkeypatch)
     term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
-    sides, boxes = _core_panels()
-    integrate_core([term], 3.5, 0.4, 0.5, sides, boxes)
+    panels = _core_panels()
+    _integrate_polar_core([term], 3.5, 0.4, 0.5, panels)
     n_panels = NEAR_DIAG_REFINEMENT + 1
-    assert np.array_equal(sides, np.repeat(np.arange(4), n_panels))
+    assert np.array_equal(panels[:, 0], np.repeat(np.arange(4), n_panels))
     per_side = [n_panels * N_S_NODES * N_SIDE,
                 n_panels * (N_S_NODES - 1) * (N_SIDE // 2)]
     assert [rho.size for rho, _ in calls] == [4 * n for n in per_side]
@@ -334,20 +328,20 @@ def test_a_panel_integral_does_not_depend_on_its_batch():
         sums = [vals @ np.outer(rw, kw).ravel()
                 for vals in _integrands(terms, 3.9, 0.4, rho[:, None], kk)]
         assert np.allclose(mesh[rule].sum(axis=1), sums, rtol=1e-13, atol=0.0)
-    boxes = _mesh_boxes(x_edges, y_edges)
+    rows = _mesh_panels(RECT, 0, x_edges, y_edges)
     for pick in ([5], [5, 0, 11], list(range(12))):
-        alone = _integrate_rect(terms, 3.9, 0.4, boxes[pick, :2], boxes[pick, 2:])
+        alone = _integrate_rect(terms, 3.9, 0.4, rows[pick, 2:4], rows[pick, 4:])
         assert np.array_equal(alone, mesh[:, :, pick])
-    second = _integrate_rect(terms[1:], 3.9, 0.4, boxes[:, :2], boxes[:, 2:])
+    second = _integrate_rect(terms[1:], 3.9, 0.4, rows[:, 2:4], rows[:, 4:])
     assert np.array_equal(second, mesh[:, 1:])
 
-    sides, boxes = _core_panels()
-    core = integrate_core(terms, 3.3, 0.2, 0.2, sides, boxes)
-    assert core.shape == (2, 2, len(sides)) and np.all(core[0] != 0.0)
-    for pick in ([5], [70, 5, 30], list(range(len(sides)))[::-1]):
-        alone = integrate_core(terms, 3.3, 0.2, 0.2, sides[pick], boxes[pick])
+    rows = _core_panels()
+    core = _integrate_polar_core(terms, 3.3, 0.2, 0.2, rows)
+    assert core.shape == (2, 2, len(rows)) and np.all(core[0] != 0.0)
+    for pick in ([5], [70, 5, 30], list(range(len(rows)))[::-1]):
+        alone = _integrate_polar_core(terms, 3.3, 0.2, 0.2, rows[pick])
         assert np.array_equal(alone, core[:, :, pick])
-    second = integrate_core(terms[1:], 3.3, 0.2, 0.2, sides, boxes)
+    second = _integrate_polar_core(terms[1:], 3.3, 0.2, 0.2, rows)
     assert np.array_equal(second, core[:, 1:])
 
 
@@ -434,15 +428,58 @@ def test_polar_core_estimate_covers_a_jump_inside_the_core():
     # their error meets tol, bracket the reference across the jump
     w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=0.5))
     terms, r, z, s0, tol = [(lambda kv: kv.g1, w.w_theta)], 5.0, 0.3, 0.25, 1e-6
-    sides, boxes = _core_panels()
-    hi, lo = integrate_core(terms, r, z, s0, sides, boxes)
-    leaves = _Leaves(sides, np.zeros_like(sides), boxes, hi, np.abs(hi - lo))
+    panels = _core_panels()
+    hi, lo = _integrate_polar_core(terms, r, z, s0, panels)
+    leaves = _Leaves(panels, hi, np.abs(hi - lo))
     while (split := leaves.plan(tol)).size:
-        hi, lo = integrate_core(terms, r, z, s0, np.repeat(leaves.kind[split], 4),
-                                _quarters(leaves.boxes[split]))
+        hi, lo = _integrate_polar_core(terms, r, z, s0,
+                                       _quarters(leaves.panels[split]))
         leaves.split(split, hi, np.abs(hi - lo))
     assert leaves.generation > 1 and leaves.errors.sum() <= tol
     assert abs(leaves.values.sum() - CORE_JUMP_REFERENCE) <= leaves.errors.sum()
+
+
+def test_a_mixed_panel_table_splits_row_by_row():
+    # rectangles of two regions beside core panels of all four sides
+    rows = np.concatenate([
+        _mesh_panels(RECT, 1, np.linspace(0.5, 1.5, 3), np.linspace(-1.0, 1.0, 3)),
+        _mesh_panels(RECT, 4, np.array([6.0, 8.0]), np.array([-2.0, 0.5, 2.0])),
+        _core_panels()[::7]])
+    assert set(rows[:, 0]) == {RECT, 0, 1, 2, 3}
+    # each quarter keeps its parent's kind and region; the four lie in the
+    # parent's box, overlap nowhere and fill its area
+    quarters = _quarters(rows).reshape(len(rows), 4, 6)
+    assert np.array_equal(quarters[:, :, :2],
+                          np.repeat(rows[:, None, :2], 4, axis=1))
+    parent = rows[:, None, 2:]
+    a, b, c, d = np.moveaxis(quarters[:, :, 2:], -1, 0)
+    assert np.all((a >= parent[..., 0]) & (b <= parent[..., 1])
+                  & (c >= parent[..., 2]) & (d <= parent[..., 3]))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            width = np.minimum(b[:, i], b[:, j]) - np.maximum(a[:, i], a[:, j])
+            height = np.minimum(d[:, i], d[:, j]) - np.maximum(c[:, i], c[:, j])
+            assert np.all((width <= 0) | (height <= 0))
+    area = lambda p: (p[..., 1] - p[..., 0]) * (p[..., 3] - p[..., 2])
+    assert np.allclose(area(quarters[:, :, 2:]).sum(axis=1), area(rows[:, 2:]),
+                       rtol=1e-14, atol=0.0)
+
+    # after a split the table holds the kept rows, then the quarters, and
+    # each region's integral is the sum over the rows of that region
+    rng = np.random.default_rng(4)
+    leaves = _Leaves(rows, rng.normal(size=(2, len(rows))),
+                     rng.uniform(size=(2, len(rows))))
+    split = np.array([0, 5, len(rows) - 1])
+    leaves.split(split, rng.normal(size=(2, 12)), rng.uniform(size=(2, 12)))
+    keep = np.delete(rows, split, axis=0)
+    assert np.array_equal(leaves.panels,
+                          np.concatenate([keep, _quarters(rows[split])]))
+    regions, _ = leaves.integrals()
+    for i, name in enumerate(REGION_NAMES):
+        by_row = [k for k, row in enumerate(leaves.panels) if row[1] == i]
+        assert np.array_equal(regions[name],
+                              leaves.values[:, by_row].sum(axis=1))
+        assert bool(by_row) == (i in (1, 3, 4))
 
 
 def integrand_nodes(n=4000, seed=3):
