@@ -4,8 +4,8 @@ vorticity, norm machinery on cylinders, and the exponent-feasibility
 arithmetic behind Liouville-type decay criteria."""
 
 from .fields import (AxialEnvelope, AxisymField, MeridianPoint,
-                     VorticityField, power_law_vorticity, stream_bump_field,
-                     stream_function_field, swirl_bump_field)
+                     VorticityField, power_law_vorticity,
+                     stream_function_field, swirling_bump_field)
 from .kernels import KernelTriple, k_modulus, kernel_batch, kernel_triple
 from .envelopes import (BoundEnvelope, ScanReport, envelope_value,
                         evaluate_scan_grid, k_split_consistency,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import envelopes
 from .fields import AxialEnvelope, MeridianPoint, power_law_vorticity, \
-    stream_bump_field, swirl_bump_field
+    swirling_bump_field
 from .norms import bmo_oscillation_ln, disk_mean_ln
 from .rates import (FIT_MIN_SAMPLES, bruteforce_feasible_set,
                     construct_feasible_pair, feasibility_predicates,
@@ -353,9 +353,9 @@ def cmd_feasibility(cfg, out_dir):
     return 0 if agree else 1
 
 
-# roundtrip.kind -> (bump field factory, velocity components it checks)
-ROUNDTRIP_FIELDS = {"no_swirl": (stream_bump_field, ("u_r", "u_z")),
-                    "pure_swirl": (swirl_bump_field, ("u_theta",))}
+# roundtrip.kind -> the velocity components it checks: the stream bump's
+# and the swirl bump's parts of one swirling bump
+ROUNDTRIP_KINDS = {"no_swirl": ("u_r", "u_z"), "pure_swirl": ("u_theta",)}
 # probes stay clear of the r <= 1 band that reconstruction rejects
 PROBE_R_MIN = 1.2
 
@@ -368,11 +368,11 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
     if not cfg["roundtrip.threshold"] > 0:
         raise ConfigError("roundtrip.threshold must be positive, got %g"
                           % cfg["roundtrip.threshold"])
-    kinds = (tuple(ROUNDTRIP_FIELDS) if cfg["roundtrip.kind"] == "both"
+    kinds = (tuple(ROUNDTRIP_KINDS) if cfg["roundtrip.kind"] == "both"
              else (cfg["roundtrip.kind"],))
-    if not set(kinds) <= set(ROUNDTRIP_FIELDS):
+    if not set(kinds) <= set(ROUNDTRIP_KINDS):
         raise ConfigError("roundtrip.kind must be %s or both"
-                          % ", ".join(ROUNDTRIP_FIELDS))
+                          % ", ".join(ROUNDTRIP_KINDS))
     r0 = cfg["roundtrip.bump_r0"]
     radius = cfg["roundtrip.bump_radius"]
     if not (math.isfinite(radius) and radius > 0):
@@ -398,30 +398,27 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
         probes = [(float(r), float(z)) for r in rs for z in zs]
 
     payload = {"probes": len(probes), "threshold": cfg["roundtrip.threshold"]}
-    bumps = []
-    for kind in kinds:
-        bump_field, names = ROUNDTRIP_FIELDS[kind]
-        field, w = bump_field(r0=r0, radius=radius)
-        bumps.append((kind, w, {name: getattr(field, name) for name in names}))
+    # one bump carries both kinds: each probe reconstructs every requested
+    # component in one call, on one node set per rule
+    field, w = swirling_bump_field(r0, 0.0, radius)
+    truth = {name: getattr(field, name)
+             for kind in kinds for name in ROUNDTRIP_KINDS[kind]}
 
-    def probe_one(task):
-        (_, w, truth), (r, z) = task
+    def probe_one(probe):
+        r, z = probe
         found = reconstruct(w, MeridianPoint(r, z), tuple(truth))
         return {name: (found[name].value,
                        float(u(np.asarray(r), np.asarray(z))),
                        found[name].total_error, found[name].tol_met)
                 for name, u in truth.items()}
 
-    # one pool over every (kind, probe) pair, kinds first, so no kind
-    # waits for the slowest probe of the one before it
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pairs = list(pool.map(probe_one, itertools.product(bumps, probes)))
+        results = list(pool.map(probe_one, probes))
 
     rows = []
     ok = True
-    for i, (kind, _, truth) in enumerate(bumps):
-        results = pairs[i * len(probes):(i + 1) * len(probes)]
-        for name in truth:
+    for kind in kinds:
+        for name in ROUNDTRIP_KINDS[kind]:
             err2 = sum((res[name][0] - res[name][1]) ** 2 for res in results)
             ref2 = sum(res[name][1] ** 2 for res in results)
             if ref2 > 0:
@@ -436,7 +433,7 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
             payload[kind][name + "_normalization"] = norm_kind
             ok = ok and rel < cfg["roundtrip.threshold"]
         for (r, z), res in zip(probes, results):
-            for name in res:
+            for name in ROUNDTRIP_KINDS[kind]:
                 rows.append((kind, name, r, z) + res[name])
 
     write_csv(_out(out_dir, "roundtrip_probes.csv"),
@@ -501,8 +498,8 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--workers", type=int, default=4,
-                        help="roundtrip pool size; the pool runs over every "
-                             "(kind, probe) pair")
+                        help="roundtrip pool size; the pool runs over the "
+                             "probes, each reconstructing every component")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized probe layouts")
     args = parser.parse_args(argv)

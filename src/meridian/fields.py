@@ -3,8 +3,11 @@
 Velocity fields carry cylindrical components (u_r, u_theta, u_z) as profiles
 over the meridian half-plane; vorticity fields carry (w_r, w_theta, w_z) and
 the decay metadata the reconstruction and tail-bound machinery needs.  The
-unit vectors e_r, e_theta, e_z never appear in computation: everything is
-reduced to weighted scalar integrals in (r, z).
+reconstruction reads a vorticity's slots through `VorticityField.sample`,
+one call per node set: a profile that several slots hold is sampled once,
+and the swirling bump, the roundtrip's one test field, forms all its curl
+slots from one gather.  The unit vectors e_r, e_theta, e_z never appear in
+computation: everything is reduced to weighted scalar integrals in (r, z).
 """
 
 import math
@@ -93,6 +96,13 @@ class VorticityField:
     support: Optional[tuple] = None
     resolution: Optional[float] = None  # intrinsic variation scale, if short
 
+    def sample(self, slots, rho, k):
+        """The slots named in `slots` at the nodes (rho, k), one array per
+        name; a profile that several names hold is sampled once."""
+        profiles = {id(getattr(self, s)): getattr(self, s) for s in slots}
+        found = {key: prof(rho, k) for key, prof in profiles.items()}
+        return [found[id(getattr(self, s))] for s in slots]
+
 
 def stream_function_field(psi: Profile, support=None):
     """Divergence-free no-swirl velocity from a stream function.
@@ -129,78 +139,62 @@ def stream_function_field(psi: Profile, support=None):
     return AxisymField(u_r=u_r, u_theta=zero_profile(), u_z=u_z)
 
 
-def stream_bump_field(r0=3.0, z0=0.0, radius=1.0):
-    """Stream-function bump field plus its exact curl's w_theta.
+class _BumpCurl(VorticityField):
+    """The exact curl of `swirling_bump_field`'s velocity.  `sample` forms
+    every slot it is asked for from one gather of the nodes inside the
+    bump's disk; nothing is kept past the call, so threads may share the
+    field.  Its constructor takes the bump, so `dataclasses.replace`
+    cannot rebuild it: build a `VorticityField` from its slots instead."""
 
-    Returns (field, vorticity).  With psi a SmoothBump,
-    w_theta = dz u_r - dr u_z = -(1/r) (psi_rr - psi_r / r + psi_zz),
-    so the vorticity is analytic and compactly supported in the same disk.
-    Its three derivatives are formed at the nodes inside the disk only.
+    def __init__(self, bump):
+        self.bump = bump
+        super().__init__(
+            **{s: Profile(fn=lambda r, z, s=s: self.sample((s,), r, z)[0],
+                          name="bump_" + s) for s in ("w_r", "w_theta", "w_z")},
+            support=bump.support, resolution=bump.radius / 5.0)
+
+    def sample(self, slots, rho, k):
+        shape, idx, r, z, om, f, fp = self.bump._support_nodes(rho, k)
+        a2 = self.bump.radius ** 2
+        dr, dz = r - self.bump.r0, z - self.bump.z0
+        f_r = fp * 2.0 * dr / a2
+
+        def w_theta():
+            fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
+            tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
+            f_rr = fpp * tr * tr + fp * 2.0 / a2
+            f_zz = fpp * tz * tz + fp * 2.0 / a2
+            return -(f_rr - f_r / r + f_zz) / r
+
+        # slot -> (its values inside the disk, its value outside); outside,
+        # w_theta and w_r are the jet's zeros negated, -0.0 (r > 0), which
+        # keeps every sum over these nodes bit for bit
+        forms = {"w_theta": (w_theta, -0.0), "w_z": (lambda: f_r + f / r, 0.0),
+                 "w_r": (lambda: -(fp * 2.0 * dz / a2), -0.0)}
+        found = {}
+        for s in dict.fromkeys(slots):
+            form, outside = forms[s]
+            found[s] = np.full(shape, outside)
+            found[s].put(idx, form())
+        return [found[s] for s in slots]
+
+
+def swirling_bump_field(r0, z0, radius):
+    """A stream-function bump's velocity (u_r, u_z) plus a swirl bump
+    u_theta, both on one SmoothBump psi, and the exact curl of their sum.
+
+    The stream part gives w_theta = dz u_r - dr u_z = -(1/r) (psi_rr -
+    psi_r / r + psi_zz), the swirl part w_r = -dz u_theta and w_z = (1/r)
+    dr(r u_theta) = dr u_theta + u_theta / r.  The vorticity is analytic
+    and compactly supported in the bump's disk.  Either part alone is this
+    field with the other part's slots set to zero.
     """
     if r0 - radius <= 0:
         raise ValueError("bump support touches the axis")
     bump = SmoothBump(r0=r0, z0=z0, radius=radius)
     field = stream_function_field(bump.profile(), support=bump.support)
-
-    def wt(r, z):
-        shape, idx, r, z, om, f, fp = bump._support_nodes(r, z)
-        a2 = radius ** 2
-        dr, dz = r - r0, z - z0
-        fpp = f * (1.0 / om ** 4 - 2.0 / om ** 3)
-        tr, tz = 2.0 * dr / a2, 2.0 * dz / a2
-        f_r = fp * 2.0 * dr / a2
-        f_rr = fpp * tr * tr + fp * 2.0 / a2
-        f_zz = fpp * tz * tz + fp * 2.0 / a2
-        # the jet's zeros gave -(0 - 0 / r + 0) / r = -0.0 outside (r > 0);
-        # keeping the sign keeps every sum over these nodes bit for bit
-        out = np.full(shape, -0.0)
-        out.put(idx, -(f_rr - f_r / r + f_zz) / r)
-        return out
-
-    w = VorticityField(
-        w_r=zero_profile(),
-        w_theta=Profile(fn=wt, name="stream_bump_w_theta"),
-        w_z=zero_profile(),
-        support=bump.support,
-        resolution=radius / 5.0,
-    )
-    return field, w
-
-
-def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
-    """Pure-swirl bump u_theta plus its exact curl (w_r, w_z).
-
-    w_r = -dz u_theta,  w_z = (1/r) dr(r u_theta) = dr u_theta + u_theta/r.
-    Both vorticity components share the bump's compact support, and each
-    is formed at the nodes inside it only.
-    """
-    if r0 - radius <= 0:
-        raise ValueError("bump support touches the axis")
-    bump = SmoothBump(r0=r0, z0=z0, radius=radius)
-    field = AxisymField(u_r=zero_profile(), u_theta=bump.profile(),
-                        u_z=zero_profile())
-
-    def wz(r, z):
-        shape, idx, r, _, _, f, fp = bump._support_nodes(r, z)
-        out = np.zeros(shape)
-        out.put(idx, fp * 2.0 * (r - r0) / radius ** 2 + f / r)
-        return out
-
-    def wr(r, z):
-        shape, idx, _, z, _, _, fp = bump._support_nodes(r, z)
-        # -0.0 outside, the jet's zero f_z negated, as for w_theta
-        out = np.full(shape, -0.0)
-        out.put(idx, -(fp * 2.0 * (z - z0) / radius ** 2))
-        return out
-
-    w = VorticityField(
-        w_r=Profile(fn=wr, name="swirl_bump_w_r"),
-        w_theta=zero_profile(),
-        w_z=Profile(fn=wz, name="swirl_bump_w_z"),
-        support=bump.support,
-        resolution=radius / 5.0,
-    )
-    return field, w
+    field.u_theta = bump.profile()
+    return field, _BumpCurl(bump)
 
 
 def power_law_vorticity(beta, axial_envelope=None):

@@ -128,43 +128,45 @@ def _resolution_edges(edges, resolution):
     return np.unique(np.concatenate([edges, np.linspace(a, b, n + 1)]))
 
 
-def _integrands(terms, r, z, rho, kk):
-    """kernel * weight * rho at the nodes (rho, kk), one flat array per term.
+def _integrands(w_field, terms, r, z, rho, kk):
+    """kernel * w * rho at the nodes (rho, kk), one flat array per term;
+    a term is a (kernel selector, vorticity slot) pair.
 
     rho and kk broadcast against each other: a rectangle passes its rho
-    nodes as a column and its k nodes as a row, so a separable weight
+    nodes as a column and its k nodes as a row, so a separable vorticity
     evaluates each factor once per row or column; the arrays returned are
-    flat in C order.  Each distinct weight is sampled once, however many
-    terms share it, and the kernels are evaluated in one call, on the nodes
-    where some weight is nonzero; NaN and inf weights count as nonzero, so
-    they still reach the sums.  At every other node each integrand is the
-    zero a zero weight would give, and the arrays keep their full length,
-    so the sums over them are the same as with every node evaluated.
+    flat in C order.  The slots the terms name are sampled in one
+    `w_field.sample` call, which samples each distinct profile once and a
+    bump's curl slots from one gather, and the kernels are evaluated in one
+    call, on the nodes where some sample is nonzero; NaN and inf samples
+    count as nonzero, so they still reach the sums.  At every other node
+    each integrand is the zero a zero sample would give, and the arrays
+    keep their full length, so the sums over them are the same as with
+    every node evaluated.
     """
     shape = np.broadcast_shapes(np.shape(rho), np.shape(kk))
-    weights = {id(weight): weight for _, weight in terms}
-    samples = {key: weight(rho, kk) for key, weight in weights.items()}
+    samples = w_field.sample([slot for _, slot in terms], rho, kk)
     live = np.zeros(shape, dtype=bool)
-    for w in samples.values():
+    for w in {id(w): w for w in samples}.values():
         live |= w != 0
     kv = None
     if live.any():
         kv = kernel_batch(r, np.broadcast_to(rho, shape)[live],
                           np.broadcast_to(z - kk, shape)[live])
     integrands = []
-    for sel, weight in terms:
+    for (sel, _), w in zip(terms, samples):
         vals = np.zeros(shape)
         if kv is not None:
             vals[live] = sel(kv)
-        vals *= samples[id(weight)]
+        vals *= w
         vals *= rho
         integrands.append(vals.ravel())
     return integrands
 
 
-def _integrate_rules(terms, r, z, x_edges, y_edges, rules, place):
-    """Per-panel integrals of kernel * weight * rho over tensor meshes, under
-    a value rule and an error rule.
+def _integrate_rules(w_field, terms, r, z, x_edges, y_edges, rules, place):
+    """Per-panel integrals of kernel * w * rho over tensor meshes, under a
+    value rule and an error rule, for `_integrands`' terms.
 
     `x_edges`, `y_edges` are the panel meshes of one tensor mesh or, with a
     leading axis, of several; `rules` gives each rule's GL nodes per panel,
@@ -184,7 +186,7 @@ def _integrate_rules(terms, r, z, x_edges, y_edges, rules, place):
         rho, kk, w = place(xn[..., :, None], yn[..., None, :],
                            (xw[..., :, None] * yw[..., None, :]).ravel())
         sums = []
-        for vals in _integrands(terms, r, z, rho, kk):
+        for vals in _integrands(w_field, terms, r, z, rho, kk):
             vals *= w
             sums.append(vals.reshape(-1, px, n_x, py * n_y).sum(axis=2)
                         .reshape(-1, n_y).sum(axis=1))
@@ -192,8 +194,8 @@ def _integrate_rules(terms, r, z, x_edges, y_edges, rules, place):
     return np.array(out)
 
 
-def _integrate_rect(terms, r, z, x_edges, y_edges):
-    """Tensor GL integrals of kernel * weight * rho over rectangle panels.
+def _integrate_rect(w_field, terms, r, z, x_edges, y_edges):
+    """Tensor GL integrals of kernel * w * rho over rectangle panels.
 
     `x_edges`, `y_edges` are the rho and k panel meshes of one rectangle,
     or, with a leading axis, of several: refinement hands in its panels as
@@ -202,7 +204,7 @@ def _integrate_rect(terms, r, z, x_edges, y_edges):
     are one kernel evaluation each over every panel, shared by all
     `terms`.  Returns `_integrate_rules`' array (rule, term, panel).
     """
-    return _integrate_rules(terms, r, z, x_edges, y_edges,
+    return _integrate_rules(w_field, terms, r, z, x_edges, y_edges,
                             ((N_NODES, N_NODES), (N_ERR, N_ERR)),
                             lambda *nodes: nodes)
 
@@ -213,7 +215,7 @@ _SIDE_FRAMES = np.array([(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, -1.0, 0.0),
                          (-1.0, 0.0, 0.0, -1.0), (0.0, -1.0, 1.0, 0.0)])
 
 
-def _integrate_polar_core(terms, r, z, s0, panels):
+def _integrate_polar_core(w_field, terms, r, z, s0, panels):
     """Integrals over panels of the square |rho - r| <= s0, |k - z| <= s0.
 
     Duffy's split: the side with outward normal n and tangent t is the
@@ -235,7 +237,7 @@ def _integrate_polar_core(terms, r, z, s0, panels):
         return (r + (a * n_r + b * t_r), z + (a * n_k + b * t_k),
                 w * s0 * np.broadcast_to(a, b.shape).ravel())
 
-    return _integrate_rules(terms, r, z, panels[:, 2:4], panels[:, 4:],
+    return _integrate_rules(w_field, terms, r, z, panels[:, 2:4], panels[:, 4:],
                             ((N_S_NODES, N_SIDE), (N_S_NODES - 1, N_SIDE // 2)),
                             place)
 
@@ -399,11 +401,11 @@ class _Leaves:
 
 
 def _component_integral(components, w_field, p, spec, box):
-    """Region-decomposed integrals of kernel * weight * rho over `_window`'s
+    """Region-decomposed integrals of kernel * w * rho over `_window`'s
     box ((rho_lo, rho_hi), (k_lo, k_hi)).
 
-    `components` maps each name to its terms, (kernel selector, vorticity
-    profile) pairs.  Generation 0 puts the fixed rules on each rectangle's
+    `components` maps each name to its terms, (kernel selector, slot of
+    w_field) pairs.  Generation 0 puts the fixed rules on each rectangle's
     graded mesh and on the polar core's panels, every term sharing each
     node set and kernel evaluation, and gives every component its own
     leaves: those panel rows with their own values and |hi - lo|.  A component
@@ -471,10 +473,11 @@ def _component_integral(components, w_field, p, spec, box):
         out = np.empty((2, len(terms), len(panels)))
         rect = panels[:, 0] == RECT
         if rect.any():
-            out[:, :, rect] = _integrate_rect(terms, r, z, panels[rect, 2:4],
-                                              panels[rect, 4:])
+            out[:, :, rect] = _integrate_rect(w_field, terms, r, z,
+                                              panels[rect, 2:4], panels[rect, 4:])
         if not rect.all():
-            out[:, :, ~rect] = _integrate_polar_core(terms, r, z, s0, panels[~rect])
+            out[:, :, ~rect] = _integrate_polar_core(w_field, terms, r, z, s0,
+                                                     panels[~rect])
         return out
 
     def checked(hi, lo, panels):
@@ -494,7 +497,7 @@ def _component_integral(components, w_field, p, spec, box):
     panels = np.concatenate([_mesh_panels(RECT, i, x, y) for i, x, y in rects]
                             + [core])
     values, errors = checked(*np.concatenate(
-        [_integrate_rect(terms, r, z, x, y) for _, x, y in rects]
+        [_integrate_rect(w_field, terms, r, z, x, y) for _, x, y in rects]
         + [integrate(terms, core)], axis=2), panels)
     pending = {name: _Leaves(panels, values[own], errors[own])
                for name, own in owns.items()}
@@ -527,7 +530,7 @@ def _component_integral(components, w_field, p, spec, box):
                                 errors[own][:, cols[name]])
 
 
-# component -> its terms (kernel, vorticity attribute, sign): `kernel` names
+# component -> its terms (kernel, vorticity slot, sign): `kernel` names
 # the KernelValues field and the tail majorant
 COMPONENTS = {
     "u_r": (("g1", "w_theta", 1.0),),
@@ -554,9 +557,8 @@ def reconstruct(w_field: VorticityField, p: MeridianPoint, components,
                     for kernel, _, _ in COMPONENTS[c]) if radii else 0.0
              for c in components}
     integrals = _component_integral(
-        {c: [(attrgetter(kernel), getattr(w_field, weight))
-             for kernel, weight, _ in COMPONENTS[c]] for c in components},
-        w_field, p, spec, box)
+        {c: [(attrgetter(kernel), slot) for kernel, slot, _ in COMPONENTS[c]]
+         for c in components}, w_field, p, spec, box)
     results = {}
     for component in components:
         terms = COMPONENTS[component]

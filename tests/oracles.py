@@ -9,7 +9,8 @@ import csv
 import numpy as np
 
 from meridian.envelopes import REGIMES, BoundEnvelope, ScanReport, envelope_value
-from meridian.profiles import Profile
+from meridian.fields import AxisymField, VorticityField, swirling_bump_field
+from meridian.profiles import Profile, zero_profile
 
 
 def crude_bounds(r, rho, zeta):
@@ -90,3 +91,21 @@ def write_csv_reference(path, header, rows):
         wr = csv.writer(fh)
         wr.writerow(header)
         wr.writerows(rows)
+
+
+def stream_bump_field(r0=3.0, z0=0.0, radius=1.0):
+    """The stream part of `swirling_bump_field`: (u_r, u_z) and w_theta,
+    with the swirl part's slots zero."""
+    field, w = swirling_bump_field(r0, z0, radius)
+    return (AxisymField(field.u_r, zero_profile(), field.u_z),
+            VorticityField(zero_profile(), w.w_theta, zero_profile(),
+                           support=w.support, resolution=w.resolution))
+
+
+def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
+    """The swirl part of `swirling_bump_field`: u_theta and (w_r, w_z),
+    with the stream part's slots zero."""
+    field, w = swirling_bump_field(r0, z0, radius)
+    return (AxisymField(zero_profile(), field.u_theta, zero_profile()),
+            VorticityField(w.w_r, zero_profile(), w.w_z,
+                           support=w.support, resolution=w.resolution))

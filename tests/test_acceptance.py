@@ -10,8 +10,7 @@ import numpy as np
 
 from meridian.envelopes import (evaluate_scan_grid, refine_and_compare,
                                 scan_grid)
-from meridian.fields import (MeridianPoint, power_law_vorticity,
-                             stream_bump_field, swirl_bump_field)
+from meridian.fields import MeridianPoint, power_law_vorticity
 from meridian.kernels import kernel_triple
 from meridian.norms import (CylinderDomain, bmo_oscillation_ln, disk_mean_ln,
                             lq_growth_exponent, weak_lorentz_norm)
@@ -22,7 +21,8 @@ from meridian.rates import (bruteforce_feasible_set, construct_feasible_pair,
 from meridian.reconstruct import (decay_trace, reconstruct_ur,
                                   reconstruct_utheta, reconstruct_uz)
 from meridian.fields import AxisymField
-from oracles import gaussian_swirl_profile
+from oracles import (gaussian_swirl_profile, stream_bump_field,
+                     swirl_bump_field)
 
 
 def report(criterion, detail):

@@ -346,8 +346,8 @@ def test_decay_compact_envelope_option(tmp_path):
     ("roundtrip.bump_r0 = 3.5\nroundtrip.probe_layout = random\n", "3"),
 ], ids=["grid", "random-seed3"])
 def test_roundtrip_same_bytes_for_any_worker_count(tmp_path, text, seed):
-    # 3 workers outnumber each kind's 2 probes, so the pool over every
-    # (kind, probe) pair mixes kinds and the results must be regrouped
+    # the pool runs over the probes, and 3 workers outnumber the 2 probes,
+    # so the results must come back in probe order from a pool left idle
     path = write_cfg(tmp_path, "roundtrip.n_r = 2\nroundtrip.n_z = 1\n" + text)
     out1 = tmp_path / "w1"
     code = main(["roundtrip", "--config", path, "--out", str(out1),
@@ -357,6 +357,31 @@ def test_roundtrip_same_bytes_for_any_worker_count(tmp_path, text, seed):
         assert main(["roundtrip", "--config", path, "--out", str(out),
                      "--workers", workers, "--seed", seed]) == code
         assert hash_dir(str(out1)) == hash_dir(str(out))
+
+
+@pytest.mark.parametrize("kind, names", [
+    ("both", ("u_r", "u_z", "u_theta")), ("no_swirl", ("u_r", "u_z")),
+    ("pure_swirl", ("u_theta",))])
+def test_roundtrip_reconstructs_each_probe_once(tmp_path, monkeypatch, kind,
+                                                names):
+    # one call per probe carries every component the kinds check, on the
+    # one field of the requested kinds' parts
+    seen = []
+
+    def counting(w, p, components):
+        seen.append(((p.r, p.z), components))
+        return reconstruct(w, p, components)
+
+    monkeypatch.setattr(cli, "reconstruct", counting)
+    path = write_cfg(tmp_path, "roundtrip.kind = %s\nroundtrip.n_r = 2\n"
+                               "roundtrip.n_z = 1\n" % kind)
+    out = tmp_path / "rt"
+    assert main(["roundtrip", "--config", path, "--out", str(out),
+                 "--workers", "2"]) == 0
+    assert sorted(seen) == [((r, -1.2), names) for r in (1.5, 5.5)]
+    with open(out / "roundtrip_probes.csv", newline="") as fh:
+        assert (sorted(row["component"] for row in csv.DictReader(fh))
+                == sorted(names * 2))
 
 
 @pytest.mark.parametrize("envelope", ["gauss", "compact"])

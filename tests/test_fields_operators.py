@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from meridian.fields import (AxialEnvelope, AxisymField, MeridianPoint,
-                             power_law_vorticity, stream_bump_field,
-                             stream_function_field, swirl_bump_field)
+                             power_law_vorticity, stream_function_field)
 from meridian.operators import (AxisTooCloseError, curl_axisym,
                                 divergence_axisym)
 from meridian.profiles import (Profile, SmoothBump, constant_profile,
                                zero_profile)
-from oracles import gaussian_swirl_profile
+from oracles import (gaussian_swirl_profile, stream_bump_field,
+                     swirl_bump_field)
 
 
 def fd_only(profile):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 
-from meridian.cli import DEFAULTS, PROBE_R_MIN, ROUNDTRIP_FIELDS
+from meridian.cli import DEFAULTS, PROBE_R_MIN, ROUNDTRIP_KINDS
 from meridian.fields import (AxialEnvelope, MeridianPoint, VorticityField,
-                             power_law_vorticity, stream_bump_field,
-                             swirl_bump_field)
+                             power_law_vorticity, swirling_bump_field)
 from meridian.kernels import kernel_batch, kernel_triple
 from meridian.profiles import Profile, SmoothBump, zero_profile
 from meridian.quadrature import panel_nodes
@@ -21,7 +20,7 @@ from meridian.reconstruct import (NEAR_DIAG_REFINEMENT, N_ERR, N_NODES,
                                   decay_trace, reconstruct,
                                   reconstruct_ur, reconstruct_utheta,
                                   reconstruct_uz)
-from oracles import crude_bounds
+from oracles import crude_bounds, stream_bump_field, swirl_bump_field
 
 
 def fine_grid_reference(w_field, p, component, n_pan=80, n_nodes=10):
@@ -68,13 +67,14 @@ def test_polar_core_matches_fine_polar_reference():
     # on the first panels and on their quarters
     _, w = stream_bump_field(r0=3.0, radius=1.0)
     r, z, s0, res = 3.5, 0.4, 0.5, w.resolution
-    term = (lambda kv: kv.g1, w.w_theta)
-    ref = per_ray_polar_core(*term, r, z, s0, 4096, 10, 30, res)
+    ref = per_ray_polar_core(lambda kv: kv.g1, w.w_theta, r, z, s0, 4096, 10,
+                             30, res)
     panels = _core_panels()
     for split in (False, True):
         if split:
             panels = _quarters(panels)
-        (hi,), (lo,) = _integrate_polar_core([term], r, z, s0, panels)
+        (hi,), (lo,) = _integrate_polar_core(w, [(lambda kv: kv.g1, "w_theta")],
+                                             r, z, s0, panels)
         assert abs(hi.sum() - ref) <= np.abs(hi - lo).sum()
 
 
@@ -83,8 +83,9 @@ def test_polar_core_matches_fine_polar_reference():
 def test_polar_core_is_exact_on_a_linear_integrand(r, z, s0):
     # kernel 1 and weight 1 leave rho, whose integral over the square is
     # 4 s0^2 r; the Duffy map makes it a polynomial in (u, v)
-    term = (lambda kv: 1.0, lambda rho, k: np.ones_like(rho))
-    (hi,), (lo,) = _integrate_polar_core([term], r, z, s0, _core_panels())
+    w = field_of(w_theta=lambda rho, k: np.ones_like(rho))
+    (hi,), (lo,) = _integrate_polar_core(w, [(lambda kv: 1.0, "w_theta")],
+                                         r, z, s0, _core_panels())
     assert hi.sum() == pytest.approx(4.0 * s0 ** 2 * r, rel=1e-12)
     # both rules reach the apex u = 0, so neither omits a strip there
     assert np.abs(hi - lo).sum() <= 1e-12
@@ -95,9 +96,10 @@ def test_polar_core_makes_one_kernel_call_per_rule(monkeypatch):
     # the v nodes; the u mesh has NEAR_DIAG_REFINEMENT geometric panels
     # plus the first panel [0, 2^-levels] at the apex
     calls = recording_kernel_batch(monkeypatch)
-    term = (lambda kv: kv.g1, lambda rho, k: np.ones_like(rho))
+    w = field_of(w_theta=lambda rho, k: np.ones_like(rho))
     panels = _core_panels()
-    _integrate_polar_core([term], 3.5, 0.4, 0.5, panels)
+    _integrate_polar_core(w, [(lambda kv: kv.g1, "w_theta")], 3.5, 0.4, 0.5,
+                          panels)
     n_panels = NEAR_DIAG_REFINEMENT + 1
     assert np.array_equal(panels[:, 0], np.repeat(np.arange(4), n_panels))
     per_side = [n_panels * N_S_NODES * N_SIDE,
@@ -174,17 +176,25 @@ def test_utheta_terms_share_each_kernel_evaluation(monkeypatch):
     assert len(set(node_sets)) == len(node_sets)
 
 
+def recording_gathers(monkeypatch):
+    """Patch SmoothBump._support_nodes to record each gather's nodes."""
+    gathers = []
+    gather = SmoothBump._support_nodes
+
+    def recording(self, r, z):
+        gathers.append(tuple(np.broadcast_arrays(r, z)))
+        return gather(self, r, z)
+
+    monkeypatch.setattr(SmoothBump, "_support_nodes", recording)
+    return gathers
+
+
 def joint_and_single_costs(monkeypatch, probe, tol):
     """(u_r and u_z jointly, each alone, and the cost of each alone and of
     the joint call: kernel calls, w_theta samples, kernel points)."""
     _, w = stream_bump_field()
-    samples = []
-
-    def w_theta(rho, k, base=w.w_theta):
-        samples.append(rho.size)
-        return base(rho, k)
-
-    w = replace(w, w_theta=Profile(fn=w_theta))
+    # each w_theta sample is one gather of the bump's nodes
+    samples = recording_gathers(monkeypatch)
     p, spec = MeridianPoint(*probe), QuadratureSpec(tol=tol)
     calls = recording_kernel_batch(monkeypatch)
 
@@ -229,8 +239,46 @@ def test_joint_reconstruction_equals_single_calls_when_both_refine(
     assert points[1] < cost[2] < sum(points)
 
 
+@pytest.mark.parametrize("probe", [(3.2, 0.3), (2.0, 0.0), (4.0, 0.0),
+                                   (5.0, 1.2)],
+                         ids=["inside", "rim-in", "rim-out", "outside"])
+def test_one_call_on_the_swirling_bump_equals_a_call_per_kind(monkeypatch,
+                                                              probe):
+    # the curl of the stream bump plus the swirl bump, reconstructed in one
+    # call: each component gets the bits of its kind's field alone, on fewer
+    # kernel points than the two calls, and its three slots share one
+    # gather of the bump's nodes per node set
+    import meridian.reconstruct as rec
+    p = MeridianPoint(*probe)
+    calls = recording_kernel_batch(monkeypatch)
+    single, points = {}, 0
+    for bump, names in ((stream_bump_field, ("u_r", "u_z")),
+                        (swirl_bump_field, ("u_theta",))):
+        del calls[:]
+        single.update(reconstruct(bump()[1], p, names))
+        points += sum(rho.size for rho, _ in calls)
+    node_sets = []
+    integrands = rec._integrands
+
+    def recording(w_field, terms, r, z, rho, kk):
+        node_sets.append(np.broadcast_arrays(rho, kk))
+        return integrands(w_field, terms, r, z, rho, kk)
+
+    monkeypatch.setattr(rec, "_integrands", recording)
+    gathers = recording_gathers(monkeypatch)
+    del calls[:]
+    _, w = swirling_bump_field(3.0, 0.0, 1.0)
+    joint = reconstruct(w, p, ("u_r", "u_z", "u_theta"))
+    assert joint == single
+    assert sum(rho.size for rho, _ in calls) < points
+    assert len(gathers) == len(node_sets)
+    for (r, z), (rho, kk) in zip(gathers, node_sets):
+        assert np.array_equal(r, rho) and np.array_equal(z, kk)
+
+
 # bump centres spanning the benchmark's r0 draw in [3.2, 3.8]; with the
-# CLI's random layouts at seeds 0-3 and both kinds, 240 reconstructions
+# CLI's random layouts at seeds 0-3 and both kinds, 80 joint calls of 240
+# components
 TRAFFIC_R0 = (3.2, 3.25, 3.3, 3.4, 3.45, 3.5, 3.6, 3.65, 3.7, 3.8)
 
 
@@ -245,26 +293,27 @@ def test_certificates_on_roundtrip_traffic():
             rng = np.random.default_rng(seed)
             rs = rng.uniform(max(PROBE_R_MIN, r0 - 2.0), r0 + 2.5, 2)
             zs = rng.uniform(-1.5, 1.5, 2)
-            for factory, names in ROUNDTRIP_FIELDS.values():
-                field, w = factory(r0=r0, radius=1.0)
-                sums = {name: [0.0, 0.0] for name in names}
-                for r, z in zip(rs.tolist(), zs.tolist()):
-                    found = reconstruct(w, MeridianPoint(r, z), names)
-                    for name, res in found.items():
-                        exact = float(getattr(field, name)(np.asarray(r),
-                                                           np.asarray(z)))
-                        case = (r0, seed, name, r, z)
-                        if not res.tol_met:
-                            unmet.append(case)
-                        if abs(res.value - exact) > res.total_error:
-                            violations.append(case)
-                        sums[name][0] += (res.value - exact) ** 2
-                        sums[name][1] += exact ** 2
-                for name, (err2, ref2) in sums.items():
-                    gates += 1
-                    rel = np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
-                    if not rel < threshold:
-                        failed.append((r0, seed, name))
+            # one reconstruction per probe, as cmd_roundtrip makes them
+            field, w = swirling_bump_field(r0, 0.0, 1.0)
+            names = sum(ROUNDTRIP_KINDS.values(), ())
+            sums = {name: [0.0, 0.0] for name in names}
+            for r, z in zip(rs.tolist(), zs.tolist()):
+                found = reconstruct(w, MeridianPoint(r, z), names)
+                for name, res in found.items():
+                    exact = float(getattr(field, name)(np.asarray(r),
+                                                       np.asarray(z)))
+                    case = (r0, seed, name, r, z)
+                    if not res.tol_met:
+                        unmet.append(case)
+                    if abs(res.value - exact) > res.total_error:
+                        violations.append(case)
+                    sums[name][0] += (res.value - exact) ** 2
+                    sums[name][1] += exact ** 2
+            for name, (err2, ref2) in sums.items():
+                gates += 1
+                rel = np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
+                if not rel < threshold:
+                    failed.append((r0, seed, name))
     assert gates == 120
     assert unmet == [] and violations == []
     assert len(failed) <= 10
@@ -319,29 +368,31 @@ def test_a_panel_integral_does_not_depend_on_its_batch():
     # refinement panel, or for fewer terms, gives the bits it gets in its
     # mesh, whose panels sum to the mesh integrals; so does a core panel
     _, w = stream_bump_field()
-    terms = [(lambda kv: kv.g1, w.w_theta), (lambda kv: kv.g2, w.w_theta)]
+    terms = [(lambda kv: kv.g1, "w_theta"), (lambda kv: kv.g2, "w_theta")]
     x_edges, y_edges = np.linspace(2.2, 3.8, 5), np.linspace(-0.7, 0.9, 4)
-    mesh = _integrate_rect(terms, 3.9, 0.4, x_edges, y_edges)
+    mesh = _integrate_rect(w, terms, 3.9, 0.4, x_edges, y_edges)
     assert mesh.shape == (2, 2, 12)
     for rule, n in enumerate((N_NODES, N_ERR)):
         (rho, rw), (kk, kw) = panel_nodes(x_edges, n), panel_nodes(y_edges, n)
         sums = [vals @ np.outer(rw, kw).ravel()
-                for vals in _integrands(terms, 3.9, 0.4, rho[:, None], kk)]
+                for vals in _integrands(w, terms, 3.9, 0.4, rho[:, None], kk)]
         assert np.allclose(mesh[rule].sum(axis=1), sums, rtol=1e-13, atol=0.0)
     rows = _mesh_panels(RECT, 0, x_edges, y_edges)
     for pick in ([5], [5, 0, 11], list(range(12))):
-        alone = _integrate_rect(terms, 3.9, 0.4, rows[pick, 2:4], rows[pick, 4:])
+        alone = _integrate_rect(w, terms, 3.9, 0.4, rows[pick, 2:4],
+                                rows[pick, 4:])
         assert np.array_equal(alone, mesh[:, :, pick])
-    second = _integrate_rect(terms[1:], 3.9, 0.4, rows[:, 2:4], rows[:, 4:])
+    second = _integrate_rect(w, terms[1:], 3.9, 0.4, rows[:, 2:4],
+                             rows[:, 4:])
     assert np.array_equal(second, mesh[:, 1:])
 
     rows = _core_panels()
-    core = _integrate_polar_core(terms, 3.3, 0.2, 0.2, rows)
+    core = _integrate_polar_core(w, terms, 3.3, 0.2, 0.2, rows)
     assert core.shape == (2, 2, len(rows)) and np.all(core[0] != 0.0)
     for pick in ([5], [70, 5, 30], list(range(len(rows)))[::-1]):
-        alone = _integrate_polar_core(terms, 3.3, 0.2, 0.2, rows[pick])
+        alone = _integrate_polar_core(w, terms, 3.3, 0.2, 0.2, rows[pick])
         assert np.array_equal(alone, core[:, :, pick])
-    second = _integrate_polar_core(terms[1:], 3.3, 0.2, 0.2, rows)
+    second = _integrate_polar_core(w, terms[1:], 3.3, 0.2, 0.2, rows)
     assert np.array_equal(second, core[:, 1:])
 
 
@@ -365,9 +416,9 @@ def test_polar_core_stays_within_the_profile_resolution(monkeypatch, w, s0):
     seen = []
     core = rec._integrate_polar_core
 
-    def recording(terms, r, z, s0, *args, **kwargs):
+    def recording(w_field, terms, r, z, s0, *args, **kwargs):
         seen.append(s0)
-        return core(terms, r, z, s0, *args, **kwargs)
+        return core(w_field, terms, r, z, s0, *args, **kwargs)
 
     monkeypatch.setattr(rec, "_integrate_polar_core", recording)
     reconstruct_ur(w, MeridianPoint(3.1, 0.2))
@@ -427,12 +478,12 @@ def test_polar_core_estimate_covers_a_jump_inside_the_core():
     # the core's panels, refined as a component refines its panels until
     # their error meets tol, bracket the reference across the jump
     w = power_law_vorticity(3.0, AxialEnvelope("compact", scale=0.5))
-    terms, r, z, s0, tol = [(lambda kv: kv.g1, w.w_theta)], 5.0, 0.3, 0.25, 1e-6
+    terms, r, z, s0, tol = [(lambda kv: kv.g1, "w_theta")], 5.0, 0.3, 0.25, 1e-6
     panels = _core_panels()
-    hi, lo = _integrate_polar_core(terms, r, z, s0, panels)
+    hi, lo = _integrate_polar_core(w, terms, r, z, s0, panels)
     leaves = _Leaves(panels, hi, np.abs(hi - lo))
     while (split := leaves.plan(tol)).size:
-        hi, lo = _integrate_polar_core(terms, r, z, s0,
+        hi, lo = _integrate_polar_core(w, terms, r, z, s0,
                                        _quarters(leaves.panels[split]))
         leaves.split(split, hi, np.abs(hi - lo))
     assert leaves.generation > 1 and leaves.errors.sum() <= tol
@@ -487,6 +538,12 @@ def integrand_nodes(n=4000, seed=3):
     return rng.uniform(1.5, 6.0, n), rng.uniform(-3.0, 3.0, n)
 
 
+def field_of(**slots):
+    """A vorticity with the slot functions `slots`, every other slot zero."""
+    return VorticityField(**{name: slots.get(name, zero_profile())
+                             for name in ("w_r", "w_theta", "w_z")})
+
+
 def plain_integrand(sel, weight, r, z, rho, kk):
     return sel(kernel_batch(r, rho, z - kk)) * weight(rho, kk) * rho
 
@@ -501,7 +558,8 @@ def test_integrands_match_plain_formula_with_zero_weights(monkeypatch):
     sel = lambda kv: kv.g1
     expected = plain_integrand(sel, weight, r, z, rho, kk)
     calls = recording_kernel_batch(monkeypatch)
-    (vals,) = _integrands([(sel, weight)], r, z, rho, kk)
+    (vals,) = _integrands(field_of(w_theta=weight), [(sel, "w_theta")], r, z,
+                          rho, kk)
     assert np.array_equal(vals, expected)
     assert len(calls) == 1
     assert np.array_equal(calls[0][0], rho[kk > 0.0])
@@ -513,10 +571,11 @@ def test_integrands_live_set_is_union_over_terms(monkeypatch):
     base = power_law_vorticity(3.0).w_theta
     w1 = lambda rho, k: np.where(k > 0.5, base(rho, k), 0.0)
     w2 = lambda rho, k: np.where(rho > 3.5, -2.0 * base(rho, k), 0.0)
-    terms = [(lambda kv: kv.g_swirl, w1), (lambda kv: kv.g1, w2)]
-    expected = [plain_integrand(sel, w, r, z, rho, kk) for sel, w in terms]
+    terms = [(lambda kv: kv.g_swirl, "w_z"), (lambda kv: kv.g1, "w_r")]
+    expected = [plain_integrand(sel, w, r, z, rho, kk)
+                for (sel, _), w in zip(terms, (w1, w2))]
     calls = recording_kernel_batch(monkeypatch)
-    vals = _integrands(terms, r, z, rho, kk)
+    vals = _integrands(field_of(w_z=w1, w_r=w2), terms, r, z, rho, kk)
     live = (kk > 0.5) | (rho > 3.5)
     assert 0 < live.sum() < live.size
     assert len(calls) == 1
@@ -531,13 +590,17 @@ def test_integrands_of_a_column_and_a_row_equal_the_flat_nodes():
     # of the flat node set that repeats the column and tiles the row
     rho, kk = np.linspace(1.5, 6.0, 37)[:, None], np.linspace(-3, 3, 29)[None, :]
     flat = np.repeat(rho.ravel(), kk.size), np.tile(kk.ravel(), rho.size)
-    _, wb = swirl_bump_field(r0=3.5, z0=0.4)
+    # so does a swirling bump, whose slots share one gather
+    _, wb = swirling_bump_field(3.5, 0.4, 1.0)
     power = power_law_vorticity(3.0, AxialEnvelope("compact", 1.0)).w_theta
-    terms = [(lambda kv: kv.g_swirl, wb.w_z), (lambda kv: kv.g1, power),
-             (lambda kv: kv.g2, lambda rho, k: np.ones_like(rho))]
-    got = _integrands(terms, 3.0, 0.4, rho, kk)
-    for g, want in zip(got, _integrands(terms, 3.0, 0.4, *flat)):
-        assert g.shape == want.shape and np.array_equal(g, want)
+    mixed = field_of(w_z=wb.w_z, w_theta=power,
+                     w_r=lambda rho, k: np.ones_like(rho))
+    terms = [(lambda kv: kv.g_swirl, "w_z"), (lambda kv: kv.g1, "w_theta"),
+             (lambda kv: kv.g2, "w_r")]
+    for w in (mixed, wb):
+        got = _integrands(w, terms, 3.0, 0.4, rho, kk)
+        for g, want in zip(got, _integrands(w, terms, 3.0, 0.4, *flat)):
+            assert g.shape == want.shape and np.array_equal(g, want)
 
 
 def test_integrands_nan_weight_is_live(monkeypatch):
@@ -545,7 +608,8 @@ def test_integrands_nan_weight_is_live(monkeypatch):
     rho, kk = integrand_nodes(n=50)
     weight = lambda rho, k: np.where(np.arange(rho.size) == 7, np.nan, 0.0)
     calls = recording_kernel_batch(monkeypatch)
-    (vals,) = _integrands([(lambda kv: kv.g1, weight)], r, z, rho, kk)
+    (vals,) = _integrands(field_of(w_r=weight), [(lambda kv: kv.g1, "w_r")],
+                          r, z, rho, kk)
     assert len(calls) == 1
     assert np.array_equal(calls[0][0], rho[7:8])
     assert np.isnan(vals[7])
@@ -556,8 +620,8 @@ def test_integrands_skip_the_kernel_call_when_every_weight_is_zero(
         monkeypatch):
     rho, kk = integrand_nodes(n=50)
     calls = recording_kernel_batch(monkeypatch)
-    (vals,) = _integrands([(lambda kv: kv.g1, zero_profile())], 3.0, 0.4,
-                          rho, kk)
+    (vals,) = _integrands(field_of(), [(lambda kv: kv.g1, "w_theta")], 3.0,
+                          0.4, rho, kk)
     assert calls == []
     assert np.all(vals == 0.0) and vals.shape == rho.shape
 
