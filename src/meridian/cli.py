@@ -309,15 +309,19 @@ def cmd_feasibility(cfg, out_dir):
 
     lower_ok, upper_ok, neg_ok = feasibility_predicates(deltas[:, None],
                                                         qs[None, :], mu)
-    # rows stream one delta at a time, so no 7-column table is built
+    # a row is three texts, each formatted once: "mu,delta," per delta, "q,"
+    # per q, and the 0/1 flags as one of 16, indexed by 8 lower + 4 upper +
+    # 2 negativity + feasible; rows stream one delta at a time
+    flags = [",".join(format(k, "04b")) for k in range(16)]
+    code = 8 * lower_ok + 4 * upper_ok + 2 * neg_ok + mask
+    q_texts = ["%.12g," % q for q in qs.tolist()]
     write_csv(_out(out_dir, "feasibility_region.csv"),
               ["mu", "delta", "q", "lower_ok", "upper_ok", "negativity_ok",
-               "feasible"], "%.12g,%.12g,%.12g,%d,%d,%d,%d",
+               "feasible"], "%s%s%s",
               itertools.chain.from_iterable(
-                  zip(itertools.repeat(mu), itertools.repeat(d), qs.tolist(),
-                      *(m[i].tolist() for m in (lower_ok, upper_ok, neg_ok,
-                                                mask)))
-                  for i, d in enumerate(deltas.tolist())))
+                  zip(itertools.repeat("%.12g,%.12g," % (mu, d)), q_texts,
+                      map(flags.__getitem__, row))
+                  for d, row in zip(deltas.tolist(), code.tolist())))
 
     payload = {"mu": mu, "region_nonempty": bool(mask.any()),
                "region_cells": int(mask.sum())}

@@ -2,7 +2,9 @@
 
 All 3-D integrals over axisymmetric integrands reduce to weighted 2-D
 integrals with measure 2 pi r dr dz; nothing here ever samples in the
-angle.  The domain is the solid cylinder C_R = {r <= R, |z| <= R}.
+angle.  The domain is the solid cylinder C_R = {r <= R, |z| <= R}.  A
+profile f(r, z) is called with a column of r and a row of z, and must
+broadcast: a profile of r alone is then evaluated once per radial node.
 """
 
 import math
@@ -52,8 +54,9 @@ def _cylinder_quad(f, R, n_nodes=12, n_r_coarse=24, n_z=16):
     ze = np.linspace(-R, R, n_z + 1)
     rn, rw = panel_nodes(re, n_nodes)
     zn, zw = panel_nodes(ze, n_nodes)
-    RR, ZZ = np.meshgrid(rn, zn, indexing="ij")
-    vals = f(RR, ZZ) * 2.0 * np.pi * RR
+    rc = rn[:, None]            # a column of r against a row of z
+    vals = f(rc, zn[None, :]) * 2.0 * np.pi * rc
+    vals = np.broadcast_to(vals, (rn.size, zn.size))
     return float(np.einsum("i,ij,j->", rw, vals, zw))
 
 
@@ -123,22 +126,28 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
 
     Cells are midpoint samples of a (r, z) grid on the cylinder, weighted
     by 2 pi r * cell area.  A zero |f| gives a zero estimate with empty
-    measures; an under-resolved level grid raises ValueError.
+    measures; a non-finite sample raises DivergentNormError, and an
+    under-resolved level grid ValueError.
     """
     if q <= 0:
         raise ValueError("q must be positive")
     R = dom.R
     re = np.linspace(0.0, R, n_cells + 1)
     ze = np.linspace(-R, R, 2 * n_cells + 1)
-    rc = 0.5 * (re[1:] + re[:-1])
-    zc = 0.5 * (ze[1:] + ze[:-1])
+    rc = 0.5 * (re[1:] + re[:-1])[:, None]      # a column of r
+    zc = 0.5 * (ze[1:] + ze[:-1])               # and a row of z
     dr = re[1] - re[0]
     dz = ze[1] - ze[0]
-    RR, ZZ = (a.ravel() for a in np.meshgrid(rc, zc, indexing="ij"))
-    vals = np.abs(f(RR, ZZ)).ravel()
-    wgts = 2.0 * np.pi * RR * dr * dz
+    shape = (rc.size, zc.size)      # vals and wgts: raveled alike, C order
+    vals = np.broadcast_to(np.abs(f(rc, zc[None, :])), shape).ravel()
+    wgts = np.broadcast_to(2.0 * np.pi * rc * dr * dz, shape).ravel()
 
-    vmax = float(vals.max())
+    vmax = float(vals.max())        # nan if any sample is nan
+    if not math.isfinite(vmax):
+        k = int(np.argmin(np.isfinite(vals)))       # the first non-finite
+        raise DivergentNormError(
+            "non-finite |f| = %g at (r, z) = (%g, %g) on %s"
+            % (vals[k], rc[k // zc.size, 0], zc[k % zc.size], dom))
     if vmax <= 0.0:
         return WeakLorentzEstimate(q, 0.0, np.array([]), 0.0)
     vmin_pos = float(vals[vals > 0].min()) if np.any(vals > 0) else vmax

@@ -10,7 +10,9 @@ import numpy as np
 
 from meridian.envelopes import REGIMES, BoundEnvelope, ScanReport, envelope_value
 from meridian.fields import AxisymField, VorticityField, swirling_bump_field
+from meridian.norms import WEAK_LEVELS, _r_mesh
 from meridian.profiles import Profile, zero_profile
+from meridian.quadrature import panel_nodes
 
 
 def crude_bounds(r, rho, zeta):
@@ -109,3 +111,45 @@ def swirl_bump_field(r0=3.0, z0=0.0, radius=1.0):
     return (AxisymField(zero_profile(), field.u_theta, zero_profile()),
             VorticityField(w.w_r, zero_profile(), w.w_z,
                            support=w.support, resolution=w.resolution))
+
+
+def cylinder_quad_meshgrid(f, R, n_nodes=12, n_r_coarse=24, n_z=16):
+    """`norms._cylinder_quad` with f evaluated on the full (r, z) meshgrid:
+    the reference its column x row evaluation matches bit for bit."""
+    re = _r_mesh(R, n_r_coarse)
+    ze = np.linspace(-R, R, n_z + 1)
+    rn, rw = panel_nodes(re, n_nodes)
+    zn, zw = panel_nodes(ze, n_nodes)
+    RR, ZZ = np.meshgrid(rn, zn, indexing="ij")
+    vals = f(RR, ZZ) * 2.0 * np.pi * RR
+    return float(np.einsum("i,ij,j->", rw, vals, zw))
+
+
+def weak_lorentz_meshgrid(f, q, dom, n_cells=400):
+    """(value, measures, lq_same_grid) of `norms.weak_lorentz_norm` with
+    the cells sampled on the full (r, z) meshgrid: the reference its column
+    x row evaluation matches bit for bit, for finite samples of a nonzero
+    f."""
+    R = dom.R
+    re = np.linspace(0.0, R, n_cells + 1)
+    ze = np.linspace(-R, R, 2 * n_cells + 1)
+    rc = 0.5 * (re[1:] + re[:-1])
+    zc = 0.5 * (ze[1:] + ze[:-1])
+    dr = re[1] - re[0]
+    dz = ze[1] - ze[0]
+    RR, ZZ = (a.ravel() for a in np.meshgrid(rc, zc, indexing="ij"))
+    vals = np.abs(f(RR, ZZ)).ravel()
+    wgts = 2.0 * np.pi * RR * dr * dz
+
+    vmax = float(vals.max())
+    vmin_pos = float(vals[vals > 0].min())
+    lo = max(vmin_pos, vmax * 1e-12)
+    lambdas = np.geomspace(lo * 0.999, vmax * 0.999, WEAK_LEVELS)
+    order = np.argsort(vals)[::-1]
+    sorted_vals = vals[order]
+    cum = np.cumsum(wgts[order])
+    idx = np.searchsorted(-sorted_vals, -lambdas, side="left")
+    measures = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+    ln = lambdas * measures ** (1.0 / q)
+    lq_grid = float(np.dot(wgts, vals ** q) ** (1.0 / q))
+    return float(ln.max()), measures, lq_grid

@@ -133,6 +133,31 @@ def test_feasibility_region_rows_on_a_non_square_grid(tmp_path):
     assert (out / "feasibility_region.csv").read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("text", [
+    "", "feas.mu = 0.5\n",
+    "feas.n_delta = 37\nfeas.n_q = 51\nfeas.mu_sweep = 0.6,1.1,1.9\n",
+    "feas.n_q = 1\n"], ids=["default", "infeasible", "37x51", "one_q"])
+def test_feasibility_region_bytes_row_by_row(tmp_path, text):
+    # the region CSV against one "%.12g,%.12g,%.12g,%d,%d,%d,%d" per cell:
+    # a flag text from the wrong bits of its lookup index fails here
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "feas"
+    assert main(["feasibility", "--config", path, "--out", str(out)]) in (0, 1)
+    cfg = load_config(path)
+    mu, n_d, n_q = cfg["feas.mu"], cfg["feas.n_delta"], cfg["feas.n_q"]
+    deltas = (np.arange(n_d) + 0.5) / n_d
+    qs = 2.0 + (np.arange(n_q) + 0.5) / n_q
+    flags = [*feasibility_predicates(deltas[:, None], qs[None, :], mu),
+             bruteforce_feasible_set(mu, deltas, qs)]
+    lines = ["mu,delta,q,lower_ok,upper_ok,negativity_ok,feasible"]
+    for i, d in enumerate(deltas):
+        for j, q in enumerate(qs):
+            lines.append("%.12g,%.12g,%.12g,%d,%d,%d,%d"
+                         % (mu, d, q, *(f[i, j] for f in flags)))
+    expect = "".join(line + "\r\n" for line in lines).encode()
+    assert (out / "feasibility_region.csv").read_bytes() == expect
+
+
 def test_feasibility_infeasible_mu_exits_zero(tmp_path):
     path = write_cfg(tmp_path, "feas.mu = 0.6\nfeas.n_delta = 40\nfeas.n_q = 40\n")
     out = tmp_path / "feas"

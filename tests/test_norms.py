@@ -5,10 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from meridian.norms import (CylinderDomain, DivergentNormError,
-                            bmo_oscillation_ln, disk_mean_ln,
+                            _cylinder_quad, bmo_oscillation_ln, disk_mean_ln,
                             lq_growth_exponent, lq_norm_cylinder,
                             weak_lorentz_norm)
 from meridian.profiles import Profile, constant_profile, power_law_profile
+from oracles import cylinder_quad_meshgrid, weak_lorentz_meshgrid
 
 
 # ---------- oracles ----------
@@ -146,6 +147,62 @@ def test_weak_norm_cylinder_matches_1d_oracle():
 def test_weak_norm_distribution_monotone():
     est = weak_lorentz_norm(power_law_profile(1.0), 2.0, CylinderDomain(3.0))
     assert np.all(np.diff(est.measures) <= 1e-12 * est.measures[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_weak_norm_non_finite_sample_raises(bad):
+    # nan or inf for r < 1/2, before any level grid is built (an inf
+    # level would warn, and pyproject makes a RuntimeWarning an error)
+    prof = Profile(fn=lambda r, z: np.where(r < 0.5, bad, 1.0) + 0.0 * z)
+    with pytest.raises(DivergentNormError, match="non-finite .*%s" % bad):
+        weak_lorentz_norm(prof, 2.0, CylinderDomain(2.0), n_cells=40)
+
+
+# ---------- column x row evaluation ----------
+
+def column_row_profiles():
+    """A profile of r alone, one of r and z, and a constant one."""
+    zdep = Profile(fn=lambda r, z: (1.0 + r) ** -1.5 * np.exp(-z * z),
+                   name="(1+r)^-1.5 exp(-z^2)")
+    return [power_law_profile(1.3), zdep, constant_profile(2.5)]
+
+
+@pytest.mark.parametrize("prof", column_row_profiles(), ids=lambda p: p.name)
+def test_cylinder_quad_column_row_equals_meshgrid(prof):
+    # bit for bit, at lq_norm_cylinder's two resolutions and the default
+    g = lambda r, z: np.abs(prof(r, z)) ** 2.7
+    for R in (0.7, 6.0, 2.0 ** 12):
+        for res in ((10, 16, 12), (14, 32, 20), (12, 24, 16)):
+            assert _cylinder_quad(g, R, *res) == cylinder_quad_meshgrid(
+                g, R, *res)
+
+
+@pytest.mark.parametrize("prof", column_row_profiles(), ids=lambda p: p.name)
+def test_weak_norm_column_row_equals_meshgrid(prof):
+    for q, R, n_cells in ((2.5, 3.0, 400), (1.7, 13.0, 61)):
+        est = weak_lorentz_norm(prof, q, CylinderDomain(R), n_cells=n_cells)
+        value, measures, lq_grid = weak_lorentz_meshgrid(
+            prof, q, CylinderDomain(R), n_cells=n_cells)
+        assert est.value == value and est.lq_same_grid == lq_grid
+        assert np.array_equal(est.measures, measures)
+
+
+def test_norms_evaluate_a_column_of_r_and_a_row_of_z():
+    # a profile of r alone is evaluated at the radial nodes only: a
+    # meshgrid revert hands it two (n, m) arrays
+    shapes = []
+
+    def recording(r, z):
+        shapes.append((np.shape(r), np.shape(z)))
+        return (1.0 + r) ** -2.0
+
+    prof = Profile(fn=recording)
+    lq_norm_cylinder(prof, 2.0, CylinderDomain(3.0))
+    weak_lorentz_norm(prof, 2.0, CylinderDomain(3.0), n_cells=50)
+    assert len(shapes) == 3
+    for (n, one), (one_z, m) in shapes:
+        assert one == one_z == 1 and n > 1 and m > 1
+    assert shapes[-1] == ((50, 1), (1, 100))
 
 
 # ---------- mean oscillation of ln r ----------
