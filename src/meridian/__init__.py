@@ -19,8 +19,7 @@ from .rates import (DecayPrediction, FeasibleExponents, FitResult,
                     InfeasibleExponentError, bruteforce_feasible_set,
                     construct_feasible_pair, evaluate_pair, fit_decay,
                     optimize_split, predicted_decay, region_term_exponents)
-from .reconstruct import (QuadratureSpec, ReconstructionResult, TraceSample,
-                          decay_trace, reconstruct_ur, reconstruct_utheta,
-                          reconstruct_uz)
+from .reconstruct import (QuadratureSpec, ReconstructionResult, decay_trace,
+                          reconstruct_ur, reconstruct_utheta, reconstruct_uz)
 
 __version__ = "0.1.0"

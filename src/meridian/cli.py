@@ -238,12 +238,11 @@ def cmd_decay(cfg, out_dir):
     header = ["r", "value", "quad_err", "tail_bound"] + list(REGION_NAMES)
     write_csv(_out(out_dir, "decay_trace_beta%g.csv" % beta), header,
               ",".join(["%.12g"] * len(header)),
-              ((s.r, s.value, s.quad_err, s.tail_bound)
+              ((s.r, abs(s.value), s.quad_err, s.tail_bound)
                + tuple(s.per_region[n] for n in REGION_NAMES)
                for s in samples))
 
-    fits = {label: fit_decay([(s.r, s.value, s.quad_err + s.tail_bound)
-                              for s in trace])
+    fits = {label: fit_decay([(s.r, abs(s.value), s.total_error) for s in trace])
             for label, trace in traces.items()}
     fit = fits.pop("trace")
     pred = predicted_decay(beta)
@@ -258,7 +257,10 @@ def cmd_decay(cfg, out_dir):
     slope = fit.selected_slope
     max_slope = pred.exponent + cfg["decay.slope_tolerance"]
     sweep_fits = {label: f.selected_slope for label, f in fits.items()}
-    flagged = {label: sum(1 for s in trace if s.flagged)
+    # a sample is flagged when its value is 0 or its certified error exceeds
+    # a tenth of |value|
+    flagged = {label: sum(s.value == 0 or s.total_error > 0.1 * abs(s.value)
+                          for s in trace)
                for label, trace in traces.items()}
     n_flagged = flagged.pop("trace")
     passed = all(v <= max_slope for v in [slope, *sweep_fits.values()])

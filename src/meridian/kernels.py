@@ -166,12 +166,12 @@ class KernelValues:
     For m >= SERIES_M the moments come from K = ellipkm1(y) and E =
     ellipe(m), with y = 1 - m formed from the squared distance to the
     diagonal so it does not cancel as the source ring nears the field
-    point; below it, from the power series in m.  J0 and J1 are formed at
-    once; J2 and each kernel field are formed on first read and then
-    cached, so a caller pays only for the kernels it reads (u_r reads g1
-    alone, and only g3 reads J2).  Arrays broadcast, and each moment and
-    field has their broadcast shape; the diagonal point itself raises
-    ValueError.
+    point; below it, from the power series in m.  J1 is formed at once; J0,
+    J2 and each kernel field are formed on first read and then cached, so
+    a caller pays only for the kernels it reads (u_r reads g1 alone, which
+    needs J1 only, and only g3 reads J2).  Arrays broadcast, and each
+    moment and field has their broadcast shape; the diagonal point itself
+    raises ValueError.
     g_swirl is the kernel pairing the axial vorticity in the swirl
     reconstruction, (1/4pi) int (r - rho cos p)/D^{3/2} dp; by the symmetry
     of D it equals -G2(rho, r, zeta) and shares the reduced moments.
@@ -201,7 +201,6 @@ class KernelValues:
             p1 = (p0 - K) / m
         self._small = m < SERIES_M
         self._parts = m, inv_a3, K, E, p0, p1
-        self.j0 = self._series(0, p0 * inv_a3)
         self.j1 = self._series(1, (2.0 * p1 - p0) * inv_a3)
 
     def _series(self, k, out):
@@ -212,6 +211,11 @@ class KernelValues:
             m, inv_a3 = self._parts[:2]
             out[small] = np.polyval(_SERIES[k], m[small]) * inv_a3[small]
         return out.reshape(self.rho.shape)
+
+    @cached_property
+    def j0(self):
+        _, inv_a3, _, _, p0, _ = self._parts
+        return self._series(0, p0 * inv_a3)
 
     @cached_property
     def j2(self):
@@ -232,9 +236,9 @@ def kernel_batch(r, rho, zeta, n_nodes=16, n_err=8, deepen=0,
     """Vectorized kernels over source-point arrays for one field radius r.
 
     Closed forms from `KernelValues`, O(1) per point and accurate to about
-    4e-13 relative in the moments, so no error estimate is returned.  J0
-    and J1 are evaluated here; the returned `KernelValues` forms J2 and
-    each kernel when it is first read.  This is the workhorse for grid
+    4e-13 relative in the moments, so no error estimate is returned.  J1
+    is evaluated here; the returned `KernelValues` forms J0, J2 and each
+    kernel when it is first read.  This is the workhorse for grid
     scans and half-plane reconstruction; its agreement with the adaptive
     `kernel_triple` oracle is asserted in tests.  `n_nodes`, `n_err`,
     `deepen` and `with_errors` are ignored: they remain only because the

@@ -126,8 +126,7 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
 
     Cells are midpoint samples of a (r, z) grid on the cylinder, weighted
     by 2 pi r * cell area.  A zero |f| gives a zero estimate with empty
-    measures; a non-finite sample raises DivergentNormError, and an
-    under-resolved level grid ValueError.
+    measures, and a non-finite sample raises DivergentNormError.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -150,7 +149,7 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
             % (vals[k], rc[k // zc.size, 0], zc[k % zc.size], dom))
     if vmax <= 0.0:
         return WeakLorentzEstimate(q, 0.0, np.array([]), 0.0)
-    vmin_pos = float(vals[vals > 0].min()) if np.any(vals > 0) else vmax
+    vmin_pos = float(vals[vals > 0].min())
     lo = max(vmin_pos, vmax * 1e-12)
     lambdas = np.geomspace(lo * 0.999, vmax * 0.999, WEAK_LEVELS)
 
@@ -160,9 +159,6 @@ def weak_lorentz_norm(f, q, dom, n_cells=400):
     # measure(lambda) = total weight of cells with |f| > lambda
     idx = np.searchsorted(-sorted_vals, -lambdas, side="left")
     measures = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-    if np.any(np.diff(measures) > 1e-12 * cum[-1]):
-        raise ValueError("distribution function not monotone: level sets "
-                         "under-resolved")
     ln = lambdas * measures ** (1.0 / q)
     lq_grid = float(np.dot(wgts, vals ** q) ** (1.0 / q))
     return WeakLorentzEstimate(q, float(ln.max()), measures, lq_grid)

@@ -596,23 +596,13 @@ _RECONSTRUCTORS = {"u_r": reconstruct_ur, "u_z": reconstruct_uz,
                    "u_theta": reconstruct_utheta}
 
 
-@dataclass
-class TraceSample:
-    r: float
-    value: float
-    quad_err: float
-    tail_bound: float
-    per_region: dict
-    flagged: bool
-
-
 def decay_trace(w_field, component, r_ladder, z=0.0):
-    """|component|(r, z) along an increasing radius ladder.
+    """The signed ReconstructionResult of `component` at each rung (r, z)
+    of an increasing radius ladder.
 
     Per-point absolute tolerances follow the predicted decay envelope from
-    TRACE_REL_TOL of the first value, so the fractional accuracy stays
-    roughly constant as values shrink; a sample is flagged when its
-    certified error exceeds 10% of its value.  gamma comes from the
+    TRACE_REL_TOL of the first |value|, so the fractional accuracy stays
+    roughly constant as values shrink.  gamma comes from the
     closed-form split for the profile's beta.  `z` is a fixed probe
     height or a sequence matching the ladder (the decay envelopes are
     uniform in z, so sweeping z = r/2 or z = r is a uniformity spot-check).
@@ -620,6 +610,8 @@ def decay_trace(w_field, component, r_ladder, z=0.0):
     if component not in COMPONENTS:
         raise ValueError("component must be one of %s" % (sorted(COMPONENTS),))
     r_ladder = [float(r) for r in r_ladder]
+    if not r_ladder:
+        raise ValueError("trace ladder is empty")
     if any(r <= 1.0 for r in r_ladder):
         raise ValueError("trace radii must exceed 1")
     if any(b <= a for a, b in zip(r_ladder, r_ladder[1:])):
@@ -644,21 +636,9 @@ def decay_trace(w_field, component, r_ladder, z=0.0):
             spec = replace(spec, rho_max=factor * max(1.0, r_ladder[-1]))
 
     rec = _RECONSTRUCTORS[component]
-    samples = []
-    base_tol = None
-    for r, z_r in zip(r_ladder, z_ladder):
-        if base_tol is None:
-            spec_r = spec
-        else:
-            tol_r = max(base_tol * envelope(r) / envelope(r_ladder[0]), 1e-14)
-            spec_r = replace(spec, tol=tol_r)
-        res = rec(w_field, MeridianPoint(r, z_r), spec_r)
-        if base_tol is None:
-            base_tol = max(TRACE_REL_TOL * abs(res.value), spec.tol)
-        flagged = res.total_error > 0.1 * abs(res.value) if res.value != 0 else True
-        samples.append(TraceSample(r=r, value=abs(res.value),
-                                   quad_err=res.quad_err,
-                                   tail_bound=res.tail_bound,
-                                   per_region=res.per_region,
-                                   flagged=flagged))
-    return samples
+    results = [rec(w_field, MeridianPoint(r_ladder[0], z_ladder[0]), spec)]
+    base_tol = max(TRACE_REL_TOL * abs(results[0].value), spec.tol)
+    for r, z_r in zip(r_ladder[1:], z_ladder[1:]):
+        tol_r = max(base_tol * envelope(r) / envelope(r_ladder[0]), 1e-14)
+        results.append(rec(w_field, MeridianPoint(r, z_r), replace(spec, tol=tol_r)))
+    return results

@@ -348,7 +348,8 @@ def test_certificates_on_random_bumps():
 
 
 def test_a_u_r_kernel_batch_never_forms_j2(monkeypatch):
-    # J2 feeds G3 alone, which no reconstruction term reads
+    # J2 feeds G3 alone, which no reconstruction term reads; J0 feeds G2
+    # and the swirl kernel, which u_r does not read
     import meridian.reconstruct as rec
     batches = []
 
@@ -360,6 +361,7 @@ def test_a_u_r_kernel_batch_never_forms_j2(monkeypatch):
     _, w = stream_bump_field()
     reconstruct_ur(w, MeridianPoint(3.2, 0.3))
     assert batches and all("j2" not in vars(kv) for kv in batches)
+    assert all("j0" not in vars(kv) for kv in batches)
     assert all("g1" in vars(kv) for kv in batches)
 
 
@@ -1010,9 +1012,11 @@ def test_decay_trace_validation_and_flags():
         decay_trace(w, "u_r", [0.5, 2.0])
     with pytest.raises(ValueError):
         decay_trace(w, "u_r", [10.0, 10.0])
+    with pytest.raises(ValueError, match="empty"):
+        decay_trace(w, "u_r", [])
     samples = decay_trace(w, "u_r", [10.0, 20.0, 40.0], z=1.0)
     assert [s.r for s in samples] == [10.0, 20.0, 40.0]
-    assert all(not s.flagged for s in samples)
+    assert all(s.total_error < 0.1 * abs(s.value) for s in samples)
     assert all(s.quad_err + s.tail_bound < 0.1 * s.value for s in samples)
 
 
@@ -1025,9 +1029,19 @@ def test_decay_trace_utheta_and_z_sequence():
     # per-point probe heights (uniformity spot-check shape)
     sw = decay_trace(power_law_vorticity(3.0), "u_r", ladder,
                      z=[r / 2 for r in ladder])
-    assert all(not s.flagged for s in sw)
+    assert all(s.total_error < 0.1 * abs(s.value) for s in sw)
     with pytest.raises(ValueError):
         decay_trace(power_law_vorticity(3.0), "u_r", ladder, z=[1.0, 2.0])
+
+
+def test_decay_trace_keeps_the_sign():
+    # u_z at z = r/2 changes sign between r = 32 and r = 64 at beta = 3; a
+    # trace of |value| would hide the crossing
+    ladder = [8.0 * 2.0 ** j for j in range(8)]
+    samples = decay_trace(power_law_vorticity(3.0), "u_z", ladder,
+                          z=[r / 2 for r in ladder])
+    assert all(s.value > 0 for s in samples if s.r <= 32.0)
+    assert all(s.value < 0 for s in samples if s.r >= 64.0)
 
 
 def test_non_finite_vorticity_is_rejected():
