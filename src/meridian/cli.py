@@ -159,6 +159,10 @@ def cmd_kernel_scan(cfg, out_dir):
     if cfg["scan.r_max"] < cfg["scan.r_min"]:
         raise ConfigError("scan.r_max must be at least scan.r_min, got %g < %g"
                           % (cfg["scan.r_max"], cfg["scan.r_min"]))
+    # no supremum drifts by less than a bound <= 0, so the gate always fails
+    if not cfg["scan.stability"] > 0:
+        raise ConfigError("scan.stability must be positive, got %g"
+                          % cfg["scan.stability"])
     jobs = {}                        # CSV name -> (kind, alpha)
     for kind in kinds:
         if kind not in SCAN_ALPHAS:
@@ -466,6 +470,14 @@ def cmd_roundtrip(cfg, out_dir, workers, seed):
 
 def cmd_bmo(cfg, out_dir):
     """Scale-invariance table; exit 0 iff ratios and disk means hold."""
+    # max/min is at least 1 and |mean - expected| at least 0, so bounds
+    # outside these ranges fail every run
+    if not cfg["bmo.ratio_threshold"] > 1:
+        raise ConfigError("bmo.ratio_threshold must exceed 1, got %g"
+                          % cfg["bmo.ratio_threshold"])
+    if not cfg["bmo.mean_tolerance"] >= 0:
+        raise ConfigError("bmo.mean_tolerance must be non-negative, got %g"
+                          % cfg["bmo.mean_tolerance"])
     n = cfg["bmo.n_scales"]
     scales = [2.0 ** j for j in range(1, n + 1)]
     rows = []

@@ -15,18 +15,20 @@ densification is the falsifiable content.  Scans over several alpha values
 share one kernel evaluation pass per field radius, and one stable sort per
 scan groups its points by regime: a report reduces each admissible regime's
 group to its supremum and first argmax, the alpha gate read from its band.
+The scan CSVs format each distinct value of a column once: the kernels,
+envelopes and ratios are even in zeta, and the r ladder scales one (q, s)
+pattern, so K and the ratios repeat bit for bit across rungs.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import List, Optional
 
 import numpy as np
 
 from .kernels import k_modulus, kernel_batch
-from .reports import write_csv, write_json
+from .reports import column_text, write_csv, write_json
 
 DIAGONAL_MARGIN = 1e-3
 RATIO_RANGE = (1e-2, 1e2)           # rho / r span of the scan grid
@@ -123,16 +125,15 @@ class ScanData:
     @cached_property
     def csv_lead(self):
         """Per point, the r,rho,zeta,K,regime CSV text every job shares."""
-        return list(map("%.10g,%.10g,%.10g,%.10g,%s,".__mod__, zip(
-            self.r.tolist(), self.rho.tolist(), self.zeta.tolist(),
-            self.K.tolist(), [REGIMES[i] for i in self.regime.tolist()])))
+        labels = np.array([label + "," for label in REGIMES], dtype=object)
+        return (column_text(self.r, "%.10g,") + column_text(self.rho, "%.10g,")
+                + column_text(self.zeta, "%.10g,")
+                + column_text(self.K, "%.10g,") + labels[self.regime])
 
     # per point, a kind's kernel CSV field: formatted on its first read,
     # shared by every alpha, and never formatted for a kind left unscanned
-    csv_gamma23 = cached_property(
-        lambda s: list(map("%.12g,".__mod__, s.kernel23.tolist())))
-    csv_gamma1 = cached_property(
-        lambda s: list(map("%.12g,".__mod__, s.kernel1.tolist())))
+    csv_gamma23 = cached_property(lambda s: column_text(s.kernel23, "%.12g,"))
+    csv_gamma1 = cached_property(lambda s: column_text(s.kernel1, "%.12g,"))
 
 
 @dataclass
@@ -302,16 +303,16 @@ def refine_and_compare(kind, alpha, coarse_data, fine_data,
 
 def write_scan_csv(path, kind, alpha, data):
     """Point-by-point rows: r, rho, zeta, K, regime, kernel, envelope, ratio;
-    only envelope and ratio are formatted here, the rest is cached text."""
+    only envelope and ratio are formatted here, the rest is cached text,
+    and every column formats each distinct value once."""
     env = BoundEnvelope(kind=kind, alpha=alpha)
     ok = np.asarray(env.admissible(data.r, data.rho), dtype=bool)
     envv = envelope_value(env, data.r[ok], data.rho[ok], data.zeta[ok])
-    keep = ok.tolist()
     write_csv(path, ("r", "rho", "zeta", "K", "regime", "kernel", "envelope",
-                     "ratio"), "%s%s%.12g,%.12g",
-              zip(compress(data.csv_lead, keep),
-                  compress(getattr(data, "csv_" + kind), keep), envv.tolist(),
-                  _ratio(env, data, ok, envv).tolist()))
+                     "ratio"), "%s%s%s%s",
+              zip(data.csv_lead[ok], getattr(data, "csv_" + kind)[ok],
+                  column_text(envv, "%.12g,"),
+                  column_text(_ratio(env, data, ok, envv), "%.12g")))
 
 
 def write_summary_json(path, reports):

@@ -86,6 +86,24 @@ def scan_report(kind, alpha, data):
                       failures=data.failures)
 
 
+def write_scan_csv_reference(path, kind, alpha, data):
+    """The scan CSV of one (kind, alpha) job over ScanData `data`, every
+    value formatted by its own row's `%`: the reference for
+    `envelopes.write_scan_csv`, which formats each distinct value once."""
+    env = BoundEnvelope(kind=kind, alpha=alpha)
+    ok, ratio = admissible_ratio(env, data)
+    r, rho, zeta = data.r[ok], data.rho[ok], data.zeta[ok]
+    kernel = (data.kernel23 if kind == "gamma23" else data.kernel1)[ok]
+    rows = zip(r.tolist(), rho.tolist(), zeta.tolist(), data.K[ok].tolist(),
+               [REGIMES[i] for i in data.regime[ok].tolist()],
+               kernel.tolist(), envelope_value(env, r, rho, zeta).tolist(),
+               ratio.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("r,rho,zeta,K,regime,kernel,envelope,ratio\r\n")
+        for row in rows:
+            fh.write("%.10g,%.10g,%.10g,%.10g,%s,%.12g,%.12g,%.12g\r\n" % row)
+
+
 def write_csv_reference(path, header, rows):
     """The csv-module writer the commands used before `reports.write_csv`:
     `rows` hold every field already formatted as text."""

@@ -585,6 +585,18 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "roundtrip.threshold must be positive, got 0"),
     ("roundtrip", "roundtrip.threshold = -0.001",
      "roundtrip.threshold must be positive, got -0.001"),
+    # no drift is below a bound <= 0, no max/min ratio below 1 and no
+    # |mean - expected| below 0, so each gate would always fail
+    ("kernel-scan", "scan.stability = 0",
+     "scan.stability must be positive, got 0"),
+    ("kernel-scan", "scan.stability = -1",
+     "scan.stability must be positive, got -1"),
+    ("bmo", "bmo.ratio_threshold = 0.5",
+     "bmo.ratio_threshold must exceed 1, got 0.5"),
+    ("bmo", "bmo.ratio_threshold = 1",
+     "bmo.ratio_threshold must exceed 1, got 1"),
+    ("bmo", "bmo.mean_tolerance = -1",
+     "bmo.mean_tolerance must be non-negative, got -1"),
     ("feasibility", "feas.mu = nan", "feas.mu: must be finite"),
     ("feasibility", "feas.mu = -1", "every feas.mu_sweep entry must"),
     ("feasibility", "feas.mu_sweep = 1,0", "every feas.mu_sweep entry must"),
@@ -620,7 +632,9 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     ("feasibility", "feas.mu_sweep = 1,abc",
      "config key feas.mu_sweep: cannot parse 'abc' as float"),
 ], ids=["r_max-nan", "stability-nan", "slope_tolerance-nan", "threshold-nan",
-        "threshold-zero", "threshold-negative", "mu-nan", "mu-negative",
+        "threshold-zero", "threshold-negative", "stability-zero",
+        "stability-negative", "ratio_threshold-half", "ratio_threshold-one",
+        "mean_tolerance-negative", "mu-nan", "mu-negative",
         "mu_sweep-zero", "no-kinds", "no-alphas", "n_points-4",
         "roundtrip-kind-bogus", "envelope-bogus", "alphas-duplicate",
         "alphas-same-name", "kinds-duplicate", "kind-bogus-no-alphas",

@@ -14,7 +14,8 @@ from meridian.envelopes import (DIAGONAL_MARGIN, RATIO_RANGE, REGIMES,
                                 write_summary_json)
 from meridian.cli import load_config
 from meridian.kernels import kernel_batch, kernel_triple
-from oracles import admissible_ratio, crude_bounds, scan_report
+from oracles import (admissible_ratio, crude_bounds, scan_report,
+                     write_scan_csv_reference)
 
 
 def test_envelope_value_examples():
@@ -206,6 +207,24 @@ def test_write_scan_csv_shares_no_rows_between_jobs(tmp_path, order):
         rows[kind, alpha] = path.read_bytes().count(b"\r\n")
     # gamma1 at alpha = 3 drops the near-diagonal band, alpha <= 1 keeps it
     assert rows["gamma1", 3.0] < rows["gamma1", 1.0] == rows["gamma23", 1.0]
+
+
+@pytest.mark.parametrize("kind, alpha", _default_jobs())
+def test_write_scan_csv_matches_per_row_reference(tmp_path, kind, alpha):
+    # a small grid plus a hand-added point on the zeta = 0 line with zeta =
+    # -0.0: formatted apart from the grid's +0.0 points, its zeta reads -0,
+    # which a dedup keyed on values instead of bits would lose
+    grid = scan_grid(n_r=3, n_ratio=8, n_zeta=6)
+    r0 = grid[0, 0]
+    data = evaluate_scan_grid(np.vstack([grid, [[r0, 0.1 * r0, -0.0]]]))
+    assert np.any((data.zeta == 0.0) & ~np.signbit(data.zeta))
+    ref, out = tmp_path / "ref.csv", tmp_path / "scan.csv"
+    write_scan_csv_reference(str(ref), kind, alpha, data)
+    write_scan_csv(str(out), kind, alpha, data)
+    assert out.read_bytes() == ref.read_bytes()
+    assert ("\r\n%.10g,%.10g,-0," % (r0, 0.1 * r0)).encode() in out.read_bytes()
+    # gamma1 at alpha = 3 drops the near-diagonal band's rows
+    assert (out.read_bytes().count(b"\r\n") - 1 < data.r.size) == (alpha > 1)
 
 
 # rho = r/4 and rho = 4r sit in the mid band; (2, 2, +-4) and (3, 3, 6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meridian.reports import CHUNK_ROWS, write_csv
+from meridian.reports import CHUNK_ROWS, column_text, write_csv
 from oracles import write_csv_reference
 
 NAN, INF = math.nan, math.inf
@@ -63,3 +63,35 @@ def test_write_csv_matches_csv_writer_reference(tmp_path, name):
     assert out.read_bytes() == ref.read_bytes()
     assert out.read_bytes().count(b"\r\n") == len(rows) + 1
 
+
+
+def _repeated_column():
+    # a seeded random column in which every value recurs: 50 draws, each
+    # taken 40 times in shuffled order, with both zeros mixed in
+    rng = np.random.default_rng(17)
+    pool = np.append(rng.standard_normal(48) * 10.0 ** rng.integers(-8, 8, 48),
+                     [0.0, -0.0])
+    return rng.permutation(np.repeat(pool, 40))
+
+
+# a NaN whose payload differs from math.nan's, and a negative NaN
+OTHER_NANS = np.array([0x7FF8000000000001, -0x0008000000000000],
+                      dtype=np.int64).view(float).tolist()
+
+# name -> column: the values a CSV column of the commands can hold
+COLUMNS = {
+    "signed-zeros": [-0.0, 0.0, 0.0, -0.0, 1.0, -0.0],
+    "specials": [NAN, INF, -INF, 5e-324, 1.7e308, -5e-324] + OTHER_NANS,
+    "heavy-repeats": [0.1] * 500 + [1 / 3] * 300 + [0.1, 2.0] * 100,
+    "empty": [],
+    "random-with-duplicates": _repeated_column().tolist(),
+}
+
+
+@pytest.mark.parametrize("fmt", ["%.10g,", "%.12g", "%.17g"])
+@pytest.mark.parametrize("name", list(COLUMNS))
+def test_column_text_matches_per_value_formatting(name, fmt):
+    values = COLUMNS[name]
+    texts = column_text(np.array(values, dtype=float), fmt)
+    assert texts.shape == (len(values),)
+    assert texts.tolist() == [fmt % v for v in values]
