@@ -37,6 +37,8 @@ ZETA_SCALE_RANGE = (1e-3, 10.0)     # nonzero |zeta| / r span of the scan grid
 # rho < r/4, 1 on r/4 <= rho <= 4r and 2 for rho > 4r
 REGIMES = ("low:K<=1", "low:K>1", "mid:K<=1", "mid:K>1", "high:K<=1",
            "high:K>1")
+# kernel family -> the global alpha range of its envelope
+ALPHA_RANGES = {"gamma23": (0.0, 1.0), "gamma1": (0.0, 3.0)}
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,12 @@ class BoundEnvelope:
     alpha: float
 
     def __post_init__(self):
-        if self.kind not in ("gamma23", "gamma1"):
-            raise ValueError("kind must be 'gamma23' or 'gamma1'")
-        hi = 1.0 if self.kind == "gamma23" else 3.0
-        if not (0.0 <= self.alpha <= hi):
-            raise ValueError("alpha=%g outside [0, %g] for %s"
-                             % (self.alpha, hi, self.kind))
+        if self.kind not in ALPHA_RANGES:
+            raise ValueError("kind must be %s" % " or ".join(map(repr, ALPHA_RANGES)))
+        lo, hi = ALPHA_RANGES[self.kind]
+        if not (lo <= self.alpha <= hi):
+            raise ValueError("alpha=%g outside [%g, %g] for %s"
+                             % (self.alpha, lo, hi, self.kind))
 
     def admissible(self, r, rho):
         """alpha gate at a point: the near-diagonal band caps alpha at 1."""

@@ -40,6 +40,9 @@ class AxisymField:
     u_z: Profile
 
 
+AXIAL_KINDS = ("gauss", "compact")
+
+
 class AxialEnvelope:
     """Integrable bound eta(k) on the axial dependence of a vorticity profile.
 
@@ -50,9 +53,9 @@ class AxialEnvelope:
     """
 
     def __init__(self, kind="gauss", scale=1.0):
-        if kind not in ("gauss", "compact"):
-            raise ValueError("axial envelope kind must be gauss or compact, "
-                             "got %r" % (kind,))
+        if kind not in AXIAL_KINDS:
+            raise ValueError("axial envelope kind must be %s, got %r"
+                             % (" or ".join(AXIAL_KINDS), kind))
         # a scale <= 0 would make the tail majorants <= 0
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError("axial envelope scale must be finite and "

@@ -417,7 +417,8 @@ def test_decay_non_positive_envelope_scale_rejected(tmp_path, capsys,
                                "decay.envelope_scale = %g\n" % (envelope, scale))
     out = tmp_path / "decay"
     assert main(["decay", "--config", path, "--out", str(out)]) == 2
-    assert "must be finite and positive" in capsys.readouterr().err
+    assert ("config key decay.envelope_scale: must be finite and greater "
+            "than 0" in capsys.readouterr().err)
     assert not (out / "decay_trace_beta3.csv").exists()
 
 
@@ -554,9 +555,9 @@ def test_output_directory_under_a_regular_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("roundtrip.probe_layout", "randm", "must be grid or random"),
-    ("roundtrip.bump_radius", "-1", "must be finite and positive"),
-    ("roundtrip.bump_radius", "0", "must be finite and positive"),
+    ("roundtrip.probe_layout", "randm", "must be one of grid, random, got 'randm'"),
+    ("roundtrip.bump_radius", "-1", "must be finite and greater than 0, got -1.0"),
+    ("roundtrip.bump_radius", "0", "must be finite and greater than 0, got 0.0"),
 ])
 def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
                                                   monkeypatch, key, value,
@@ -568,7 +569,7 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
     path = write_cfg(tmp_path, "%s = %s\n" % (key, value))
     out = tmp_path / "rt"
     assert main(["roundtrip", "--config", path, "--out", str(out)]) == 2
-    assert "error: %s %s" % (key, message) in capsys.readouterr().err
+    assert "error: config key %s: %s" % (key, message) in capsys.readouterr().err
     assert not (out / "roundtrip_report.json").exists()
     assert not (out / "roundtrip_probes.csv").exists()
 
@@ -582,32 +583,43 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "roundtrip.threshold: must be finite"),
     # no relative error is below a threshold <= 0, so the gate always fails
     ("roundtrip", "roundtrip.threshold = 0",
-     "roundtrip.threshold must be positive, got 0"),
+     "config key roundtrip.threshold: must be finite and greater than 0, got 0.0"),
     ("roundtrip", "roundtrip.threshold = -0.001",
-     "roundtrip.threshold must be positive, got -0.001"),
+     "config key roundtrip.threshold: must be finite and greater than 0, "
+     "got -0.001"),
     # no drift is below a bound <= 0, no max/min ratio below 1 and no
     # |mean - expected| below 0, so each gate would always fail
     ("kernel-scan", "scan.stability = 0",
-     "scan.stability must be positive, got 0"),
+     "config key scan.stability: must be finite and greater than 0, got 0.0"),
     ("kernel-scan", "scan.stability = -1",
-     "scan.stability must be positive, got -1"),
+     "config key scan.stability: must be finite and greater than 0, got -1.0"),
     ("bmo", "bmo.ratio_threshold = 0.5",
-     "bmo.ratio_threshold must exceed 1, got 0.5"),
+     "config key bmo.ratio_threshold: must be finite and greater than 1, "
+     "got 0.5"),
     ("bmo", "bmo.ratio_threshold = 1",
-     "bmo.ratio_threshold must exceed 1, got 1"),
+     "config key bmo.ratio_threshold: must be finite and greater than 1, "
+     "got 1.0"),
     ("bmo", "bmo.mean_tolerance = -1",
-     "bmo.mean_tolerance must be non-negative, got -1"),
+     "config key bmo.mean_tolerance: must be finite and at least 0, got -1.0"),
     ("feasibility", "feas.mu = nan", "feas.mu: must be finite"),
-    ("feasibility", "feas.mu = -1", "every feas.mu_sweep entry must"),
-    ("feasibility", "feas.mu_sweep = 1,0", "every feas.mu_sweep entry must"),
+    ("feasibility", "feas.mu = -1",
+     "config key feas.mu: must be finite and greater than 0, got -1.0"),
+    ("feasibility", "feas.mu_sweep = 1,0",
+     "config key feas.mu_sweep: must be finite and greater than 0, got 0.0"),
+    ("feasibility", "feas.mu_sweep = 1,inf",
+     "config key feas.mu_sweep: must be finite and greater than 0, got inf"),
+    ("feasibility", "feas.mu_sweep = 1,nan",
+     "config key feas.mu_sweep: must be finite and greater than 0, got nan"),
     ("kernel-scan", "scan.kinds =", "scan.kinds: nothing to scan"),
     ("kernel-scan", "scan.kinds = gamma23; scan.alphas23 =",
      "scan.kinds: nothing to scan"),
-    ("decay", "decay.n_points = 4", "decay.n_points must be at least 5"),
+    ("decay", "decay.n_points = 4",
+     "config key decay.n_points: must be at least 5, got 4"),
     ("roundtrip", "roundtrip.kind = bogus",
-     "roundtrip.kind must be no_swirl, pure_swirl or both"),
+     "config key roundtrip.kind: must be one of both, no_swirl, pure_swirl, "
+     "got 'bogus'"),
     ("decay", "decay.envelope = bogus",
-     "axial envelope kind must be gauss or compact, got 'bogus'"),
+     "config key decay.envelope: must be one of gauss, compact, got 'bogus'"),
     ("kernel-scan", "scan.alphas23 = 0.5,0.5",
      "scan jobs (gamma23, alpha=0.5) and (gamma23, alpha=0.5) both write "
      "scan_gamma23_alpha0.5.csv"),
@@ -618,9 +630,9 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
      "both write scan_gamma1_alpha0.csv"),
     # with no gamma1 alphas an unknown kind used to be skipped silently
     ("kernel-scan", "scan.kinds = gamma23,bogus; scan.alphas1 =",
-     "scan.kinds: kind must be 'gamma23' or 'gamma1', got 'bogus'"),
+     "config key scan.kinds: must be one of gamma23, gamma1, got 'bogus'"),
     ("kernel-scan", "scan.kinds = bogus",
-     "scan.kinds: kind must be 'gamma23' or 'gamma1', got 'bogus'"),
+     "config key scan.kinds: must be one of gamma23, gamma1, got 'bogus'"),
     ("kernel-scan", "scan.r_min = 50; scan.r_max = 2",
      "scan.r_max must be at least scan.r_min, got 2 < 50"),
     # every probe radius would lie at or below the 1.2 floor
@@ -635,7 +647,8 @@ def test_roundtrip_bad_layout_or_radius_rejected(tmp_path, capsys,
         "threshold-zero", "threshold-negative", "stability-zero",
         "stability-negative", "ratio_threshold-half", "ratio_threshold-one",
         "mean_tolerance-negative", "mu-nan", "mu-negative",
-        "mu_sweep-zero", "no-kinds", "no-alphas", "n_points-4",
+        "mu_sweep-zero", "mu_sweep-inf", "mu_sweep-nan", "no-kinds",
+        "no-alphas", "n_points-4",
         "roundtrip-kind-bogus", "envelope-bogus", "alphas-duplicate",
         "alphas-same-name", "kinds-duplicate", "kind-bogus-no-alphas",
         "kind-bogus", "r_max-below-r_min",
@@ -652,3 +665,69 @@ def test_invalid_config_value_exits_2_before_output(tmp_path, capsys, command,
     assert main([command, "--config", path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# one value just past each key's own rule
+PAST_THE_RULE = {
+    "scan.kinds": "gamma23,gamma2",
+    "scan.alphas23": "0,1.01",
+    "scan.alphas1": "3.01",
+    "scan.r_min": "1",
+    "scan.stability": "0",
+    "decay.beta": "1",
+    "decay.component": "u_phi",
+    "decay.r_min": "1",
+    "decay.n_points": "4",
+    "decay.envelope": "gaussian",
+    "decay.envelope_scale": "0",
+    "feas.mu": "0",
+    "feas.mu_sweep": "1,0",
+    "roundtrip.kind": "swirl",
+    "roundtrip.threshold": "0",
+    "roundtrip.bump_radius": "0",
+    "roundtrip.probe_layout": "lattice",
+    "bmo.ratio_threshold": "1",
+    "bmo.mean_tolerance": "-1e-300",
+}
+
+
+def test_every_key_with_a_rule_has_a_value_past_it():
+    assert set(PAST_THE_RULE) == {k for k, v in DEFAULTS.items() if len(v) > 3}
+
+
+@pytest.mark.parametrize("key", sorted(PAST_THE_RULE))
+def test_a_value_past_its_rule_exits_2_under_a_command_not_reading_it(
+        tmp_path, capsys, key):
+    # rules are checked at load, whichever command runs
+    command = "feasibility" if key.startswith("bmo.") else "bmo"
+    path = write_cfg(tmp_path, "%s = %s\n" % (key, PAST_THE_RULE[key]))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "error: config key %s: must be " % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, text, value", [
+    ("scan.alphas23", "0,1", [0.0, 1.0]),
+    ("scan.alphas1", "0, 3", [0.0, 3.0]),
+    ("scan.kinds", "gamma1, gamma23", "gamma1, gamma23"),
+    ("decay.n_points", "5", 5),
+    ("bmo.mean_tolerance", "0", 0.0),
+    ("feas.mu_sweep", " 0.5, 2 ", "0.5, 2"),
+    ("roundtrip.kind", "pure_swirl", "pure_swirl"),
+])
+def test_a_value_on_the_edge_of_its_rule_loads(tmp_path, key, text, value):
+    # closed bounds admit their edge; comma lists of text stay text
+    cfg = load_config(write_cfg(tmp_path, "%s = %s\n" % (key, text)))
+    assert cfg[key] == value and type(cfg[key]) is type(value)
+
+
+def test_print_config_states_each_rule(capsys):
+    assert main(["print-config"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    docs = {setting.split(" = ")[0]: doc
+            for doc, setting in zip(lines[0::2], lines[1::2])}
+    assert docs["scan.r_min"] == ("# smallest field radius; must be finite "
+                                  "and greater than 1")
+    for key, rule in cli.RULES.items():
+        assert docs[key].partition("; must be ")[2] == (rule[0] if rule else "")
